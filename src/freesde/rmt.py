@@ -5,18 +5,24 @@ empirical spectrum converges to the semicircle law: independent entries
 above the diagonal with variance dt/N and diagonal variance 2 dt/N, so
 E[trace(dW^2)/N] = dt (1 + 1/N).  Paths own counter-keyed random streams
 (Philox keyed by (seed, path index)), which makes every ensemble bitwise
-reproducible under any parallel schedule.  Pooled eigenvalue histograms are
-compared against analytic densities through the Kolmogorov distance.
+reproducible under any parallel schedule; BLAS runs single-threaded while
+paths run, so each path's arithmetic is the same for any pool size.  Pooled
+eigenvalue histograms are compared against analytic densities through the
+Kolmogorov distance.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import io
 import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -46,8 +52,53 @@ PICARD_TOL = 1e-8
 def _n_workers() -> int:
     env = os.environ.get("FREESDE_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidConfig(
+                f"FREESDE_THREADS must be an integer, got {env!r}") from None
     return min(os.cpu_count() or 1, 4)
+
+
+@functools.cache
+def _blas_thread_api():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    Looked up on first use, so importing the package loads nothing extra.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextmanager
+def _single_threaded_blas():
+    """Run the block with BLAS on one thread, then restore the old count.
+
+    The path pool supplies the parallelism; BLAS threads inside each pool
+    thread would only oversubscribe the cores.  Without the bundled OpenBLAS
+    the block runs unchanged.
+    """
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    get, put = api
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 @dataclass(frozen=True)
@@ -70,6 +121,9 @@ class SimConfig:
             raise InvalidConfig("dt must be positive")
         if self.dt > self.t_end:
             raise InvalidConfig("dt must not exceed t_end")
+        if not _on_grid(self.t_end, self.dt):
+            raise InvalidConfig(
+                f"t_end={self.t_end} is not a multiple of dt={self.dt}")
         if self.n_paths < 1:
             raise InvalidConfig("n_paths must be a positive integer")
         if self.scheme not in ("euler", "picard"):
@@ -82,6 +136,10 @@ class SimConfig:
     def to_json(self) -> dict:
         return {"N": self.N, "dt": self.dt, "t_end": self.t_end,
                 "n_paths": self.n_paths, "seed": self.seed, "scheme": self.scheme}
+
+
+def _on_grid(t: float, dt: float) -> bool:
+    return abs(round(t / dt) * dt - t) <= 1e-9 * max(1.0, abs(t))
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -133,22 +191,25 @@ def sym_sqrt_clamped(x: np.ndarray) -> tuple[np.ndarray, float]:
     return (v * w) @ v.T, clamp
 
 
+def psd_factor(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """A factor F with F F^T = x, plus the clamped mass of the fallback.
+
+    The Cholesky factor L serves the gbm1 step: L dW L^T has the law of
+    x^(1/2) dW x^(1/2) because Q = L^(-1) x^(1/2) is orthogonal and the
+    Wigner increment is orthogonally invariant.  When Euler has lost
+    definiteness, Cholesky fails and the clamped eigenvalue root stands in.
+    """
+    try:
+        return np.linalg.cholesky(x), 0.0
+    except np.linalg.LinAlgError:
+        return sym_sqrt_clamped(x)
+
+
 @dataclass
 class PathDiagnostics:
-    """Per-path accumulators surfaced by the ensemble driver.
-
-    Asymmetry is spot-checked rather than measured every step: the explicit
-    (m + m.T)/2 symmetrization is exact in IEEE arithmetic, so periodic
-    sampling is enough to catch a model update that breaks it.
-    """
+    """Per-path accumulators surfaced by the ensemble driver."""
 
     clamp_total: float = 0.0
-    max_asymmetry: float = 0.0
-
-    def track(self, m: np.ndarray) -> None:
-        scale = max(1.0, float(np.max(np.abs(m))))
-        self.max_asymmetry = max(
-            self.max_asymmetry, float(np.max(np.abs(m - m.T))) / scale)
 
 
 def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
@@ -158,11 +219,11 @@ def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
         m = x * (1.0 + model.theta * dt)
         m += model.sigma * dw
     elif isinstance(model, GeometricBrownian1):
-        root, clamp = sym_sqrt_clamped(x)
+        factor, clamp = psd_factor(x)
         if diag is not None:
             diag.clamp_total += clamp
         m = x * (1.0 + model.theta * dt)
-        m += root @ dw @ root
+        m += factor @ dw @ factor.T
     elif isinstance(model, GeometricBrownian2):
         m = x * (1.0 + model.theta * dt)
         m += x @ dw
@@ -299,10 +360,9 @@ def _snapshot_steps(cfg: SimConfig, snapshot_times: Sequence[float]) -> list[int
     for ts in snapshot_times:
         if ts < 0 or ts > cfg.t_end + 1e-12:
             raise InvalidConfig(f"snapshot time {ts} outside [0, {cfg.t_end}]")
-        j = int(round(ts / cfg.dt))
-        if abs(j * cfg.dt - ts) > 1e-9 * max(1.0, abs(ts)):
+        if not _on_grid(ts, cfg.dt):
             raise InvalidConfig(f"snapshot time {ts} is not a multiple of dt={cfg.dt}")
-        steps.append(j)
+        steps.append(int(round(ts / cfg.dt)))
     return steps
 
 
@@ -324,12 +384,9 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, path_index: int,
         x = initial_matrix(model, cfg.N)
         if 0 in want:
             out[0] = np.linalg.eigvalsh(x)
-        check_every = max(1, cfg.n_steps // 16)
         for j in range(1, cfg.n_steps + 1):
             dw = sample_wigner_increment(cfg.N, cfg.dt, rng)
             x = _apply_increment(x, model, cfg.dt, dw, diag)
-            if j % check_every == 0 or j in want:
-                diag.track(x)
             if j in want:
                 out[j] = np.linalg.eigvalsh(x)
     return [out[j] for j in snap_steps], diag
@@ -340,8 +397,8 @@ def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
     """Pooled eigenvalues at each snapshot plus per-path diagnostics.
 
     Paths run independently (optionally on a small thread pool sized by
-    FREESDE_THREADS); pooling concatenates in path order, so the output is
-    identical whatever the schedule.
+    FREESDE_THREADS) with BLAS pinned to one thread; pooling concatenates in
+    path order, so the output is identical whatever the schedule.
     """
     if isinstance(model, Explosive) and not cfg.allow_near_blowup:
         horizon = 0.9 * blowup_time(model.k, model.a)
@@ -351,14 +408,15 @@ def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
                 "set allow_near_blowup to override")
     snap_steps = _snapshot_steps(cfg, snapshot_times)
     workers = min(_n_workers(), cfg.n_paths)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(
-                lambda p: _evolve_path(model, cfg, p, snap_steps),
-                range(cfg.n_paths)))
-    else:
-        results = [_evolve_path(model, cfg, p, snap_steps)
-                   for p in range(cfg.n_paths)]
+    with _single_threaded_blas():
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as ex:
+                results = list(ex.map(
+                    lambda p: _evolve_path(model, cfg, p, snap_steps),
+                    range(cfg.n_paths)))
+        else:
+            results = [_evolve_path(model, cfg, p, snap_steps)
+                       for p in range(cfg.n_paths)]
     pooled = [np.concatenate([res[0][i] for res in results])
               for i in range(len(snap_steps))]
     return pooled, [res[1] for res in results]

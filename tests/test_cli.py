@@ -174,6 +174,14 @@ class TestExitCodes:
     def test_usage_error_is_exit_2(self):
         assert cli.main(["density"]) == 2  # no model anywhere
 
+    def test_bad_thread_count_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+            out_dir=str(tmp_path), mc={"N": 10, "dt": 1e-2, "n_paths": 2})
+        monkeypatch.setenv("FREESDE_THREADS", "two")
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "FREESDE_THREADS" in capsys.readouterr().err
+
 
 class TestSelftest:
     def test_passes(self, capsys):

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freesde import cauchy as ca
 from freesde import models as md
@@ -35,6 +37,12 @@ class TestSimConfig:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(InvalidConfig):
             rmt.SimConfig(N=10, dt=1e-2, t_end=1.0, n_paths=1, scheme="heun")
+
+    def test_rejects_t_end_off_grid(self):
+        # round(0.1 / 0.03) = 3 steps would silently stop at 0.09
+        with pytest.raises(InvalidConfig):
+            rmt.SimConfig(N=10, dt=0.03, t_end=0.1, n_paths=1)
+        assert rmt.SimConfig(N=10, dt=0.01, t_end=0.4, n_paths=1).n_steps == 40
 
 
 class TestWignerIncrement:
@@ -94,6 +102,48 @@ class TestEulerStep:
         out = rmt.euler_step(x, spec, 1e-2, rmt.path_rng(6, 0))
         dw = rmt.sample_wigner_increment(12, 1e-2, rmt.path_rng(6, 0))
         assert np.max(np.abs(out - (x + x @ dw + dw @ x))) < 1e-14
+
+    @pytest.mark.parametrize("spec", [
+        md.OrnsteinUhlenbeck(-1.0, 1.0), md.GeometricBrownian1(0.5),
+        md.GeometricBrownian2(0.5), md.Explosive(1.0, 1.0)],
+        ids=["ou", "gbm1", "gbm2", "explosive"])
+    def test_increment_exactly_symmetric(self, spec):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((40, 40)) / math.sqrt(40)
+        x = np.eye(40) + 0.3 * (a + a.T)
+        dw = rmt.sample_wigner_increment(40, 2e-3, rmt.path_rng(12, 0))
+        m = rmt._apply_increment(x, spec, 2e-3, dw)
+        assert np.array_equal(m, m.T)
+
+
+class TestGbm1Factor:
+    @given(st.integers(2, 12), st.integers(0, 10 ** 6))
+    @settings(max_examples=50, deadline=None)
+    def test_cholesky_differs_from_root_by_rotation(self, n, seed):
+        # L^-1 x^(1/2) is orthogonal, so L dW L^T has the law of the
+        # symmetric-root step
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1, 1, (n, n))
+        x = a @ a.T + np.eye(n)
+        factor, clamp = rmt.psd_factor(x)
+        root, _ = rmt.sym_sqrt_clamped(x)
+        q = np.linalg.solve(factor, root)
+        assert clamp == 0.0
+        assert np.array_equal(factor, np.tril(factor))
+        assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-10
+
+    def test_indefinite_state_falls_back_to_clamped_root(self, monkeypatch):
+        calls = []
+        sqrt = rmt.sym_sqrt_clamped
+        monkeypatch.setattr(rmt, "sym_sqrt_clamped",
+                            lambda x: calls.append(x) or sqrt(x))
+        x = np.diag([1.0, -0.5, 2.0, 1.5, 0.8, 1.2])
+        dw = rmt.sample_wigner_increment(6, 1e-2, rmt.path_rng(8, 0))
+        diag = rmt.PathDiagnostics()
+        m = rmt._apply_increment(x, md.GeometricBrownian1(0.5), 1e-2, dw, diag)
+        assert len(calls) == 1
+        assert np.array_equal(m, m.T)
+        assert diag.clamp_total == 0.5
 
 
 class TestPicard:
@@ -163,11 +213,52 @@ class TestEnsemble:
         h2 = rmt.run_ensemble(spec, cfg, [0.2])[0]
         assert np.array_equal(h1.samples, h2.samples)
 
-    def test_symmetry_preserved_along_paths(self):
-        spec = md.GeometricBrownian2(0.5)
-        cfg = rmt.SimConfig(N=40, dt=2e-3, t_end=0.2, n_paths=3, seed=12)
-        _, diags = rmt.run_paths(spec, cfg, [0.2])
-        assert all(d.max_asymmetry <= 1e-12 for d in diags)
+    @pytest.mark.parametrize("spec", [md.GeometricBrownian1(0.5),
+                                      md.Explosive(1.0, 1.0)],
+                             ids=["gbm1", "explosive"])
+    def test_blas_determinism_across_thread_counts(self, spec, monkeypatch):
+        # these steps are matrix products, so BLAS runs inside every path
+        cfg = rmt.SimConfig(N=120, dt=1e-2, t_end=0.1, n_paths=5, seed=6)
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("FREESDE_THREADS", threads)
+            runs.append(rmt.run_paths(spec, cfg, [0.05, 0.1]))
+        for pooled, diags in runs[1:]:
+            for a, b in zip(pooled, runs[0][0]):
+                assert np.array_equal(a, b)
+            assert [d.clamp_total for d in diags] == \
+                [d.clamp_total for d in runs[0][1]]
+
+    def test_blas_pinned_during_paths_and_restored(self, monkeypatch):
+        api = rmt._blas_thread_api()
+        if api is None:
+            pytest.skip("numpy's bundled OpenBLAS not found")
+        get, put = api
+        before = get()
+        put(2)
+        try:
+            seen = []
+            step = rmt._apply_increment
+
+            def spy(x, *args):
+                seen.append(get())
+                if len(seen) >= 7:  # every later step fails, on any thread
+                    raise RuntimeError("path failure")
+                return step(x, *args)
+
+            monkeypatch.setattr(rmt, "_apply_increment", spy)
+            monkeypatch.setenv("FREESDE_THREADS", "2")
+            spec = md.GeometricBrownian1(0.5)
+            cfg = rmt.SimConfig(N=20, dt=1e-2, t_end=0.05, n_paths=2, seed=1)
+            with pytest.raises(RuntimeError):
+                rmt.run_paths(spec, cfg, [0.05])
+            assert get() == 2
+            assert seen and set(seen) == {1}
+            monkeypatch.setattr(rmt, "_apply_increment", step)
+            rmt.run_paths(spec, cfg, [0.05])
+            assert get() == 2
+        finally:
+            put(before)
 
     def test_snapshot_must_align_with_grid(self):
         spec = md.OrnsteinUhlenbeck(0.0, 1.0)
