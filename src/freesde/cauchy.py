@@ -166,14 +166,12 @@ class CauchyEvaluator:
     """Immutable handle for a time-indexed Cauchy transform g(t, z).
 
     ``fn`` must accept a float time and a complex ndarray and return the
-    transform values elementwise.  ``real_gap`` optionally reports, per
-    time, the real segment on which real-axis evaluation is refused.
+    transform values elementwise.
     """
 
     fn: Callable[[float, np.ndarray], np.ndarray]
     t_min: float = 0.0
     t_max: float = math.inf
-    real_gap: Callable[[float], SupportInterval] | None = None
     name: str = ""
 
     def __call__(self, t: float, z):

@@ -27,6 +27,16 @@ from .errors import FreeSdeError, InvalidConfig
 
 _MODEL_KEYS = ("model", "theta", "sigma", "k", "a")
 _RUN_KEYS = ("times", "grid", "eps0", "out_dir", "svg", "seed", "mc", "threshold")
+_MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
+
+
+def _number(kind, value, what: str):
+    """kind(value), with a malformed value reported as a config error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidConfig(
+            f"{what} must be {kind.__name__}, got {value!r}") from None
 
 
 @dataclass
@@ -52,8 +62,19 @@ class RunConfig:
             missing = {"lo", "hi", "n"} - set(self.grid)
             if missing:
                 raise InvalidConfig(f"grid needs lo/hi/n, missing {sorted(missing)}")
-            if int(self.grid["n"]) < 16:
+            lo, hi = (_number(float, self.grid[k], f"grid {k}") for k in ("lo", "hi"))
+            n = _number(int, self.grid["n"], "grid n")
+            if n < 16:
                 raise InvalidConfig("grid needs at least 16 points")
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise InvalidConfig(f"grid needs finite lo < hi, got lo={lo}, hi={hi}")
+            self.grid = {"lo": lo, "hi": hi, "n": n}
+        if not isinstance(self.mc, dict):
+            raise InvalidConfig("mc must be an object")
+        unknown = set(self.mc) - set(_MC_KEYS)
+        if unknown:
+            raise InvalidConfig(f"unknown mc fields {sorted(unknown)}; "
+                                f"allowed: {', '.join(_MC_KEYS)}")
         if self.eps0 < 0:
             raise InvalidConfig("eps0 must be nonnegative")
 
@@ -78,16 +99,19 @@ def _load_config(args) -> RunConfig:
     spec = models.model_from_json(model_part)
     times = raw.get("times")
     if isinstance(times, str):
-        times = [float(v) for v in times.split(",") if v]
+        times = [v for v in times.split(",") if v]
     if times is None:
         raise InvalidConfig("no times given (config file or --times)")
-    seed = int(os.environ.get("FREESDE_SEED", raw.get("seed", 0)))
-    return RunConfig(spec=spec, times=[float(t) for t in times],
-                     grid=raw.get("grid"), eps0=float(raw.get("eps0", 1e-3)),
+    seed_env = os.environ.get("FREESDE_SEED")
+    seed = (_number(int, seed_env, "FREESDE_SEED") if seed_env is not None
+            else _number(int, raw.get("seed", 0), "seed"))
+    return RunConfig(spec=spec, times=[_number(float, t, "time") for t in times],
+                     grid=raw.get("grid"),
+                     eps0=_number(float, raw.get("eps0", 1e-3), "eps0"),
                      out_dir=str(raw.get("out_dir", ".")),
                      svg=bool(raw.get("svg", False)), seed=seed,
-                     mc=dict(raw.get("mc", {})),
-                     threshold=float(raw.get("threshold", 0.08)))
+                     mc=raw.get("mc", {}),
+                     threshold=_number(float, raw.get("threshold", 0.08), "threshold"))
 
 
 def _auto_grid(spec: models.ModelSpec, t: float, n: int = 1024) -> np.ndarray:
@@ -112,8 +136,7 @@ def _auto_grid(spec: models.ModelSpec, t: float, n: int = 1024) -> np.ndarray:
 
 def _grid_for(cfg: RunConfig, t: float) -> np.ndarray:
     if cfg.grid is not None:
-        return np.linspace(float(cfg.grid["lo"]), float(cfg.grid["hi"]),
-                           int(cfg.grid["n"]))
+        return np.linspace(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"])
     return _auto_grid(cfg.spec, t)
 
 
@@ -241,11 +264,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tag = models.model_tag(cfg.spec)
-    mc = dict(cfg.mc)
+    mc = cfg.mc
     sim = rmt.SimConfig(
-        N=int(mc.get("N", 300)), dt=float(mc.get("dt", 1e-3)),
-        t_end=float(mc.get("t_end", max(cfg.times))),
-        n_paths=int(mc.get("n_paths", 20)), seed=cfg.seed,
+        N=_number(int, mc.get("N", 300), "mc N"),
+        dt=_number(float, mc.get("dt", 1e-3), "mc dt"),
+        t_end=_number(float, mc.get("t_end", max(cfg.times)), "mc t_end"),
+        n_paths=_number(int, mc.get("n_paths", 20), "mc n_paths"), seed=cfg.seed,
         allow_near_blowup=bool(mc.get("allow_near_blowup", False)))
     snapshot_times = [t for t in cfg.times if t > 0]
     hists = rmt.run_ensemble(cfg.spec, sim, snapshot_times)

@@ -410,22 +410,17 @@ def cauchy_evaluator(spec: ModelSpec) -> CauchyEvaluator:
         return CauchyEvaluator(
             fn=lambda t, z: ou_cauchy(spec.theta, spec.sigma, t, z),
             t_min=0.0, t_max=math.inf,
-            real_gap=lambda t: ou_support(spec.theta, spec.sigma, t),
             name="ou")
     if isinstance(spec, GeometricBrownian1):
         return CauchyEvaluator(
             fn=lambda t, z: gbm_cauchy(spec.theta, t, z),
             t_min=0.0, t_max=math.inf,
-            real_gap=lambda t: gbm_support(spec.theta, t) if t > 0
-            else SupportInterval(1.0, 1.0),
             name="gbm1")
     if isinstance(spec, Explosive):
         horizon = blowup_time(spec.k, spec.a) * (1.0 - BLOWUP_GUARD)
         return CauchyEvaluator(
             fn=lambda t, z: explosive_cauchy(spec.k, spec.a, t, z),
             t_min=0.0, t_max=horizon,
-            real_gap=lambda t: explosive_support(spec.k, spec.a, t) if t > 0
-            else SupportInterval(spec.a, spec.a),
             name="explosive")
     raise InvalidConfig(
         "no transform available for the second geometric-Brownian variant; "

@@ -27,7 +27,6 @@ from .models import (
     GeometricBrownian2,
     ModelSpec,
     OrnsteinUhlenbeck,
-    blowup_time,
     explosive_density,
     explosive_support,
     gbm2_moments,
@@ -174,7 +173,3 @@ def moments_csv(spec: ModelSpec, times) -> str:
         lines.append(",".join("%.17g" % v
                               for v in (ms.t, ms.mean, ms.second_moment, ms.variance)))
     return "\n".join(lines) + "\n"
-
-
-def explosive_horizon(spec: Explosive) -> float:
-    return blowup_time(spec.k, spec.a)

@@ -4,9 +4,10 @@ Real symmetric N x N states driven by symmetric Gaussian increments whose
 empirical spectrum converges to the semicircle law: independent entries
 above the diagonal with variance dt/N and diagonal variance 2 dt/N, so
 E[trace(dW^2)/N] = dt (1 + 1/N).  Paths own counter-keyed random streams
-(Philox keyed by (seed, path index)), which makes every ensemble bitwise
-reproducible under any parallel schedule; BLAS runs single-threaded while
-paths run, so each path's arithmetic is the same for any pool size.  Pooled
+(Philox keyed by (seed, path index)) and are stepped in blocks, each block
+as one (Q, N, N) stack; BLAS runs single-threaded while paths run, so each
+path's arithmetic is the same for any pool size and any blocking, and every
+ensemble is bitwise reproducible under any parallel schedule.  Pooled
 eigenvalue histograms are compared against analytic densities through the
 Kolmogorov distance.
 """
@@ -147,32 +148,49 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), path_index]))
 
 
-_triu_cache: dict = {}
+@functools.cache
+def _wigner_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather map (N, N) from packed upper-triangle values, and the diagonal.
+
+    The packed order is that of np.triu_indices(N); entry (i, j) and entry
+    (j, i) read the same packed value, so the gathered matrix is exactly
+    symmetric.
+    """
+    iu = np.triu_indices(N)
+    gather = np.empty((N, N), dtype=np.intp)
+    gather[iu] = np.arange(iu[0].size)
+    gather.T[iu] = gather[iu]
+    diagonal = np.diagonal(gather).copy()
+    gather.flags.writeable = diagonal.flags.writeable = False
+    return gather, diagonal
 
 
-def _triu(N: int):
-    if N not in _triu_cache:
-        _triu_cache[N] = np.triu_indices(N)
-    return _triu_cache[N]
-
-
-def sample_wigner_increment(N: int, dt: float, rng: np.random.Generator) -> np.ndarray:
+def sample_wigner_increment(N: int, dt: float, rng, out: np.ndarray | None = None,
+                            packed: np.ndarray | None = None) -> np.ndarray:
     """Symmetric Gaussian increment matrix with semicircle-normalized entries.
 
     Exactly the N(N+1)/2 independent entries are drawn: above-diagonal
-    variance dt/N and diagonal variance 2 dt/N.
+    variance dt/N and diagonal variance 2 dt/N.  ``rng`` is one Generator,
+    giving an (N, N) matrix, or a sequence of Q Generators, giving a
+    (Q, N, N) stack whose matrix q is drawn from stream q alone, with the
+    same values that stream would give one matrix at a time.  ``out`` and
+    ``packed`` (shape (..., N(N+1)/2)) are optional reused buffers.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    iu = _triu(N)
-    vals = rng.standard_normal(iu[0].size)
-    vals *= math.sqrt(dt / N)
-    a = np.empty((N, N))
-    a[iu] = vals
-    a.T[iu] = vals
-    idx = np.arange(N)
-    a[idx, idx] *= math.sqrt(2.0)
-    return a
+    gather, diagonal = _wigner_maps(N)
+    single = isinstance(rng, np.random.Generator)
+    rngs = (rng,) if single else rng
+    lead = () if single else (len(rngs),)
+    if packed is None:
+        packed = np.empty(lead + (N * (N + 1) // 2,))
+    for row, stream in zip(packed.reshape(len(rngs), -1), rngs):
+        stream.standard_normal(out=row)
+    packed *= math.sqrt(dt / N)
+    packed[..., diagonal] *= math.sqrt(2.0)
+    if out is None:
+        out = np.empty(lead + (N, N))
+    return np.take(packed, gather, axis=-1, out=out, mode="clip")
 
 
 def sym_sqrt_clamped(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -191,18 +209,23 @@ def sym_sqrt_clamped(x: np.ndarray) -> tuple[np.ndarray, float]:
     return (v * w) @ v.T, clamp
 
 
-def psd_factor(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """A factor F with F F^T = x, plus the clamped mass of the fallback.
+def psd_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
+    """Factors F with F F^T = x, plus the clamped mass of each fallback.
 
-    The Cholesky factor L serves the gbm1 step: L dW L^T has the law of
-    x^(1/2) dW x^(1/2) because Q = L^(-1) x^(1/2) is orthogonal and the
-    Wigner increment is orthogonally invariant.  When Euler has lost
-    definiteness, Cholesky fails and the clamped eigenvalue root stands in.
+    x is one matrix or a (..., N, N) stack; the clamps have shape
+    x.shape[:-2].  The Cholesky factor L serves the gbm1 step: L dW L^T has
+    the law of x^(1/2) dW x^(1/2) because Q = L^(-1) x^(1/2) is orthogonal
+    and the Wigner increment is orthogonally invariant.  When Euler has lost
+    definiteness, Cholesky fails and the clamped eigenvalue root stands in,
+    matrix by matrix, so only the indefinite members of a stack take it.
     """
     try:
-        return np.linalg.cholesky(x), 0.0
+        return np.linalg.cholesky(x), np.zeros(x.shape[:-2])
     except np.linalg.LinAlgError:
-        return sym_sqrt_clamped(x)
+        if x.ndim == 2:
+            return sym_sqrt_clamped(x)
+    pairs = [psd_factor(m) for m in x]
+    return np.stack([f for f, _ in pairs]), np.array([c for _, c in pairs])
 
 
 @dataclass
@@ -213,28 +236,49 @@ class PathDiagnostics:
 
 
 def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
-                     diag: PathDiagnostics | None = None) -> np.ndarray:
-    """One explicit step x + a(x) dt + b(x) dw c(x), symmetrized."""
+                     diag: PathDiagnostics | Sequence[PathDiagnostics] | None = None,
+                     out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """One explicit step x + a(x) dt + b(x) dw c(x), symmetrized.
+
+    x and dw are one matrix or matching (..., N, N) stacks; ``diag`` is a
+    PathDiagnostics for one matrix, or a sequence of them, one per matrix of
+    a stack.  ``out`` (which may be x itself) receives the new state and
+    ``scratch`` (shape (2,) + x.shape) holds the temporaries; both are
+    allocated when not given.
+    """
+    if scratch is None:
+        scratch = np.empty((2,) + x.shape)
+    if out is None:
+        out = np.empty_like(x)
+    m, t = scratch
     if isinstance(model, OrnsteinUhlenbeck):
-        m = x * (1.0 + model.theta * dt)
-        m += model.sigma * dw
+        np.multiply(x, 1.0 + model.theta * dt, out=m)
+        m += np.multiply(dw, model.sigma, out=t)
     elif isinstance(model, GeometricBrownian1):
         factor, clamp = psd_factor(x)
         if diag is not None:
-            diag.clamp_total += clamp
-        m = x * (1.0 + model.theta * dt)
-        m += factor @ dw @ factor.T
+            diags = [diag] if x.ndim == 2 else diag
+            for d, c in zip(diags, np.reshape(clamp, -1)):
+                d.clamp_total += float(c)
+        np.matmul(factor, dw, out=m)
+        np.matmul(m, factor.swapaxes(-1, -2), out=t)
+        np.multiply(x, 1.0 + model.theta * dt, out=m)
+        m += t
     elif isinstance(model, GeometricBrownian2):
-        m = x * (1.0 + model.theta * dt)
-        m += x @ dw
-        m += dw @ x
+        np.multiply(x, 1.0 + model.theta * dt, out=m)
+        m += np.matmul(x, dw, out=t)
+        m += np.matmul(dw, x, out=t)
     elif isinstance(model, Explosive):
-        m = x + model.k * (x @ dw @ x)
+        np.matmul(x, dw, out=m)
+        np.matmul(m, x, out=t)
+        t *= model.k
+        np.add(x, t, out=m)
     else:
         raise TypeError(f"not a model spec: {model!r}")
-    m = m + m.T
-    m *= 0.5
-    return m
+    np.add(m, m.swapaxes(-1, -2), out=out)
+    out *= 0.5
+    return out
 
 
 def euler_step(x: np.ndarray, model: ModelSpec, dt: float,
@@ -295,17 +339,20 @@ def _ratios(diffs: list[float]) -> list[float]:
     return [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
 
 
+def _draw_noise(cfg: SimConfig, rng) -> np.ndarray:
+    """Every increment of a path up front, shape (n_steps, N, N)."""
+    return np.stack([sample_wigner_increment(cfg.N, cfg.dt, rng)
+                     for _ in range(cfg.n_steps)])
+
+
 def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
     """Path of the successive-approximation scheme (stream of path index 0).
 
     Meant for short horizons: the scheme is a local contraction, so keep
     t_end small (about 0.5 or less) or expect NoContraction.
     """
-    rng = path_rng(cfg.seed, 0)
-    n_steps = cfg.n_steps
-    dws = np.stack([sample_wigner_increment(cfg.N, cfg.dt, rng)
-                    for _ in range(n_steps)])
-    return _picard_path(model, initial_matrix(model, cfg.N), cfg.dt, dws,
+    return _picard_path(model, initial_matrix(model, cfg.N), cfg.dt,
+                        _draw_noise(cfg, path_rng(cfg.seed, 0)),
                         cfg.picard_max_iter)
 
 
@@ -366,39 +413,64 @@ def _snapshot_steps(cfg: SimConfig, snapshot_times: Sequence[float]) -> list[int
     return steps
 
 
-def _evolve_path(model: ModelSpec, cfg: SimConfig, path_index: int,
-                 snap_steps: Sequence[int]) -> tuple[list[np.ndarray], PathDiagnostics]:
-    rng = path_rng(cfg.seed, path_index)
-    diag = PathDiagnostics()
+# Doubles in one (Q, N, N) stack of paths, about the size of an L2 cache:
+# small matrices are stepped many paths at a time, large ones one by one.
+_STACK_DOUBLES = 2 ** 15
+
+
+def _path_blocks(n_paths: int, workers: int, N: int) -> list[range]:
+    """Contiguous blocks of path indices, each stepped as one stack."""
+    size = min(-(-n_paths // workers), max(1, _STACK_DOUBLES // (N * N)))
+    return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+
+
+def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
+                 snap_steps: Sequence[int]
+                 ) -> tuple[list[np.ndarray], list[PathDiagnostics]]:
+    """Eigenvalues (Q, N) at each snapshot of a block of Q paths, plus each
+    path's diagnostics.
+
+    The Euler scheme steps the block as one (Q, N, N) stack in reused
+    buffers.  Path p draws from its own stream in the same order as it
+    would alone, so every path's values are independent of the blocking.
+    """
+    rngs = [path_rng(cfg.seed, p) for p in paths]
+    diags = [PathDiagnostics() for _ in paths]
+    x = np.empty((len(paths), cfg.N, cfg.N))
+    x[...] = initial_matrix(model, cfg.N)
     want = set(snap_steps)
     out: dict[int, np.ndarray] = {}
     if cfg.scheme == "picard":
-        n_steps = cfg.n_steps
-        dws = np.stack([sample_wigner_increment(cfg.N, cfg.dt, rng)
-                        for _ in range(n_steps)])
-        res = _picard_path(model, initial_matrix(model, cfg.N), cfg.dt, dws,
-                           cfg.picard_max_iter)
+        held = {j: np.empty_like(x) for j in want}
+        for q, rng in enumerate(rngs):
+            res = _picard_path(model, x[q], cfg.dt, _draw_noise(cfg, rng),
+                               cfg.picard_max_iter)
+            for j in want:
+                held[j][q] = res.path[j]
         for j in want:
-            out[j] = np.linalg.eigvalsh(res.path[j])
+            out[j] = np.linalg.eigvalsh(held[j])
     else:
-        x = initial_matrix(model, cfg.N)
+        dw = np.empty_like(x)
+        scratch = np.empty((2,) + x.shape)
+        packed = np.empty((len(paths), cfg.N * (cfg.N + 1) // 2))
         if 0 in want:
             out[0] = np.linalg.eigvalsh(x)
         for j in range(1, cfg.n_steps + 1):
-            dw = sample_wigner_increment(cfg.N, cfg.dt, rng)
-            x = _apply_increment(x, model, cfg.dt, dw, diag)
+            sample_wigner_increment(cfg.N, cfg.dt, rngs, dw, packed)
+            _apply_increment(x, model, cfg.dt, dw, diags, x, scratch)
             if j in want:
                 out[j] = np.linalg.eigvalsh(x)
-    return [out[j] for j in snap_steps], diag
+    return [out[j] for j in snap_steps], diags
 
 
 def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
               ) -> tuple[list[np.ndarray], list[PathDiagnostics]]:
     """Pooled eigenvalues at each snapshot plus per-path diagnostics.
 
-    Paths run independently (optionally on a small thread pool sized by
-    FREESDE_THREADS) with BLAS pinned to one thread; pooling concatenates in
-    path order, so the output is identical whatever the schedule.
+    Paths run in contiguous blocks, each stepped as one stack (optionally on
+    a small thread pool sized by FREESDE_THREADS), with BLAS pinned to one
+    thread; pooling concatenates in path order, so the output is identical
+    whatever the schedule and the blocking.
     """
     if isinstance(model, Explosive) and not cfg.allow_near_blowup:
         horizon = 0.9 * blowup_time(model.k, model.a)
@@ -408,18 +480,17 @@ def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
                 "set allow_near_blowup to override")
     snap_steps = _snapshot_steps(cfg, snapshot_times)
     workers = min(_n_workers(), cfg.n_paths)
+    blocks = _path_blocks(cfg.n_paths, workers, cfg.N)
     with _single_threaded_blas():
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(
-                    lambda p: _evolve_path(model, cfg, p, snap_steps),
-                    range(cfg.n_paths)))
+                    lambda b: _evolve_path(model, cfg, b, snap_steps), blocks))
         else:
-            results = [_evolve_path(model, cfg, p, snap_steps)
-                       for p in range(cfg.n_paths)]
-    pooled = [np.concatenate([res[0][i] for res in results])
+            results = [_evolve_path(model, cfg, b, snap_steps) for b in blocks]
+    pooled = [np.concatenate([res[0][i].ravel() for res in results])
               for i in range(len(snap_steps))]
-    return pooled, [res[1] for res in results]
+    return pooled, [d for res in results for d in res[1]]
 
 
 def run_ensemble(model: ModelSpec, cfg: SimConfig,

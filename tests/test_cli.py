@@ -182,6 +182,38 @@ class TestExitCodes:
         assert cli.main(["compare", "--config", cfgfile]) == 2
         assert "FREESDE_THREADS" in capsys.readouterr().err
 
+    def test_bad_seed_env_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+            out_dir=str(tmp_path), mc={"N": 10, "dt": 1e-2, "n_paths": 2})
+        monkeypatch.setenv("FREESDE_SEED", "abc")
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "FREESDE_SEED" in capsys.readouterr().err
+
+    def test_bad_times_flag_is_exit_2(self, tmp_path, capsys):
+        argv = ["support", "--model", "ou", "--theta", "0", "--sigma", "1",
+                "--times", "1,x", "--out", str(tmp_path)]
+        assert cli.main(argv) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_inverted_grid_is_exit_2(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0,
+                               times=[1.0], out_dir=str(tmp_path / "o"),
+                               grid={"lo": 2.0, "hi": -2.0, "n": 64})
+        assert cli.main(["density", "--config", cfgfile]) == 2
+        assert "lo < hi" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_mc_key_is_exit_2(self, tmp_path, capsys):
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+            out_dir=str(tmp_path / "o"), mc={"N": 10, "dt": 1e-2, "n_path": 2})
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert "n_path" in err
+        assert "N, dt, t_end, n_paths, allow_near_blowup" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSelftest:
     def test_passes(self, capsys):

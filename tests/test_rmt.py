@@ -19,6 +19,10 @@ from freesde.errors import (
 )
 
 
+SPECS = [md.OrnsteinUhlenbeck(-1.0, 1.0), md.GeometricBrownian1(0.5),
+         md.GeometricBrownian2(0.5), md.Explosive(1.0, 1.0)]
+
+
 class TestSimConfig:
     def test_rejects_zero_paths(self):
         with pytest.raises(InvalidConfig):
@@ -103,10 +107,8 @@ class TestEulerStep:
         dw = rmt.sample_wigner_increment(12, 1e-2, rmt.path_rng(6, 0))
         assert np.max(np.abs(out - (x + x @ dw + dw @ x))) < 1e-14
 
-    @pytest.mark.parametrize("spec", [
-        md.OrnsteinUhlenbeck(-1.0, 1.0), md.GeometricBrownian1(0.5),
-        md.GeometricBrownian2(0.5), md.Explosive(1.0, 1.0)],
-        ids=["ou", "gbm1", "gbm2", "explosive"])
+    @pytest.mark.parametrize("spec", SPECS,
+                             ids=["ou", "gbm1", "gbm2", "explosive"])
     def test_increment_exactly_symmetric(self, spec):
         rng = np.random.default_rng(12)
         a = rng.standard_normal((40, 40)) / math.sqrt(40)
@@ -114,6 +116,50 @@ class TestEulerStep:
         dw = rmt.sample_wigner_increment(40, 2e-3, rmt.path_rng(12, 0))
         m = rmt._apply_increment(x, spec, 2e-3, dw)
         assert np.array_equal(m, m.T)
+
+
+class TestPathStack:
+    """A (Q, N, N) stack of paths steps exactly as its paths do one by one."""
+
+    @given(st.sampled_from(SPECS), st.integers(2, 40), st.integers(1, 6),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_stack_matches_slices(self, spec, n, q, seed):
+        dt = 1e-2
+        stacked = rmt.sample_wigner_increment(
+            n, dt, [rmt.path_rng(seed, p) for p in range(q)])
+        assert stacked.shape == (q, n, n)
+        for p in range(q):
+            one = rmt.sample_wigner_increment(n, dt, rmt.path_rng(seed, p))
+            assert np.array_equal(stacked[p], one)
+        a = np.random.default_rng(seed).uniform(-1, 1, (q, n, n))
+        x = a @ a.swapaxes(-1, -2) / n + np.eye(n)
+        diags = [rmt.PathDiagnostics() for _ in range(q)]
+        m = rmt._apply_increment(x, spec, dt, stacked, diags)
+        for p in range(q):
+            assert np.array_equal(m[p], rmt._apply_increment(x[p], spec, dt, stacked[p]))
+        assert all(d.clamp_total == 0.0 for d in diags)
+        lam = np.linalg.eigvalsh(m)
+        for p in range(q):
+            assert np.array_equal(lam[p], np.linalg.eigvalsh(m[p]))
+
+    def test_indefinite_member_alone_takes_fallback(self, monkeypatch):
+        calls = []
+        sqrt = rmt.sym_sqrt_clamped
+        monkeypatch.setattr(rmt, "sym_sqrt_clamped",
+                            lambda x: calls.append(x) or sqrt(x))
+        x = np.stack([np.diag([1.0, 0.5, 2.0, 1.5, 0.8, 1.2]),
+                      np.diag([1.0, -0.5, 2.0, 1.5, 0.8, 1.2]),
+                      np.eye(6)])
+        dw = rmt.sample_wigner_increment(
+            6, 1e-2, [rmt.path_rng(8, p) for p in range(3)])
+        diags = [rmt.PathDiagnostics() for _ in range(3)]
+        spec = md.GeometricBrownian1(0.5)
+        m = rmt._apply_increment(x, spec, 1e-2, dw, diags)
+        assert len(calls) == 1 and np.array_equal(calls[0], x[1])
+        assert [d.clamp_total for d in diags] == [0.0, 0.5, 0.0]
+        for p in range(3):
+            assert np.array_equal(m[p], rmt._apply_increment(x[p], spec, 1e-2, dw[p]))
 
 
 class TestGbm1Factor:
@@ -205,13 +251,19 @@ class TestEnsemble:
         assert np.array_equal(h1.counts, h2.counts)
 
     def test_determinism_across_thread_counts(self, monkeypatch):
-        spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
-        cfg = rmt.SimConfig(N=30, dt=5e-3, t_end=0.2, n_paths=5, seed=6)
-        monkeypatch.setenv("FREESDE_THREADS", "1")
-        h1 = rmt.run_ensemble(spec, cfg, [0.2])[0]
-        monkeypatch.setenv("FREESDE_THREADS", "3")
-        h2 = rmt.run_ensemble(spec, cfg, [0.2])[0]
-        assert np.array_equal(h1.samples, h2.samples)
+        # blocks of 5, then 3 + 2, then 2 + 2 + 1 paths
+        cfg = rmt.SimConfig(N=24, dt=5e-3, t_end=0.2, n_paths=5, seed=6)
+        assert [len(b) for b in rmt._path_blocks(5, 2, 24)] == [3, 2]
+        for spec in SPECS:
+            runs = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("FREESDE_THREADS", threads)
+                runs.append(rmt.run_paths(spec, cfg, [0.1, 0.2]))
+            for pooled, diags in runs[1:]:
+                for a, b in zip(pooled, runs[0][0]):
+                    assert np.array_equal(a, b)
+                assert [d.clamp_total for d in diags] == \
+                    [d.clamp_total for d in runs[0][1]]
 
     @pytest.mark.parametrize("spec", [md.GeometricBrownian1(0.5),
                                       md.Explosive(1.0, 1.0)],
