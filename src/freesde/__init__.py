@@ -6,11 +6,12 @@ Library layout:
   transform, free Fokker-Planck residual, semicircle closed forms.
 - ``characteristics``: reduction of polynomial-coefficient evolution
   equations to quasilinear form and RK4 integration of their characteristics.
-- ``models``: closed-form transforms, supports, and densities of the four
-  worked models (Ornstein-Uhlenbeck, two geometric-Brownian variants, and
-  the finite-time explosive model).
+- ``models``: one record per worked model (Ornstein-Uhlenbeck, two
+  geometric-Brownian variants, and the finite-time explosive model) with
+  its moments, support, transform, SDE polynomials and Monte Carlo step,
+  plus the closed-form transforms, supports, and densities behind them.
 - ``moments``: Catalan numbers, Wigner-process moments, the free power
-  identity, per-model moment laws.
+  identity, and readers of each model's moment laws.
 - ``rmt``: finite-N symmetric-matrix Monte Carlo oracle with eigenvalue
   histograms and Kolmogorov distances.
 - ``cli``: the ``freesde`` command.

@@ -17,7 +17,6 @@ family closed forms that serve as reference solutions throughout.
 from __future__ import annotations
 
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -55,15 +54,14 @@ class SupportInterval:
     hi: float
 
     def __post_init__(self):
+        if math.isnan(self.lo) or math.isnan(self.hi):
+            raise NonFinite(f"support interval has a NaN end: [{self.lo}, {self.hi}]")
         if not (self.lo <= self.hi):
             raise ValueError(f"support interval needs lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def contains(self, x: float, pad: float = 0.0) -> bool:
-        return self.lo - pad <= x <= self.hi + pad
 
     def widened(self, rel: float) -> "SupportInterval":
         pad = rel * max(self.width, 1e-12)
@@ -157,9 +155,6 @@ class DensityCurve:
             "mass": self.mass,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 @dataclass(frozen=True)
 class CauchyEvaluator:
@@ -221,21 +216,16 @@ def stieltjes_invert(g: CauchyEvaluator, t: float, xs, eps0: float = 1e-3,
                                      clamped_mass=clamped_mass)
 
 
-def _pair_sums(ps: np.ndarray) -> np.ndarray:
-    """All-node PV sums: out[i] = sum_k w_k (p[i+k]-p[i-k])/k, zero-padded."""
-    n = ps.size
-    pad = np.concatenate([np.zeros(n), ps, np.zeros(n)])
-    idx = np.arange(n) + n
-    acc = np.zeros(n)
-    for k in range(1, n + 1):
-        d = (pad[idx + k] - pad[idx - k]) / k
-        if k == 1:
-            acc += 1.5 * d  # u=0 trapezoid cell, slope estimated from the first pair
-        elif k == n:
-            acc += 0.5 * d
-        else:
-            acc += d
-    return -acc
+def _pair_weights(K: int) -> np.ndarray:
+    """Weights of the pairs y = x +/- k*h, k = 1..K, in the principal-value sum.
+
+    The trapezoid weight 1/k, except 1.5/k on the first pair (it also covers
+    the u = 0 cell, slope estimated from that pair) and 0.5/k on the last.
+    """
+    w = np.ones(K)
+    w[0] = 1.5
+    w[-1] = 0.5
+    return w / np.arange(1, K + 1)
 
 
 def _check_pv_grid(p: DensityCurve) -> None:
@@ -265,17 +255,17 @@ def hilbert_transform(p: DensityCurve, x: float) -> float:
     k = np.arange(1, K + 1)
     right = np.interp(x + k * h, p.xs, p.ps, left=0.0, right=0.0)
     left = np.interp(x - k * h, p.xs, p.ps, left=0.0, right=0.0)
-    d = (right - left) / k
-    w = np.ones(K)
-    w[0] = 1.5
-    w[-1] = 0.5
-    return float(-np.dot(w, d))
+    return float(-np.dot(_pair_weights(K), right - left))
 
 
 def hilbert_transform_grid(p: DensityCurve) -> np.ndarray:
-    """hilbert_transform evaluated at every grid node (shared pair sums)."""
+    """hilbert_transform evaluated at every grid node, samples beyond the
+    grid counting as zero: one convolution with the antisymmetric pair kernel.
+    """
     _check_pv_grid(p)
-    return _pair_sums(p.ps)
+    n = p.ps.size
+    w = _pair_weights(n)
+    return np.convolve(p.ps, np.concatenate([-w[::-1], [0.0], w]))[n:2 * n]
 
 
 def density_moment(p: DensityCurve, k: int) -> float:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,20 +24,31 @@ from pathlib import Path
 import numpy as np
 
 from . import cauchy, characteristics, models, moments, rmt
-from .errors import FreeSdeError, InvalidConfig
+from .errors import FreeSdeError, GridTooCoarse, InvalidConfig
 
-_MODEL_KEYS = ("model", "theta", "sigma", "k", "a")
+_MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
+    f.name for cls in models.MODELS.values() for f in dataclasses.fields(cls)))
 _RUN_KEYS = ("times", "grid", "eps0", "out_dir", "svg", "seed", "mc", "threshold")
 _MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
 
 
 def _number(kind, value, what: str):
-    """kind(value), with a malformed value reported as a config error."""
+    """kind(value); a malformed or non-finite value is a config error."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise InvalidConfig(
-            f"{what} must be {kind.__name__}, got {value!r}") from None
+        number = kind(value)
+        finite = math.isfinite(number)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise InvalidConfig(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    return number
+
+
+def _flag(value, what: str) -> bool:
+    """A JSON boolean; any other value (the string "no" too) is a config error."""
+    if not isinstance(value, bool):
+        raise InvalidConfig(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass
@@ -59,15 +71,14 @@ class RunConfig:
         if sorted(self.times) != list(self.times):
             raise InvalidConfig("times must be sorted ascending")
         if self.grid is not None:
-            missing = {"lo", "hi", "n"} - set(self.grid)
-            if missing:
-                raise InvalidConfig(f"grid needs lo/hi/n, missing {sorted(missing)}")
+            if not isinstance(self.grid, dict) or {"lo", "hi", "n"} - set(self.grid):
+                raise InvalidConfig(f"grid needs an object with lo/hi/n, got {self.grid!r}")
             lo, hi = (_number(float, self.grid[k], f"grid {k}") for k in ("lo", "hi"))
             n = _number(int, self.grid["n"], "grid n")
             if n < 16:
                 raise InvalidConfig("grid needs at least 16 points")
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise InvalidConfig(f"grid needs finite lo < hi, got lo={lo}, hi={hi}")
+            if not lo < hi:
+                raise InvalidConfig(f"grid needs lo < hi, got lo={lo}, hi={hi}")
             self.grid = {"lo": lo, "hi": hi, "n": n}
         if not isinstance(self.mc, dict):
             raise InvalidConfig("mc must be an object")
@@ -86,6 +97,8 @@ def _load_config(args) -> RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise InvalidConfig(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InvalidConfig(f"config {args.config} is not a JSON object")
         unknown = set(raw) - set(_MODEL_KEYS) - set(_RUN_KEYS)
         if unknown:
             raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
@@ -100,8 +113,9 @@ def _load_config(args) -> RunConfig:
     times = raw.get("times")
     if isinstance(times, str):
         times = [v for v in times.split(",") if v]
-    if times is None:
-        raise InvalidConfig("no times given (config file or --times)")
+    if not isinstance(times, list):
+        raise InvalidConfig("times needs a list or a comma-separated string "
+                            f"(config file or --times), got {times!r}")
     seed_env = os.environ.get("FREESDE_SEED")
     seed = (_number(int, seed_env, "FREESDE_SEED") if seed_env is not None
             else _number(int, raw.get("seed", 0), "seed"))
@@ -109,7 +123,7 @@ def _load_config(args) -> RunConfig:
                      grid=raw.get("grid"),
                      eps0=_number(float, raw.get("eps0", 1e-3), "eps0"),
                      out_dir=str(raw.get("out_dir", ".")),
-                     svg=bool(raw.get("svg", False)), seed=seed,
+                     svg=_flag(raw.get("svg", False), "svg"), seed=seed,
                      mc=raw.get("mc", {}),
                      threshold=_number(float, raw.get("threshold", 0.08), "threshold"))
 
@@ -124,20 +138,19 @@ def _auto_grid(spec: models.ModelSpec, t: float, n: int = 1024) -> np.ndarray:
     sup = models.support_of(spec, t)
     if sup.width <= 0:
         pad = 0.5 * max(abs(sup.lo), 1.0)
-        return np.linspace(sup.lo - pad, sup.hi + pad, n)
-    wide = sup.widened(0.05)
-    tail = 12
-    phi = np.linspace(0.0, math.pi, n - 2 * tail)
-    core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
-    left = np.linspace(wide.lo, sup.lo, tail, endpoint=False)
-    right = np.linspace(wide.hi, sup.hi, tail, endpoint=False)[::-1]
-    return np.concatenate([left, core, right])
-
-
-def _grid_for(cfg: RunConfig, t: float) -> np.ndarray:
-    if cfg.grid is not None:
-        return np.linspace(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"])
-    return _auto_grid(cfg.spec, t)
+        xs = np.linspace(sup.lo - pad, sup.hi + pad, n)
+    else:
+        wide = sup.widened(0.05)
+        tail = 12
+        phi = np.linspace(0.0, math.pi, n - 2 * tail)
+        core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
+        left = np.linspace(wide.lo, sup.lo, tail, endpoint=False)
+        right = np.linspace(wide.hi, sup.hi, tail, endpoint=False)[::-1]
+        xs = np.concatenate([left, core, right])
+    if not np.all(np.diff(xs) > 0):
+        raise GridTooCoarse(
+            f"support [{sup.lo:g}, {sup.hi:g}] at t={t:g} has no strictly increasing grid")
+    return xs
 
 
 def _fmt_t(t: float) -> str:
@@ -204,19 +217,16 @@ def _invert_normalized(evaluator, t, xs, eps0):
 
 
 def cmd_density(cfg: RunConfig) -> int:
-    if isinstance(cfg.spec, models.GeometricBrownian2):
-        raise InvalidConfig(
-            "no transform is available for model 'gbm2'; only moments are known "
-            "(use the moments or compare commands)")
+    evaluator = models.cauchy_evaluator(cfg.spec)
     if any(t <= 0 for t in cfg.times):
         raise InvalidConfig("density requires strictly positive times")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    evaluator = models.cauchy_evaluator(cfg.spec)
-    tag = models.model_tag(cfg.spec)
+    tag = cfg.spec.tag
     curves = []
     for t in cfg.times:
-        xs = _grid_for(cfg, t)
+        xs = (_auto_grid(cfg.spec, t) if cfg.grid is None
+              else np.linspace(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"]))
         curve, eps = _invert_normalized(evaluator, t, xs, cfg.eps0)
         note = "" if eps == cfg.eps0 else f", eps refined to {eps:g}"
         path = out / f"density_{tag}_t{_fmt_t(t)}.csv"
@@ -233,7 +243,7 @@ def cmd_density(cfg: RunConfig) -> int:
 def cmd_support(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = models.model_tag(cfg.spec)
+    tag = cfg.spec.tag
     lines = ["t,lo,hi"]
     for t in cfg.times:
         sup = models.support_of(cfg.spec, t)
@@ -247,7 +257,7 @@ def cmd_support(cfg: RunConfig) -> int:
 def cmd_moments(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = models.model_tag(cfg.spec)
+    tag = cfg.spec.tag
     lines = ["t,mean,second_moment,variance,std_over_mean"]
     for t in cfg.times:
         ms = moments.model_moments(cfg.spec, t)
@@ -263,18 +273,18 @@ def cmd_moments(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tag = models.model_tag(cfg.spec)
+    tag = cfg.spec.tag
     mc = cfg.mc
     sim = rmt.SimConfig(
         N=_number(int, mc.get("N", 300), "mc N"),
         dt=_number(float, mc.get("dt", 1e-3), "mc dt"),
         t_end=_number(float, mc.get("t_end", max(cfg.times)), "mc t_end"),
         n_paths=_number(int, mc.get("n_paths", 20), "mc n_paths"), seed=cfg.seed,
-        allow_near_blowup=bool(mc.get("allow_near_blowup", False)))
+        allow_near_blowup=_flag(mc.get("allow_near_blowup", False),
+                                "mc allow_near_blowup"))
     snapshot_times = [t for t in cfg.times if t > 0]
     hists = rmt.run_ensemble(cfg.spec, sim, snapshot_times)
-    has_transform = not isinstance(cfg.spec, models.GeometricBrownian2)
-    evaluator = models.cauchy_evaluator(cfg.spec) if has_transform else None
+    evaluator = cfg.spec.transform()
     report = {"model": models.model_to_json(cfg.spec), "config": sim.to_json(),
               "threshold": cfg.threshold, "snapshots": []}
     worst = 0.0
@@ -285,7 +295,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         ms = moments.model_moments(cfg.spec, t)
         entry["mean_gap"] = abs(emp_mean - ms.mean)
         entry["second_moment_gap"] = abs(emp_m2 - ms.second_moment)
-        if has_transform:
+        if evaluator is not None:
             xs = _auto_grid(cfg.spec, t)
             curve = cauchy.stieltjes_invert(evaluator, t, xs, eps0=cfg.eps0)
             ks = rmt.kolmogorov_distance(h, curve)
@@ -301,7 +311,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         print(f"  t={entry['t']:g}: " +
               (f"KS={ks:.4f} " if ks is not None else "") +
               f"mean_gap={entry['mean_gap']:.4f}")
-    if has_transform and worst > cfg.threshold:
+    if evaluator is not None and worst > cfg.threshold:
         print(f"FAIL: worst Kolmogorov distance {worst:.4f} > {cfg.threshold}")
         return 4
     return 0
@@ -394,11 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("density", "support", "moments", "compare"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--model", choices=["ou", "gbm1", "gbm2", "explosive"])
-        p.add_argument("--theta", type=float)
-        p.add_argument("--sigma", type=float)
-        p.add_argument("--k", type=float)
-        p.add_argument("--a", type=float)
+        p.add_argument("--model", choices=list(models.MODELS))
+        for key in _MODEL_KEYS[1:]:
+            p.add_argument(f"--{key}", type=float)
         p.add_argument("--times", help="comma-separated times")
         p.add_argument("--eps0", type=float)
         p.add_argument("--out", dest="out_dir")
@@ -432,7 +440,7 @@ def main(argv=None) -> int:
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FreeSdeError as exc:
+    except (FreeSdeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 2

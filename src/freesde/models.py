@@ -1,22 +1,27 @@
-"""Closed-form spectral transforms for the four worked models.
+"""The four worked models: each model's record and its closed forms.
 
 Conventions: the Cauchy transform is g(t, z) = E[(X_t - z)^(-1)], so the
 Herglotz branch has Im g > 0 on the upper half plane and z*g -> -1 at
 infinity.  Initial conditions are fixed per model: the Ornstein-Uhlenbeck
 process starts at 0, both geometric-Brownian variants at the identity, and
 the explosive model at a times the identity.
+
+Each model is a frozen dataclass that carries every model-specific fact
+the other modules need (see ``ModelSpec``); ``MODELS`` maps tags to classes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
+from scipy.integrate import quad
 
 from .cauchy import CauchyEvaluator, SupportInterval, semicircle_cauchy
-from .characteristics import Polynomial
+from .characteristics import MomentFunction, Polynomial
 from .errors import (
     BranchViolation,
     InvalidConfig,
@@ -24,6 +29,7 @@ from .errors import (
     OnSupportReal,
     PastBlowup,
 )
+from .rmt import psd_factor
 
 _MEPS = float(np.finfo(float).eps)
 
@@ -31,8 +37,30 @@ _MEPS = float(np.finfo(float).eps)
 BLOWUP_GUARD = 1e-9
 
 
+class ModelSpec:
+    """A model dX = a(X) dt + b(X) dW c(X): a frozen dataclass of its
+    parameters that carries every model-specific fact.
+
+    ``tag`` names it in configs and flags; X_0 = ``x0`` I; ``mc_horizon`` is
+    the latest Monte Carlo t_end without ``allow_near_blowup``.
+    ``moments(t)`` gives the mean and second moment, ``support(t)`` the
+    spectral support, ``transform()`` the Cauchy-transform evaluator (or
+    None), ``polynomials()`` the drift a(x) and noise product (b c)(x).
+    ``euler_increment(x, dt, dw, m, t, diag)`` writes x + a(x) dt + b(x) dw
+    c(x) for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
+    scratch and gbm1 square-root clamps added to ``diag``; see
+    ``rmt._apply_increment``, which symmetrizes it.
+    """
+
+    mc_horizon = math.inf
+
+    def moment_function(self) -> MomentFunction:
+        """Both moment orders as a (j, t) handle for the evolution equations."""
+        return MomentFunction(lambda j, t: self.moments(t)[j - 1], jmax=2)
+
+
 @dataclass(frozen=True)
-class OrnsteinUhlenbeck:
+class OrnsteinUhlenbeck(ModelSpec):
     """dX = theta X dt + sigma dW, X_0 = 0.
 
     sigma = 0 is admitted as the degenerate noiseless case (the state stays
@@ -41,40 +69,142 @@ class OrnsteinUhlenbeck:
     theta: float
     sigma: float
 
+    tag = "ou"
+    x0 = 0.0
+
     def __post_init__(self):
         if self.sigma < 0:
             raise InvalidConfig("sigma must be nonnegative")
 
+    def moments(self, t):
+        """Centered, with the process variance as second moment."""
+        return 0.0, ou_variance(self.theta, self.sigma, t)
+
+    def support(self, t):
+        return ou_support(self.theta, self.sigma, t)
+
+    def transform(self):
+        return CauchyEvaluator(lambda t, z: ou_cauchy(self.theta, self.sigma, t, z),
+                               name=self.tag)
+
+    def polynomials(self):
+        return Polynomial([0.0, self.theta]), Polynomial([self.sigma])
+
+    def euler_increment(self, x, dt, dw, m, t, diag):
+        np.multiply(x, 1.0 + self.theta * dt, out=m)
+        m += np.multiply(dw, self.sigma, out=t)
+
 
 @dataclass(frozen=True)
-class GeometricBrownian1:
+class GeometricBrownian1(ModelSpec):
     """dX = theta X dt + X^(1/2) dW X^(1/2), X_0 = I."""
     theta: float
 
+    tag = "gbm1"
+    x0 = 1.0
+
+    def moments(self, t):
+        """E(X) = e^(theta t) and E(X^2) = (t+1) e^(2 theta t)."""
+        return (math.exp(self.theta * t),
+                (t + 1.0) * math.exp(2.0 * self.theta * t))
+
+    def support(self, t):
+        return gbm_support(self.theta, t) if t > 0 else SupportInterval(1.0, 1.0)
+
+    def transform(self):
+        return CauchyEvaluator(lambda t, z: gbm_cauchy(self.theta, t, z), name=self.tag)
+
+    def polynomials(self):
+        return Polynomial([0.0, self.theta]), Polynomial([0.0, 1.0])
+
+    def euler_increment(self, x, dt, dw, m, t, diag):
+        factor, clamp = psd_factor(x)
+        if diag is not None:
+            diags = [diag] if x.ndim == 2 else diag
+            for d, c in zip(diags, np.reshape(clamp, -1)):
+                d.clamp_total += float(c)
+        np.matmul(factor, dw, out=m)
+        np.matmul(m, factor.swapaxes(-1, -2), out=t)
+        np.multiply(x, 1.0 + self.theta * dt, out=m)
+        m += t
+
 
 @dataclass(frozen=True)
-class GeometricBrownian2:
+class GeometricBrownian2(ModelSpec):
     """dX = theta X dt + X dW + dW X, X_0 = I.  Moments only; no transform."""
     theta: float
 
+    tag = "gbm2"
+    x0 = 1.0
+
+    def moments(self, t):
+        return gbm2_moments(self.theta, t)
+
+    def support(self, t):
+        raise InvalidConfig(
+            "support of the second geometric-Brownian variant is not known in closed form")
+
+    def transform(self):
+        return None
+
+    def polynomials(self):
+        raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
+
+    def euler_increment(self, x, dt, dw, m, t, diag):
+        np.multiply(x, 1.0 + self.theta * dt, out=m)
+        m += np.matmul(x, dw, out=t)
+        m += np.matmul(dw, x, out=t)
+
 
 @dataclass(frozen=True)
-class Explosive:
+class Explosive(ModelSpec):
     """dX = k X dW X, X_0 = a I.  Blows up at t = (a k)^(-2)."""
     k: float
     a: float
+
+    tag = "explosive"
 
     def __post_init__(self):
         if self.k <= 0 or self.a <= 0:
             raise InvalidConfig("k and a must be positive")
 
+    x0 = property(lambda self: self.a)
 
-ModelSpec = Union[OrnsteinUhlenbeck, GeometricBrownian1, GeometricBrownian2, Explosive]
+    @property
+    def mc_horizon(self):
+        """0.9 of the blow-up time: finite-N paths diverge close to it."""
+        return 0.9 * blowup_time(self.k, self.a)
 
-_TAGS = {"ou": OrnsteinUhlenbeck, "gbm1": GeometricBrownian1,
-         "gbm2": GeometricBrownian2, "explosive": Explosive}
-_FIELDS = {"ou": ("theta", "sigma"), "gbm1": ("theta",),
-           "gbm2": ("theta",), "explosive": ("k", "a")}
+    def moments(self, t):
+        """E(X) = a for all t; the second moment comes from quadrature."""
+        return self.a, (self.a ** 2 if t == 0.0
+                        else _explosive_second_moment(self.k, self.a, t))
+
+    def moment_function(self):
+        """The constant mean alone: the degree-2 noise product needs no more."""
+        return MomentFunction(lambda j, t: self.a, jmax=1)
+
+    def support(self, t):
+        return (explosive_support(self.k, self.a, t) if t > 0
+                else SupportInterval(self.a, self.a))
+
+    def transform(self):
+        horizon = blowup_time(self.k, self.a) * (1.0 - BLOWUP_GUARD)
+        return CauchyEvaluator(lambda t, z: explosive_cauchy(self.k, self.a, t, z),
+                               t_max=horizon, name=self.tag)
+
+    def polynomials(self):
+        return Polynomial([]), Polynomial([0.0, 0.0, self.k])
+
+    def euler_increment(self, x, dt, dw, m, t, diag):
+        np.matmul(x, dw, out=m)
+        np.matmul(m, x, out=t)
+        t *= self.k
+        np.add(x, t, out=m)
+
+
+MODELS = {cls.tag: cls for cls in
+          (OrnsteinUhlenbeck, GeometricBrownian1, GeometricBrownian2, Explosive)}
 
 
 def model_from_json(d: dict) -> ModelSpec:
@@ -82,9 +212,10 @@ def model_from_json(d: dict) -> ModelSpec:
     if not isinstance(d, dict) or "model" not in d:
         raise InvalidConfig("model object needs a 'model' tag")
     tag = d["model"]
-    if tag not in _TAGS:
-        raise InvalidConfig(f"unknown model '{tag}' (expected one of {sorted(_TAGS)})")
-    fields = _FIELDS[tag]
+    cls = MODELS.get(tag) if isinstance(tag, str) else None
+    if cls is None:
+        raise InvalidConfig(f"unknown model '{tag}' (expected one of {sorted(MODELS)})")
+    fields = [f.name for f in dataclasses.fields(cls)]
     extra = set(d) - {"model", *fields}
     if extra:
         raise InvalidConfig(f"unknown fields for model '{tag}': {sorted(extra)}")
@@ -92,41 +223,16 @@ def model_from_json(d: dict) -> ModelSpec:
     if missing:
         raise InvalidConfig(f"model '{tag}' missing fields: {missing}")
     try:
-        return _TAGS[tag](**{f: float(d[f]) for f in fields})
-    except (TypeError, ValueError) as exc:
+        params = {f: float(d[f]) for f in fields}
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"bad parameter for model '{tag}': {exc}") from exc
-
-
-def model_tag(spec: ModelSpec) -> str:
-    for tag, cls in _TAGS.items():
-        if isinstance(spec, cls):
-            return tag
-    raise InvalidConfig(f"not a model spec: {spec!r}")
+    if not all(map(math.isfinite, params.values())):
+        raise InvalidConfig(f"parameters of model '{tag}' must be finite: {params}")
+    return cls(**params)
 
 
 def model_to_json(spec: ModelSpec) -> dict:
-    tag = model_tag(spec)
-    return {"model": tag, **{f: getattr(spec, f) for f in _FIELDS[tag]}}
-
-
-def initial_value(spec: ModelSpec) -> float:
-    """Scalar c with X_0 = c * I."""
-    if isinstance(spec, OrnsteinUhlenbeck):
-        return 0.0
-    if isinstance(spec, Explosive):
-        return spec.a
-    return 1.0
-
-
-def sde_polynomials(spec: ModelSpec) -> tuple[Polynomial, Polynomial]:
-    """Drift a(x) and noise product (b*c)(x) as polynomials, when they exist."""
-    if isinstance(spec, OrnsteinUhlenbeck):
-        return Polynomial([0.0, spec.theta]), Polynomial([spec.sigma])
-    if isinstance(spec, GeometricBrownian1):
-        return Polynomial([0.0, spec.theta]), Polynomial([0.0, 1.0])
-    if isinstance(spec, Explosive):
-        return Polynomial([]), Polynomial([0.0, 0.0, spec.k])
-    raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
+    return {"model": spec.tag, **dataclasses.asdict(spec)}
 
 
 # -- Ornstein-Uhlenbeck ------------------------------------------------------
@@ -402,39 +508,33 @@ def explosive_density(k: float, a: float, t: float, x):
     return out if np.ndim(x) else float(out)
 
 
-# -- evaluator dispatch ------------------------------------------------------
+def _explosive_second_moment(k: float, a: float, t: float) -> float:
+    """Second moment by adaptive quadrature of the closed-form density.
+
+    No closed form is known; the integral diverges as t approaches the
+    blow-up time, which is warned about near the horizon.
+    """
+    tau = (a * k) ** 2 * t
+    if tau > 0.9:
+        warnings.warn("explosive second moment diverges toward the blow-up time; "
+                      f"tau={tau:.3f} is in the unreliable band", RuntimeWarning)
+    sup = explosive_support(k, a, t)
+    val, _ = quad(lambda x: x * x * explosive_density(k, a, t, x),
+                  sup.lo, sup.hi, limit=200)
+    return float(val)
+
+
+# -- readers of the model record ---------------------------------------------
 
 def cauchy_evaluator(spec: ModelSpec) -> CauchyEvaluator:
-    """Package a model's transform as an immutable evaluator handle."""
-    if isinstance(spec, OrnsteinUhlenbeck):
-        return CauchyEvaluator(
-            fn=lambda t, z: ou_cauchy(spec.theta, spec.sigma, t, z),
-            t_min=0.0, t_max=math.inf,
-            name="ou")
-    if isinstance(spec, GeometricBrownian1):
-        return CauchyEvaluator(
-            fn=lambda t, z: gbm_cauchy(spec.theta, t, z),
-            t_min=0.0, t_max=math.inf,
-            name="gbm1")
-    if isinstance(spec, Explosive):
-        horizon = blowup_time(spec.k, spec.a) * (1.0 - BLOWUP_GUARD)
-        return CauchyEvaluator(
-            fn=lambda t, z: explosive_cauchy(spec.k, spec.a, t, z),
-            t_min=0.0, t_max=horizon,
-            name="explosive")
-    raise InvalidConfig(
-        "no transform available for the second geometric-Brownian variant; "
-        "only its moments are known in closed form")
+    """The model's transform as an immutable evaluator handle."""
+    evaluator = spec.transform()
+    if evaluator is None:
+        raise InvalidConfig(f"no transform is available for model '{spec.tag}'; "
+                            "only its moments are known in closed form")
+    return evaluator
 
 
 def support_of(spec: ModelSpec, t: float) -> SupportInterval:
     """Spectral support at time t (degenerate {X_0} interval at t = 0)."""
-    if isinstance(spec, OrnsteinUhlenbeck):
-        return ou_support(spec.theta, spec.sigma, t)
-    if isinstance(spec, GeometricBrownian1):
-        return gbm_support(spec.theta, t) if t > 0 else SupportInterval(1.0, 1.0)
-    if isinstance(spec, Explosive):
-        return explosive_support(spec.k, spec.a, t) if t > 0 \
-            else SupportInterval(spec.a, spec.a)
-    raise InvalidConfig(
-        "support of the second geometric-Brownian variant is not known in closed form")
+    return spec.support(t)

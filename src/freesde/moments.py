@@ -1,5 +1,6 @@
 """Moment-level free Ito calculus: Catalan numbers, Wigner-process moments,
-the power identity for free stochastic integrals, and per-model moment laws.
+the power identity for free stochastic integrals, and readers of each
+model's moment laws.
 
 The even moments of the Wigner process are Catalan: E[W_t^(2k)] = C_k t^k.
 Taking expectations in the expansion of W_a^n as iterated free integrals
@@ -13,25 +14,12 @@ since the free stochastic integral itself has zero expectation.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from scipy.integrate import quad
-
 from .characteristics import MomentFunction
 from .errors import OddOrder, OrderTooHigh, Overflow
-from .models import (
-    Explosive,
-    GeometricBrownian1,
-    GeometricBrownian2,
-    ModelSpec,
-    OrnsteinUhlenbeck,
-    explosive_density,
-    explosive_support,
-    gbm2_moments,
-    ou_variance,
-)
+from .models import ModelSpec
 
 CATALAN_MAX = 30
 
@@ -94,10 +82,6 @@ class MomentSequence:
     second_moment: float
 
     @property
-    def values(self) -> tuple[float, float, float]:
-        return (1.0, self.mean, self.second_moment)
-
-    @property
     def variance(self) -> float:
         return self.second_moment - self.mean ** 2
 
@@ -106,70 +90,13 @@ class MomentSequence:
         return math.sqrt(max(self.variance, 0.0)) / self.mean
 
 
-def _explosive_second_moment(k: float, a: float, t: float) -> float:
-    """Second moment by adaptive quadrature of the closed-form density.
-
-    No closed form is known; the integral diverges as t approaches the
-    blow-up time, which is warned about near the horizon.
-    """
-    tau = (a * k) ** 2 * t
-    if tau > 0.9:
-        warnings.warn("explosive second moment diverges toward the blow-up time; "
-                      f"tau={tau:.3f} is in the unreliable band", RuntimeWarning)
-    sup = explosive_support(k, a, t)
-    val, _ = quad(lambda x: x * x * explosive_density(k, a, t, x),
-                  sup.lo, sup.hi, limit=200)
-    return float(val)
-
-
 def model_moments(spec: ModelSpec, t: float) -> MomentSequence:
-    """Order-1 and order-2 moments of each model at time t.
-
-    Ornstein-Uhlenbeck is centered with the process variance; the first
-    geometric variant has E(X) = e^(theta t), E(X^2) = (t+1) e^(2 theta t);
-    the second has E(X^2) = 2 e^(2(theta+1) t) - e^(2 theta t); the explosive
-    model keeps E(X) = a while its second moment comes from quadrature.
-    """
+    """Order-1 and order-2 moments of a model at time t (see its ``moments``)."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if isinstance(spec, OrnsteinUhlenbeck):
-        return MomentSequence(t, 0.0, ou_variance(spec.theta, spec.sigma, t))
-    if isinstance(spec, GeometricBrownian1):
-        return MomentSequence(t, math.exp(spec.theta * t),
-                              (t + 1.0) * math.exp(2.0 * spec.theta * t))
-    if isinstance(spec, GeometricBrownian2):
-        mean, second = gbm2_moments(spec.theta, t)
-        return MomentSequence(t, mean, second)
-    if isinstance(spec, Explosive):
-        if t == 0.0:
-            return MomentSequence(t, spec.a, spec.a ** 2)
-        return MomentSequence(t, spec.a,
-                              _explosive_second_moment(spec.k, spec.a, t))
-    raise TypeError(f"not a model spec: {spec!r}")
+    return MomentSequence(t, *spec.moments(t))
 
 
 def model_moment_function(spec: ModelSpec) -> MomentFunction:
-    """Moments as a (j, t) handle for assembling evolution equations.
-
-    The explosive model exposes only its constant mean (its noise product
-    has degree 2, which is all the reduction needs); the others expose both
-    closed-form orders.
-    """
-    if isinstance(spec, Explosive):
-        return MomentFunction(lambda j, t: spec.a, jmax=1)
-
-    def fn(j: int, t: float) -> float:
-        ms = model_moments(spec, t)
-        return ms.values[j]
-
-    return MomentFunction(fn, jmax=2)
-
-
-def moments_csv(spec: ModelSpec, times) -> str:
-    """CSV report t,mean,second_moment,variance for the given times."""
-    lines = ["t,mean,second_moment,variance"]
-    for t in times:
-        ms = model_moments(spec, float(t))
-        lines.append(",".join("%.17g" % v
-                              for v in (ms.t, ms.mean, ms.second_moment, ms.variance)))
-    return "\n".join(lines) + "\n"
+    """Moments as a (j, t) handle for assembling evolution equations."""
+    return spec.moment_function()

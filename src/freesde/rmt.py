@@ -17,14 +17,13 @@ from __future__ import annotations
 import ctypes
 import functools
 import io
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -34,18 +33,12 @@ from .errors import (
     EmptyHistogram,
     InvalidConfig,
     NoContraction,
+    NonFinite,
     PastBlowup,
 )
-from .models import (
-    Explosive,
-    GeometricBrownian1,
-    GeometricBrownian2,
-    ModelSpec,
-    OrnsteinUhlenbeck,
-    blowup_time,
-    initial_value,
-    model_to_json,
-)
+
+if TYPE_CHECKING:
+    from .models import ModelSpec
 
 PICARD_TOL = 1e-8
 
@@ -239,7 +232,8 @@ def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
                      diag: PathDiagnostics | Sequence[PathDiagnostics] | None = None,
                      out: np.ndarray | None = None,
                      scratch: np.ndarray | None = None) -> np.ndarray:
-    """One explicit step x + a(x) dt + b(x) dw c(x), symmetrized.
+    """One explicit step x + a(x) dt + b(x) dw c(x) (the model's
+    ``euler_increment``), symmetrized.
 
     x and dw are one matrix or matching (..., N, N) stacks; ``diag`` is a
     PathDiagnostics for one matrix, or a sequence of them, one per matrix of
@@ -252,30 +246,7 @@ def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
     if out is None:
         out = np.empty_like(x)
     m, t = scratch
-    if isinstance(model, OrnsteinUhlenbeck):
-        np.multiply(x, 1.0 + model.theta * dt, out=m)
-        m += np.multiply(dw, model.sigma, out=t)
-    elif isinstance(model, GeometricBrownian1):
-        factor, clamp = psd_factor(x)
-        if diag is not None:
-            diags = [diag] if x.ndim == 2 else diag
-            for d, c in zip(diags, np.reshape(clamp, -1)):
-                d.clamp_total += float(c)
-        np.matmul(factor, dw, out=m)
-        np.matmul(m, factor.swapaxes(-1, -2), out=t)
-        np.multiply(x, 1.0 + model.theta * dt, out=m)
-        m += t
-    elif isinstance(model, GeometricBrownian2):
-        np.multiply(x, 1.0 + model.theta * dt, out=m)
-        m += np.matmul(x, dw, out=t)
-        m += np.matmul(dw, x, out=t)
-    elif isinstance(model, Explosive):
-        np.matmul(x, dw, out=m)
-        np.matmul(m, x, out=t)
-        t *= model.k
-        np.add(x, t, out=m)
-    else:
-        raise TypeError(f"not a model spec: {model!r}")
+    model.euler_increment(x, dt, dw, m, t, diag)
     np.add(m, m.swapaxes(-1, -2), out=out)
     out *= 0.5
     return out
@@ -286,10 +257,6 @@ def euler_step(x: np.ndarray, model: ModelSpec, dt: float,
     """Sample a driving increment and advance the state one step."""
     dw = sample_wigner_increment(x.shape[0], dt, rng)
     return _apply_increment(x, model, dt, dw)
-
-
-def initial_matrix(model: ModelSpec, N: int) -> np.ndarray:
-    return initial_value(model) * np.eye(N)
 
 
 @dataclass
@@ -351,7 +318,7 @@ def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
     Meant for short horizons: the scheme is a local contraction, so keep
     t_end small (about 0.5 or less) or expect NoContraction.
     """
-    return _picard_path(model, initial_matrix(model, cfg.N), cfg.dt,
+    return _picard_path(model, model.x0 * np.eye(cfg.N), cfg.dt,
                         _draw_noise(cfg, path_rng(cfg.seed, 0)),
                         cfg.picard_max_iter)
 
@@ -370,6 +337,8 @@ class EigenHistogram:
         samples = np.sort(np.asarray(samples, dtype=float).ravel())
         if samples.size == 0:
             raise EmptyHistogram("no eigenvalue samples")
+        if not np.isfinite(samples[-1] - samples[0]):  # NaN sorts last
+            raise NonFinite("eigenvalue samples are not finite or their range overflows")
         q75, q25 = np.percentile(samples, [75, 25])
         width = 2.0 * (q75 - q25) * samples.size ** (-1.0 / 3.0)
         span = samples[-1] - samples[0]
@@ -377,7 +346,10 @@ class EigenHistogram:
             nbins = 1
         else:
             nbins = max(1, int(math.ceil(span / width)))
-        counts, edges = np.histogram(samples, bins=nbins)
+        try:
+            counts, edges = np.histogram(samples, bins=nbins)
+        except ValueError as exc:  # one repeated value too large to widen by 0.5
+            raise NonFinite(f"no histogram bins for the samples: {exc}") from exc
         return cls(time=time, samples=samples, bin_edges=edges, counts=counts)
 
     @property
@@ -390,16 +362,6 @@ class EigenHistogram:
         for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
             buf.write("%.17g,%.17g,%d\n" % (lo, hi, c))
         return buf.getvalue()
-
-    def sidecar_json(self, model: ModelSpec, cfg: SimConfig,
-                     kolmogorov: float | None = None) -> str:
-        return json.dumps({
-            "model": model_to_json(model),
-            "config": cfg.to_json(),
-            "time": self.time,
-            "n_samples": self.n_samples,
-            "kolmogorov_vs_analytic": kolmogorov,
-        })
 
 
 def _snapshot_steps(cfg: SimConfig, snapshot_times: Sequence[float]) -> list[int]:
@@ -424,6 +386,14 @@ def _path_blocks(n_paths: int, workers: int, N: int) -> list[range]:
     return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
+def _snapshot_eigvals(x: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a state stack; a state that overflowed raises EigenFail."""
+    try:
+        return np.linalg.eigvalsh(x)
+    except np.linalg.LinAlgError as exc:
+        raise EigenFail(f"snapshot eigenvalues failed: {exc}") from exc
+
+
 def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
                  snap_steps: Sequence[int]
                  ) -> tuple[list[np.ndarray], list[PathDiagnostics]]:
@@ -437,7 +407,7 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     rngs = [path_rng(cfg.seed, p) for p in paths]
     diags = [PathDiagnostics() for _ in paths]
     x = np.empty((len(paths), cfg.N, cfg.N))
-    x[...] = initial_matrix(model, cfg.N)
+    x[...] = model.x0 * np.eye(cfg.N)
     want = set(snap_steps)
     out: dict[int, np.ndarray] = {}
     if cfg.scheme == "picard":
@@ -448,18 +418,18 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
             for j in want:
                 held[j][q] = res.path[j]
         for j in want:
-            out[j] = np.linalg.eigvalsh(held[j])
+            out[j] = _snapshot_eigvals(held[j])
     else:
         dw = np.empty_like(x)
         scratch = np.empty((2,) + x.shape)
         packed = np.empty((len(paths), cfg.N * (cfg.N + 1) // 2))
         if 0 in want:
-            out[0] = np.linalg.eigvalsh(x)
+            out[0] = _snapshot_eigvals(x)
         for j in range(1, cfg.n_steps + 1):
             sample_wigner_increment(cfg.N, cfg.dt, rngs, dw, packed)
             _apply_increment(x, model, cfg.dt, dw, diags, x, scratch)
             if j in want:
-                out[j] = np.linalg.eigvalsh(x)
+                out[j] = _snapshot_eigvals(x)
     return [out[j] for j in snap_steps], diags
 
 
@@ -472,12 +442,11 @@ def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
     thread; pooling concatenates in path order, so the output is identical
     whatever the schedule and the blocking.
     """
-    if isinstance(model, Explosive) and not cfg.allow_near_blowup:
-        horizon = 0.9 * blowup_time(model.k, model.a)
-        if cfg.t_end > horizon:
-            raise PastBlowup(
-                f"t_end={cfg.t_end} beyond 0.9x blow-up ({horizon:.4g}); "
-                "set allow_near_blowup to override")
+    if not cfg.allow_near_blowup and cfg.t_end > model.mc_horizon:
+        raise PastBlowup(
+            f"t_end={cfg.t_end} beyond the Monte Carlo horizon "
+            f"({model.mc_horizon:.4g}) of model '{model.tag}'; "
+            "set allow_near_blowup to override")
     snap_steps = _snapshot_steps(cfg, snapshot_times)
     workers = min(_n_workers(), cfg.n_paths)
     blocks = _path_blocks(cfg.n_paths, workers, cfg.N)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from freesde import characteristics as ch
 from freesde import models as md
+from freesde import moments as mo
 from freesde.errors import (
     MomentsUnavailable,
     OrderTooHigh,
@@ -275,6 +276,27 @@ class TestIntegrateCharacteristics:
                                 np.full(s.shape, 1.0 + 0j)),
                 np.array([0.0]), t_end=0.1, dt=1e-2)
 
+
+class TestModelRecordsThroughEngine:
+    """Each model's record polynomials and moments, run through the engine,
+    reproduce its closed-form transform on the characteristic curves."""
+
+    @pytest.mark.parametrize("spec, t_end", [
+        (md.OrnsteinUhlenbeck(-1.0, 1.0), 1.0),
+        (md.GeometricBrownian1(0.5), 1.0),
+        (md.Explosive(1.0, 1.0), 0.5),
+    ], ids=["ou", "gbm1", "explosive"])
+    def test_on_curve_values_match_closed_form(self, spec, t_end):
+        rhs = ch.build_pde(*spec.polynomials(), mo.model_moment_function(spec))
+        surf = ch.integrate_characteristics(
+            rhs, lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
+            np.linspace(-2.0, 4.0, 25), t_end=t_end)
+        assert not surf.truncated.any()
+        evaluator = md.cauchy_evaluator(spec)
+        n_t = surf.t_grid.size
+        for j in (n_t // 3, 2 * n_t // 3, n_t - 1):
+            err = np.abs(surf.g[:, j] - evaluator(surf.t_grid[j], surf.z[:, j]))
+            assert np.max(err) < 1e-8
 
 class TestEvaluateOnSurface:
     @staticmethod

@@ -2,9 +2,13 @@
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freesde import cli
 from freesde import models as md
@@ -213,6 +217,130 @@ class TestExitCodes:
         assert "n_path" in err
         assert "N, dt, t_end, n_paths, allow_near_blowup" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fields", [
+        {"times": 1.0},
+        {"times": [1.0], "grid": 5},
+        {"times": "nan"},
+        {"times": [1.0], "eps0": "nan"},
+        {"times": [1.0], "svg": "no"},
+    ], ids=["times_number", "grid_number", "times_nan", "eps0_nan", "svg_string"])
+    def test_malformed_density_input_is_exit_2(self, tmp_path, capsys, fields):
+        cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0,
+                               out_dir=str(tmp_path / "o"), **fields)
+        assert cli.main(["density", "--config", cfgfile]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--times", "--eps0"])
+    def test_nan_flag_is_exit_2(self, tmp_path, capsys, flag):
+        argv = ["density", "--model", "ou", "--theta", "0", "--sigma", "1",
+                "--times", "1", "--out", str(tmp_path / "o"), flag, "nan"]
+        assert cli.main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_nan_threshold_is_exit_2(self, tmp_path, capsys):
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+            out_dir=str(tmp_path / "o"), mc={"N": 10, "dt": 1e-2, "n_paths": 2})
+        argv = ["compare", "--config", cfgfile, "--threshold", "nan"]
+        assert cli.main(argv) == 2
+        assert "threshold" in capsys.readouterr().err
+
+    def test_string_allow_near_blowup_is_exit_2(self, tmp_path, capsys):
+        # "no" used to read as true and switch the blow-up guard off
+        cfgfile = write_config(
+            tmp_path, model="explosive", k=1.0, a=1.0, times=[0.95],
+            out_dir=str(tmp_path / "o"),
+            mc={"N": 10, "dt": 0.05, "n_paths": 2, "allow_near_blowup": "no"})
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "allow_near_blowup" in capsys.readouterr().err
+
+    def test_non_object_config_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("5")
+        assert cli.main(["support", "--config", str(path)]) == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, fields", [
+        ("support", {"model": "gbm1", "theta": 1e308, "times": [1.0]}),
+        ("support", {"model": "explosive", "k": 1e-200, "a": 1e-200, "times": [1.0]}),
+        ("density", {"model": "ou", "theta": 1e308, "sigma": 0.0, "times": [0.05]}),
+        ("density", {"model": "gbm1", "theta": 0.0, "times": [1e-30]}),
+        ("compare", {"model": "gbm2", "theta": 1e308, "times": [0.05, 0.1]}),
+        ("compare", {"model": "gbm1", "theta": 1e100, "times": [0.05]}),
+    ], ids=["overflow", "zero_division", "nan_support", "collapsed_grid",
+            "mc_eigenvalues", "mc_histogram"])
+    def test_numerical_breakdown_is_exit_3(self, tmp_path, capsys, command, fields):
+        cfgfile = write_config(tmp_path, out_dir=str(tmp_path / "o"),
+                               mc={"N": 4, "dt": 0.05, "n_paths": 2}, **fields)
+        assert cli.main([command, "--config", cfgfile]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+
+# A valid run of each command, then up to two fields replaced by values
+# that are malformed, non-finite, out of range or extreme.
+_PARAMS = {
+    "ou": {"theta": st.floats(-2.0, 2.0), "sigma": st.floats(0.0, 2.0)},
+    "gbm1": {"theta": st.floats(-1.0, 1.0)},
+    "gbm2": {"theta": st.floats(-1.0, 1.0)},
+    "explosive": {"k": st.floats(0.25, 2.0), "a": st.floats(0.25, 2.0)},
+}
+_BAD = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 10 ** 400, 0, -1,
+                     1e-300, "x", "no", "", None, True, [], {}, [1.0, "x"]]),
+    st.floats(-5.0, 5.0))
+# Monte Carlo sizes stay small: a large N, n_paths or n_steps is a valid
+# (and costly) run, not a malformed one.
+_BAD_MC = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 0, -1, 0.07,
+                     "x", "no", "", None, True, [], {}]),
+    st.integers(-2, 8))
+_BAD_KEYS = ["model", "theta", "sigma", "k", "a", "times", "grid", "eps0",
+             "threshold", "svg", "seed", "mc", "extra"]
+_BAD_MC_KEYS = ["mc.N", "mc.dt", "mc.t_end", "mc.n_paths", "mc.allow_near_blowup",
+                "mc.extra"]
+
+
+@st.composite
+def _cli_runs(draw):
+    """(command, config, flags) for one CLI invocation."""
+    command = draw(st.sampled_from(["density", "support", "moments", "compare"]))
+    model = draw(st.sampled_from(sorted(_PARAMS)))
+    cfg = {"model": model, **{k: draw(v) for k, v in _PARAMS[model].items()}}
+    cfg["times"] = sorted(draw(st.sets(st.sampled_from([0.05, 0.1]), min_size=1)))
+    if command == "compare":
+        cfg["mc"] = {"N": draw(st.integers(2, 8)), "dt": 0.05,
+                     "t_end": 0.1, "n_paths": draw(st.integers(1, 3))}
+        cfg["threshold"] = draw(st.floats(0.0, 1.0))
+    else:
+        cfg["eps0"] = draw(st.sampled_from([1e-4, 1e-3]))
+        if draw(st.booleans()):
+            cfg["grid"] = {"lo": -3.0, "hi": 3.0, "n": 64}
+        cfg["svg"] = draw(st.booleans())
+    for key in draw(st.lists(st.sampled_from(_BAD_KEYS + _BAD_MC_KEYS), max_size=2)):
+        owner, _, field = key.rpartition(".")
+        if not owner:
+            cfg[field] = draw(_BAD)
+        elif isinstance(cfg.setdefault(owner, {}), dict):
+            cfg[owner][field] = draw(_BAD_MC)
+    flags = []
+    for key in draw(st.lists(st.sampled_from(
+            ["model", "theta", "times", "eps0", "threshold", "svg"]), max_size=1)):
+        flags += ["--svg"] if key == "svg" else [f"--{key}", str(draw(_BAD))]
+    return command, cfg, flags
+
+
+class TestContractProperty:
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(_cli_runs())
+    def test_exit_code_is_in_contract(self, run):
+        command, cfg, flags = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            cfg["out_dir"] = str(Path(tmp) / "out")
+            path.write_text(json.dumps(cfg))
+            assert cli.main([command, "--config", str(path)] + flags) in (0, 2, 3, 4)
 
 
 class TestSelftest:

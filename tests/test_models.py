@@ -322,6 +322,6 @@ class TestEvaluatorDispatch:
             assert isinstance(ev(0.3, 1.0 + 1.0j), complex)
 
     def test_initial_values(self):
-        assert md.initial_value(md.OrnsteinUhlenbeck(0.0, 1.0)) == 0.0
-        assert md.initial_value(md.GeometricBrownian1(1.0)) == 1.0
-        assert md.initial_value(md.Explosive(1.0, 3.0)) == 3.0
+        assert md.OrnsteinUhlenbeck(0.0, 1.0).x0 == 0.0
+        assert md.GeometricBrownian1(1.0).x0 == 1.0
+        assert md.Explosive(1.0, 3.0).x0 == 3.0

@@ -153,12 +153,3 @@ class TestMomentFunctionFactory:
         mf = mo.model_moment_function(md.GeometricBrownian1(0.0))
         assert mf(1, 1.0) == 1.0
         assert mf(2, 1.0) == 2.0
-
-
-class TestMomentsCsv:
-    def test_format_and_values(self):
-        text = mo.moments_csv(md.GeometricBrownian1(0.5), [0.0, 1.0])
-        lines = text.strip().split("\n")
-        assert lines[0] == "t,mean,second_moment,variance"
-        t0 = [float(v) for v in lines[1].split(",")]
-        assert t0 == [0.0, 1.0, 1.0, 0.0]

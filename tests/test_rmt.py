@@ -205,7 +205,7 @@ class TestPicard:
         cfg = rmt.SimConfig(N=40, dt=1e-3, t_end=0.1, n_paths=1, seed=9)
         res = rmt.picard_solve(spec, cfg)
         rng = rmt.path_rng(9, 0)
-        x = rmt.initial_matrix(spec, 40)
+        x = spec.x0 * np.eye(40)
         for _ in range(cfg.n_steps):
             x = rmt.euler_step(x, spec, cfg.dt, rng)
         assert np.max(np.abs(res.path[-1] - x)) < 1e-6
@@ -375,15 +375,6 @@ class TestEigenHistogram:
         lines = h.to_csv().strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,count"
         assert sum(int(ln.split(",")[2]) for ln in lines[1:]) == 4
-
-    def test_sidecar_fields(self):
-        import json
-        h = rmt.EigenHistogram.from_samples([0.0, 1.0], 0.5)
-        d = json.loads(h.sidecar_json(
-            md.OrnsteinUhlenbeck(0.0, 1.0),
-            rmt.SimConfig(N=10, dt=1e-2, t_end=0.5, n_paths=1), kolmogorov=0.01))
-        assert set(d) == {"model", "config", "time", "n_samples",
-                          "kolmogorov_vs_analytic"}
 
 
 class TestKolmogorovDistance:
