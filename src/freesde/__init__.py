@@ -59,12 +59,10 @@ from .models import (
     ou_cauchy,
     ou_support,
     ou_variance,
-    support_of,
 )
 from .moments import (
     MomentSequence,
     catalan,
-    model_moment_function,
     model_moments,
     verify_power_identity,
     wigner_moment,

@@ -6,7 +6,9 @@ The Cauchy transform of a spectral measure mu is
 
 an analytic map of the upper half plane into itself with g(z) ~ -1/z at
 infinity.  The density is recovered by the Stieltjes inversion limit
-p(x) = (1/pi) * lim_{eps->0} Im g(x + i*eps); here the limit is taken by
+p(x) = (1/pi) * lim_{eps->0} Im g(x + i*eps).  A transform that extends
+continuously to the real axis gives the limit as its boundary value
+(eps = 0, what the CLI uses); otherwise the limit is taken off the axis by
 two-point Richardson extrapolation over {eps, eps/2}.
 
 Also provided: the principal-value Hilbert transform used by the

@@ -168,8 +168,9 @@ def reduce_resolvent_expectation(f: Polynomial, g, dg, z, m: MomentFunction, t: 
 class PdeRightHandSide:
     """Assembled right-hand side dg/dt = -E(aG^2) + E(bcG) E(bcG^2).
 
-    ``advection``/``source`` expose the quasilinear split
-    dg/dt + P dg/dz = Q used by the characteristic integrator:
+    ``advection``/``source`` give the quasilinear split
+    dg/dt + P dg/dz = Q that the characteristic integrator marches, and the
+    call evaluates Q - P dg/dz from them:
 
         P = a(z) - bc(z) E(bcG),
         Q = -a'(z) g - S2_a + E(bcG) (bc'(z) g + S2_bc).
@@ -180,10 +181,7 @@ class PdeRightHandSide:
     moments: MomentFunction
 
     def __call__(self, t: float, z, g, dg):
-        E_aG2 = reduce_resolvent_expectation(self.drift, g, dg, z, self.moments, t)[1]
-        E_bcG, E_bcG2 = reduce_resolvent_expectation(
-            self.diffusion, g, dg, z, self.moments, t)
-        return -E_aG2 + E_bcG * E_bcG2
+        return self.source(t, z, g) - self.advection(t, z, g) * dg
 
     def advection(self, t: float, z, g):
         az = self.drift(np.asarray(z, dtype=complex)) if not self.drift.is_zero else 0.0

@@ -28,7 +28,7 @@ from .errors import FreeSdeError, GridTooCoarse, InvalidConfig
 
 _MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
     f.name for cls in models.MODELS.values() for f in dataclasses.fields(cls)))
-_RUN_KEYS = ("times", "grid", "eps0", "out_dir", "svg", "seed", "mc", "threshold")
+_RUN_KEYS = ("times", "grid", "out_dir", "svg", "seed", "mc", "threshold")
 _MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
 
 
@@ -56,7 +56,6 @@ class RunConfig:
     spec: models.ModelSpec
     times: list[float]
     grid: dict | None = None  # {"lo","hi","n"} or None for auto
-    eps0: float = 1e-3
     out_dir: str = "."
     svg: bool = False
     seed: int = 0
@@ -86,8 +85,6 @@ class RunConfig:
         if unknown:
             raise InvalidConfig(f"unknown mc fields {sorted(unknown)}; "
                                 f"allowed: {', '.join(_MC_KEYS)}")
-        if self.eps0 < 0:
-            raise InvalidConfig("eps0 must be nonnegative")
 
 
 def _load_config(args) -> RunConfig:
@@ -121,7 +118,6 @@ def _load_config(args) -> RunConfig:
             else _number(int, raw.get("seed", 0), "seed"))
     return RunConfig(spec=spec, times=[_number(float, t, "time") for t in times],
                      grid=raw.get("grid"),
-                     eps0=_number(float, raw.get("eps0", 1e-3), "eps0"),
                      out_dir=str(raw.get("out_dir", ".")),
                      svg=_flag(raw.get("svg", False), "svg"), seed=seed,
                      mc=raw.get("mc", {}),
@@ -135,7 +131,7 @@ def _auto_grid(spec: models.ModelSpec, t: float, n: int = 1024) -> np.ndarray:
     any near-blow-up spikes live) and short uniform tails cover the 5%
     margins on each side, so vanishing outside the support stays visible.
     """
-    sup = models.support_of(spec, t)
+    sup = spec.support(t)
     if sup.width <= 0:
         pad = 0.5 * max(abs(sup.lo), 1.0)
         xs = np.linspace(sup.lo - pad, sup.hi + pad, n)
@@ -200,20 +196,19 @@ def polyline_svg(curves, width: int = 800, height: int = 500,
     return "\n".join(parts) + "\n"
 
 
-def _invert_normalized(evaluator, t, xs, eps0):
-    """Invert at eps0, refining the offset when the mass check fails.
+def _density_curve(cfg: RunConfig, evaluator, t: float) -> cauchy.DensityCurve:
+    """The normalized density at t from the transform's boundary values.
 
-    Sharp near-edge features (the explosive model close to blow-up) need a
-    smaller offset than the default; each retry quarters eps.
+    Every transform the commands reach extends continuously to the real
+    axis, so p = (1/pi) Im g(t, x) is read on the grid with no offset: an
+    offset eps leaves an O(sqrt(eps)) bias at square-root edges that no
+    extrapolation removes.  The grid is the config's, else the auto grid.
     """
-    eps = eps0
-    for _ in range(6):
-        curve = cauchy.stieltjes_invert(evaluator, t, xs, eps0=eps)
-        if abs(curve.mass - 1.0) <= cauchy.MASS_TOL:
-            return curve, eps
-        eps /= 4.0
+    xs = (_auto_grid(cfg.spec, t) if cfg.grid is None
+          else np.linspace(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"]))
+    curve = cauchy.stieltjes_invert(evaluator, t, xs, eps0=0.0)
     curve.assert_normalized()
-    return curve, eps
+    return curve
 
 
 def cmd_density(cfg: RunConfig) -> int:
@@ -225,13 +220,10 @@ def cmd_density(cfg: RunConfig) -> int:
     tag = cfg.spec.tag
     curves = []
     for t in cfg.times:
-        xs = (_auto_grid(cfg.spec, t) if cfg.grid is None
-              else np.linspace(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"]))
-        curve, eps = _invert_normalized(evaluator, t, xs, cfg.eps0)
-        note = "" if eps == cfg.eps0 else f", eps refined to {eps:g}"
+        curve = _density_curve(cfg, evaluator, t)
         path = out / f"density_{tag}_t{_fmt_t(t)}.csv"
         path.write_text(curve.to_csv())
-        print(f"wrote {path} (mass={curve.mass:.6f}{note})")
+        print(f"wrote {path} (mass={curve.mass:.6f})")
         curves.append((curve.xs, curve.ps, f"t={t:g}"))
     if cfg.svg:
         svg_path = out / f"density_{tag}.svg"
@@ -246,7 +238,7 @@ def cmd_support(cfg: RunConfig) -> int:
     tag = cfg.spec.tag
     lines = ["t,lo,hi"]
     for t in cfg.times:
-        sup = models.support_of(cfg.spec, t)
+        sup = cfg.spec.support(t)
         lines.append(",".join("%.17g" % v for v in (t, sup.lo, sup.hi)))
     path = out / f"support_{tag}.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -296,9 +288,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         entry["mean_gap"] = abs(emp_mean - ms.mean)
         entry["second_moment_gap"] = abs(emp_m2 - ms.second_moment)
         if evaluator is not None:
-            xs = _auto_grid(cfg.spec, t)
-            curve = cauchy.stieltjes_invert(evaluator, t, xs, eps0=cfg.eps0)
-            ks = rmt.kolmogorov_distance(h, curve)
+            ks = rmt.kolmogorov_distance(h, _density_curve(cfg, evaluator, t))
             entry["kolmogorov"] = ks
             worst = max(worst, ks)
         report["snapshots"].append(entry)
@@ -333,12 +323,11 @@ def _selftest_checks():
         return True
 
     def inversion():
-        ev = models.cauchy_evaluator(models.OrnsteinUhlenbeck(0.0, 1.0))
-        xs = np.linspace(-2.2, 2.2, 800)
-        curve = cauchy.stieltjes_invert(ev, 1.0, xs, eps0=1e-4)
-        err = np.max(np.abs(curve.ps - cauchy.semicircle_density(xs, 1.0)))
-        assert err < 1e-4, err
-        curve.assert_normalized()
+        spec = models.Explosive(1.0, 1.0)
+        curve = _density_curve(RunConfig(spec=spec, times=[0.9]), spec.transform(), 0.9)
+        ref = models.explosive_density(1.0, 1.0, 0.9, curve.xs)
+        err = np.max(np.abs(curve.ps - ref))
+        assert err < 1e-6, err
         return True
 
     def catalan_identity():
@@ -408,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in _MODEL_KEYS[1:]:
             p.add_argument(f"--{key}", type=float)
         p.add_argument("--times", help="comma-separated times")
-        p.add_argument("--eps0", type=float)
         p.add_argument("--out", dest="out_dir")
         p.add_argument("--seed", type=int)
         if name == "density":
@@ -419,10 +407,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Attach a negative number to the flag before it: ``--theta -1e-1``
+    becomes ``--theta=-1e-1``.  argparse takes only ``-1``/``-.5``-shaped
+    tokens for numbers and reads ``-1e-1`` as an unknown option.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev
+                and token.startswith("-") and _is_number(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     ap = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "selftest":

@@ -18,10 +18,6 @@ class NonFinite(FreeSdeError):
     """A transform evaluation produced NaN or Inf."""
 
 
-class OnSupportReal(FreeSdeError):
-    """Real evaluation point inside the spectral support; add an imaginary offset."""
-
-
 class GridTooCoarse(FreeSdeError):
     """Too few grid points inside the support for a principal-value quadrature."""
 

@@ -26,7 +26,6 @@ from .errors import (
     BranchViolation,
     InvalidConfig,
     NewtonDiverged,
-    OnSupportReal,
     PastBlowup,
 )
 from .rmt import psd_factor
@@ -268,16 +267,10 @@ def ou_cauchy(theta: float, sigma: float, t: float, z):
 
     Solves v g^2 + z g + 1 = 0 on the Herglotz branch, where v is the
     variance at time t; the degenerate v = 0 start returns -1/z (point mass
-    at the origin).  Real z strictly inside the support is refused.
+    at the origin).  Real z inside the support gets the boundary value with
+    Im g > 0, so Im g / pi is the semicircle density there.
     """
-    v = ou_variance(theta, sigma, t)
-    zarr = np.asarray(z, dtype=complex)
-    if v > 0.0:
-        r = 2.0 * math.sqrt(v)
-        on_axis = zarr.imag == 0.0
-        if np.any(on_axis & (np.abs(zarr.real) < r * (1.0 - 1e-12))):
-            raise OnSupportReal("real z inside the support; add an imaginary offset")
-    out = semicircle_cauchy(zarr, v)
+    out = semicircle_cauchy(z, ou_variance(theta, sigma, t))
     return out if np.ndim(z) else complex(out)
 
 
@@ -533,8 +526,3 @@ def cauchy_evaluator(spec: ModelSpec) -> CauchyEvaluator:
         raise InvalidConfig(f"no transform is available for model '{spec.tag}'; "
                             "only its moments are known in closed form")
     return evaluator
-
-
-def support_of(spec: ModelSpec, t: float) -> SupportInterval:
-    """Spectral support at time t (degenerate {X_0} interval at t = 0)."""
-    return spec.support(t)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characteristics import MomentFunction
 from .errors import OddOrder, OrderTooHigh, Overflow
 from .models import ModelSpec
 
@@ -95,8 +94,3 @@ def model_moments(spec: ModelSpec, t: float) -> MomentSequence:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return MomentSequence(t, *spec.moments(t))
-
-
-def model_moment_function(spec: ModelSpec) -> MomentFunction:
-    """Moments as a (j, t) handle for assembling evolution equations."""
-    return spec.moment_function()

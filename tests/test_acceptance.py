@@ -260,7 +260,7 @@ def test_criterion_10_property_suites(tmp_path):
     # emitted curves: nonnegative, normalized, CSV round-trip equality
     for spec, t in cases:
         ev = md.cauchy_evaluator(spec)
-        sup = md.support_of(spec, t)
+        sup = spec.support(t)
         xs = np.linspace(sup.lo - 0.07 * sup.width, sup.hi + 0.07 * sup.width, 1024)
         curve = ca.stieltjes_invert(ev, t, xs, eps0=1e-4)
         assert np.all(curve.ps >= 0.0)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from freesde import characteristics as ch
 from freesde import models as md
-from freesde import moments as mo
 from freesde.errors import (
     MomentsUnavailable,
     OrderTooHigh,
@@ -287,7 +286,7 @@ class TestModelRecordsThroughEngine:
         (md.Explosive(1.0, 1.0), 0.5),
     ], ids=["ou", "gbm1", "explosive"])
     def test_on_curve_values_match_closed_form(self, spec, t_end):
-        rhs = ch.build_pde(*spec.polynomials(), mo.model_moment_function(spec))
+        rhs = ch.build_pde(*spec.polynomials(), spec.moment_function())
         surf = ch.integrate_characteristics(
             rhs, lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
             np.linspace(-2.0, 4.0, 25), t_end=t_end)

@@ -20,20 +20,43 @@ def write_config(tmp_path, **fields):
     return str(path)
 
 
+def read_density(path):
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "x,p"
+    return np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]]).T
+
+
 class TestDensityCommand:
     def test_explosive_early_times(self, tmp_path):
         cfgfile = write_config(tmp_path, model="explosive", k=1.0, a=1.0,
                                times=[0.1, 0.2, 0.3, 0.4],
-                               out_dir=str(tmp_path / "out"), eps0=1e-4)
+                               out_dir=str(tmp_path / "out"))
         rc = cli.main(["density", "--config", cfgfile])
         assert rc == 0
         for t in ("0p1", "0p2", "0p3", "0p4"):
-            csv = (tmp_path / "out" / f"density_explosive_t{t}.csv").read_text()
-            lines = csv.strip().split("\n")
-            assert lines[0] == "x,p"
-            xs, ps = np.array([[float(v) for v in ln.split(",")]
-                               for ln in lines[1:]]).T
+            xs, ps = read_density(tmp_path / "out" / f"density_explosive_t{t}.csv")
             assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
+
+    # An inversion off the axis biases the mass by O(sqrt(eps)) at square-root
+    # edges; these runs failed the mass check with it.
+    @pytest.mark.parametrize("t", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_gbm1_late_times(self, tmp_path, theta, t):
+        argv = ["density", "--model", "gbm1", "--theta", str(theta),
+                "--times", str(t), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        xs, ps = read_density(tmp_path / f"density_gbm1_t{t:g}.csv")
+        assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("t", [0.85, 0.9, 0.95])
+    def test_explosive_near_blowup(self, tmp_path, t):
+        argv = ["density", "--model", "explosive", "--k", "1", "--a", "1",
+                "--times", str(t), "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        stamp = ("%g" % t).replace(".", "p")
+        xs, ps = read_density(tmp_path / f"density_explosive_t{stamp}.csv")
+        assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
+        assert np.max(np.abs(ps - md.explosive_density(1.0, 1.0, t, xs))) <= 1e-6
 
     def test_svg_written(self, tmp_path):
         cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0,
@@ -132,7 +155,7 @@ class TestCompareCommand:
     def test_ou_small_run(self, tmp_path):
         cfgfile = write_config(
             tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.5],
-            out_dir=str(tmp_path), eps0=1e-4, seed=11,
+            out_dir=str(tmp_path), seed=11,
             mc={"N": 80, "dt": 2e-3, "n_paths": 6})
         assert cli.main(["compare", "--config", cfgfile]) == 0
         report = json.loads((tmp_path / "compare_ou.json").read_text())
@@ -222,9 +245,8 @@ class TestExitCodes:
         {"times": 1.0},
         {"times": [1.0], "grid": 5},
         {"times": "nan"},
-        {"times": [1.0], "eps0": "nan"},
         {"times": [1.0], "svg": "no"},
-    ], ids=["times_number", "grid_number", "times_nan", "eps0_nan", "svg_string"])
+    ], ids=["times_number", "grid_number", "times_nan", "svg_string"])
     def test_malformed_density_input_is_exit_2(self, tmp_path, capsys, fields):
         cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0,
                                out_dir=str(tmp_path / "o"), **fields)
@@ -232,12 +254,32 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag", ["--times", "--eps0"])
+    @pytest.mark.parametrize("flag", ["--times"])
     def test_nan_flag_is_exit_2(self, tmp_path, capsys, flag):
         argv = ["density", "--model", "ou", "--theta", "0", "--sigma", "1",
                 "--times", "1", "--out", str(tmp_path / "o"), flag, "nan"]
         assert cli.main(argv) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_eps0_is_exit_2(self, tmp_path, capsys):
+        # density and compare invert at the boundary values; no offset is taken
+        cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0,
+                               times=[1.0], out_dir=str(tmp_path / "o"), eps0=1e-4)
+        assert cli.main(["density", "--config", cfgfile]) == 2
+        assert "eps0" in capsys.readouterr().err
+        argv = ["density", "--model", "ou", "--theta", "0", "--sigma", "1",
+                "--times", "1", "--out", str(tmp_path / "o"), "--eps0", "1e-4"]
+        assert cli.main(argv) == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["-1e-1", "-1E-1", "-10e-2"])
+    def test_negative_exponent_flag_value(self, tmp_path, value):
+        # argparse alone reads "-1e-1" as an unknown option, not a number
+        argv = ["support", "--model", "ou", "--sigma", "1", "--times", "1"]
+        assert cli.main(argv + ["--theta", value, "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(argv + ["--theta=-0.1", "--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "support_ou.csv").read_bytes()
+                == (tmp_path / "b" / "support_ou.csv").read_bytes())
 
     def test_nan_threshold_is_exit_2(self, tmp_path, capsys):
         cfgfile = write_config(
@@ -279,9 +321,11 @@ class TestExitCodes:
 
 
 # A valid run of each command, then up to two fields replaced by values
-# that are malformed, non-finite, out of range or extreme.
+# that are malformed, non-finite, out of range or extreme.  The ou noise
+# stays at sigma >= 0.5 so that its density is resolved on the fixed grid;
+# sigma = 0 (a point mass, which has no density) is one of the bad values.
 _PARAMS = {
-    "ou": {"theta": st.floats(-2.0, 2.0), "sigma": st.floats(0.0, 2.0)},
+    "ou": {"theta": st.floats(-2.0, 2.0), "sigma": st.floats(0.5, 2.0)},
     "gbm1": {"theta": st.floats(-1.0, 1.0)},
     "gbm2": {"theta": st.floats(-1.0, 1.0)},
     "explosive": {"k": st.floats(0.25, 2.0), "a": st.floats(0.25, 2.0)},
@@ -296,17 +340,14 @@ _BAD_MC = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 0, -1, 0.07,
                      "x", "no", "", None, True, [], {}]),
     st.integers(-2, 8))
-_BAD_KEYS = ["model", "theta", "sigma", "k", "a", "times", "grid", "eps0",
+_BAD_KEYS = ["model", "theta", "sigma", "k", "a", "times", "grid",
              "threshold", "svg", "seed", "mc", "extra"]
 _BAD_MC_KEYS = ["mc.N", "mc.dt", "mc.t_end", "mc.n_paths", "mc.allow_near_blowup",
                 "mc.extra"]
 
 
-@st.composite
-def _cli_runs(draw):
-    """(command, config, flags) for one CLI invocation."""
-    command = draw(st.sampled_from(["density", "support", "moments", "compare"]))
-    model = draw(st.sampled_from(sorted(_PARAMS)))
+def _base_config(draw, command, model):
+    """A valid config for one command and model."""
     cfg = {"model": model, **{k: draw(v) for k, v in _PARAMS[model].items()}}
     cfg["times"] = sorted(draw(st.sets(st.sampled_from([0.05, 0.1]), min_size=1)))
     if command == "compare":
@@ -314,10 +355,18 @@ def _cli_runs(draw):
                      "t_end": 0.1, "n_paths": draw(st.integers(1, 3))}
         cfg["threshold"] = draw(st.floats(0.0, 1.0))
     else:
-        cfg["eps0"] = draw(st.sampled_from([1e-4, 1e-3]))
         if draw(st.booleans()):
-            cfg["grid"] = {"lo": -3.0, "hi": 3.0, "n": 64}
+            cfg["grid"] = {"lo": -3.0, "hi": 3.0, "n": 2048}
         cfg["svg"] = draw(st.booleans())
+    return cfg
+
+
+@st.composite
+def _cli_runs(draw):
+    """(command, config, flags) for one CLI invocation."""
+    command = draw(st.sampled_from(["density", "support", "moments", "compare"]))
+    model = draw(st.sampled_from(sorted(_PARAMS)))
+    cfg = _base_config(draw, command, model)
     for key in draw(st.lists(st.sampled_from(_BAD_KEYS + _BAD_MC_KEYS), max_size=2)):
         owner, _, field = key.rpartition(".")
         if not owner:
@@ -326,9 +375,23 @@ def _cli_runs(draw):
             cfg[owner][field] = draw(_BAD_MC)
     flags = []
     for key in draw(st.lists(st.sampled_from(
-            ["model", "theta", "times", "eps0", "threshold", "svg"]), max_size=1)):
+            ["model", "theta", "times", "threshold", "svg"]), max_size=1)):
         flags += ["--svg"] if key == "svg" else [f"--{key}", str(draw(_BAD))]
     return command, cfg, flags
+
+
+def _run_in_tmp(command, cfg, flags=()):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        cfg["out_dir"] = str(Path(tmp) / "out")
+        path.write_text(json.dumps(cfg))
+        return cli.main([command, "--config", str(path), *flags])
+
+
+@st.composite
+def _ou_analytic_runs(draw):
+    command = draw(st.sampled_from(["density", "support", "moments"]))
+    return command, _base_config(draw, command, "ou")
 
 
 class TestContractProperty:
@@ -336,11 +399,14 @@ class TestContractProperty:
     @given(_cli_runs())
     def test_exit_code_is_in_contract(self, run):
         command, cfg, flags = run
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "config.json"
-            cfg["out_dir"] = str(Path(tmp) / "out")
-            path.write_text(json.dumps(cfg))
-            assert cli.main([command, "--config", str(path)] + flags) in (0, 2, 3, 4)
+        assert _run_in_tmp(command, cfg, flags) in (0, 2, 3, 4)
+
+    # The base configs must run, or the property above covers only exit 2.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_ou_analytic_runs())
+    def test_valid_ou_config_succeeds(self, run):
+        command, cfg = run
+        assert _run_in_tmp(command, cfg) == 0
 
 
 class TestSelftest:

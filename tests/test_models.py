@@ -10,7 +10,6 @@ from freesde import cauchy as ca
 from freesde import models as md
 from freesde.errors import (
     InvalidConfig,
-    OnSupportReal,
     PastBlowup,
 )
 
@@ -60,9 +59,14 @@ class TestOrnsteinUhlenbeck:
             g = md.ou_cauchy(theta, sigma, t, 1e6j)
             assert abs(1e6j * g + 1.0) < 1e-4
 
-    def test_on_support_real_refused(self):
-        with pytest.raises(OnSupportReal):
-            md.ou_cauchy(0.0, 1.0, 1.0, 0.5)
+    def test_on_support_real_is_boundary_value(self):
+        # real z inside the support used to be refused
+        for theta, sigma, t in ((0.0, 1.0, 1.0), (-1.0, 1.0, 2.0), (0.5, 0.7, 0.8)):
+            v = md.ou_variance(theta, sigma, t)
+            xs = np.linspace(-2.0, 2.0, 41)[1:-1] * math.sqrt(v)
+            g = md.ou_cauchy(theta, sigma, t, xs)
+            assert np.max(np.abs(g.imag / np.pi - ca.semicircle_density(xs, v))) < 1e-14
+            assert md.ou_cauchy(theta, sigma, t, 0.5 * math.sqrt(v)).imag > 0
 
     def test_herglotz_sampling(self):
         rng = np.random.default_rng(42)
@@ -306,11 +310,11 @@ class TestExplosive:
 
 class TestEvaluatorDispatch:
     def test_support_of(self):
-        assert md.support_of(md.OrnsteinUhlenbeck(0.0, 1.0), 0.0).hi == 0.0
-        assert md.support_of(md.GeometricBrownian1(0.0), 0.0).lo == 1.0
-        assert md.support_of(md.Explosive(1.0, 2.0), 0.0).lo == 2.0
+        assert md.OrnsteinUhlenbeck(0.0, 1.0).support(0.0).hi == 0.0
+        assert md.GeometricBrownian1(0.0).support(0.0).lo == 1.0
+        assert md.Explosive(1.0, 2.0).support(0.0).lo == 2.0
         with pytest.raises(InvalidConfig):
-            md.support_of(md.GeometricBrownian2(0.0), 1.0)
+            md.GeometricBrownian2(0.0).support(1.0)
 
     def test_evaluators_vectorized(self):
         for spec in (md.OrnsteinUhlenbeck(-1.0, 1.0), md.GeometricBrownian1(0.5),

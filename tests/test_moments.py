@@ -143,13 +143,13 @@ class TestMomentsAgainstRecoveredDensity:
 
 class TestMomentFunctionFactory:
     def test_explosive_exposes_constant_mean(self):
-        mf = mo.model_moment_function(md.Explosive(2.0, 3.0))
+        mf = md.Explosive(2.0, 3.0).moment_function()
         assert mf(0, 1.0) == 1.0
         assert mf(1, 0.02) == 3.0
         with pytest.raises(MomentsUnavailable):
             mf(2, 0.02)
 
     def test_gbm1_orders(self):
-        mf = mo.model_moment_function(md.GeometricBrownian1(0.0))
+        mf = md.GeometricBrownian1(0.0).moment_function()
         assert mf(1, 1.0) == 1.0
         assert mf(2, 1.0) == 2.0
