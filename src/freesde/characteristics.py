@@ -16,7 +16,6 @@ quasilinear equation dg/dt + P dg/dz = Q whose characteristic curves
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,11 +64,6 @@ class Polynomial:
         for c in self.coeffs[-2::-1]:
             acc = acc * x + c
         return acc
-
-    def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial([])
-        return Polynomial([j * c for j, c in enumerate(self.coeffs)][1:])
 
 
 def _synthetic_divide(coeffs: Sequence, z):
@@ -127,19 +121,20 @@ class MomentFunction:
 
 
 def _reduction_parts(f: Polynomial, z, m: MomentFunction, t: float):
-    """(f(z), f'(z), S1, S2) with S1 = sum e_j(z) mu_j, S2 = sum d_j(z) mu_j."""
-    zero = np.zeros_like(np.asarray(z, dtype=complex))
-    if f.is_zero:
-        return zero, zero, zero, zero
-    fz = f(np.asarray(z, dtype=complex))
-    if f.degree == 0:
-        return fz, zero, zero, zero
-    e, _ = _synthetic_divide(f.coeffs, np.asarray(z, dtype=complex))
-    S1 = zero.copy()
+    """(f(z), f'(z), S1, S2) with S1 = sum e_j(z) mu_j, S2 = sum d_j(z) mu_j.
+
+    The remainders of the two synthetic divisions are f(z) and f'(z).
+    """
+    z = np.asarray(z, dtype=complex)
+    zero = np.zeros_like(z)
+    if f.degree < 1:  # a constant, or the zero polynomial (sum(()) == 0)
+        return zero + sum(f.coeffs), zero, zero, zero
+    e, fz = _synthetic_divide(f.coeffs, z)
+    S1 = zero
     for j, ej in enumerate(e):
         S1 = S1 + ej * m(j, t)
-    d, fprime = _synthetic_divide(e, np.asarray(z, dtype=complex))
-    S2 = zero.copy()
+    d, fprime = _synthetic_divide(e, z)
+    S2 = zero
     for j, dj in enumerate(d):
         S2 = S2 + dj * m(j, t)
     return fz, fprime, S1, S2
@@ -168,9 +163,8 @@ def reduce_resolvent_expectation(f: Polynomial, g, dg, z, m: MomentFunction, t: 
 class PdeRightHandSide:
     """Assembled right-hand side dg/dt = -E(aG^2) + E(bcG) E(bcG^2).
 
-    ``advection``/``source`` give the quasilinear split
-    dg/dt + P dg/dz = Q that the characteristic integrator marches, and the
-    call evaluates Q - P dg/dz from them:
+    ``characteristic`` gives the quasilinear split dg/dt + P dg/dz = Q that
+    the characteristic integrator marches, and the call evaluates Q - P dg/dz:
 
         P = a(z) - bc(z) E(bcG),
         Q = -a'(z) g - S2_a + E(bcG) (bc'(z) g + S2_bc).
@@ -181,22 +175,15 @@ class PdeRightHandSide:
     moments: MomentFunction
 
     def __call__(self, t: float, z, g, dg):
-        return self.source(t, z, g) - self.advection(t, z, g) * dg
+        P, Q = self.characteristic(t, z, g)
+        return Q - P * dg
 
-    def advection(self, t: float, z, g):
-        az = self.drift(np.asarray(z, dtype=complex)) if not self.drift.is_zero else 0.0
-        _, _, S1_bc, _ = _reduction_parts(self.diffusion, z, self.moments, t)
-        bcz = self.diffusion(np.asarray(z, dtype=complex)) if not self.diffusion.is_zero else 0.0
-        return az - bcz * (bcz * g + S1_bc)
-
-    def source(self, t: float, z, g):
-        _, apz, _, S2_a = _reduction_parts(self.drift, z, self.moments, t)
+    def characteristic(self, t: float, z, g):
+        """(P, Q): dz/dt = P and dg/dt = Q along a characteristic curve."""
+        az, apz, _, S2_a = _reduction_parts(self.drift, z, self.moments, t)
         bcz, bcpz, S1_bc, S2_bc = _reduction_parts(self.diffusion, z, self.moments, t)
-        return -(apz * g + S2_a) + (bcz * g + S1_bc) * (bcpz * g + S2_bc)
-
-    @property
-    def bc_is_constant(self) -> bool:
-        return self.diffusion.degree <= 0
+        E_bcG = bcz * g + S1_bc
+        return az - bcz * E_bcG, -(apz * g + S2_a) + E_bcG * (bcpz * g + S2_bc)
 
 
 def build_pde(a: Polynomial, bc: Polynomial, m: MomentFunction) -> PdeRightHandSide:
@@ -223,38 +210,6 @@ class CharacteristicSurface:
     truncated: np.ndarray  # bool, shape (n_s,)
     trunc_index: np.ndarray  # int, shape (n_s,)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "s_grid": list(map(float, self.s_grid)),
-            "t_grid": list(map(float, self.t_grid)),
-            "z_re": self.z.real.tolist(),
-            "z_im": self.z.imag.tolist(),
-            "g_re": self.g.real.tolist(),
-            "g_im": self.g.imag.tolist(),
-            "truncated": [bool(v) for v in self.truncated],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "CharacteristicSurface":
-        d = json.loads(text)
-        z = np.asarray(d["z_re"]) + 1j * np.asarray(d["z_im"])
-        g = np.asarray(d["g_re"]) + 1j * np.asarray(d["g_im"])
-        trunc = np.asarray(d["truncated"], dtype=bool)
-        n_t = z.shape[1]
-        idx = np.full(z.shape[0], n_t - 1, dtype=int)
-        for i in range(z.shape[0]):
-            bad = np.nonzero(~np.isfinite(z[i].real))[0]
-            if bad.size:
-                idx[i] = bad[0] - 1
-        return cls(np.asarray(d["s_grid"], dtype=float),
-                   np.asarray(d["t_grid"], dtype=float), z, g, trunc, idx)
-
-    def has_shock(self, t_index: int) -> bool:
-        """True when the label ordering of Re z inverts at the given time index."""
-        x = self.z[:, t_index].real
-        ok = np.isfinite(x)
-        return bool(np.any(np.diff(x[ok]) < 0))
-
 
 def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
                               dt: float = 1e-3,
@@ -276,51 +231,46 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
     h = t_end / n_steps if n_steps else 0.0
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
     n_s = s_grid.size
-    Z = np.full((n_s, n_steps + 1), np.nan + 0j)
-    G = np.full((n_s, n_steps + 1), np.nan + 0j)
+    Z = np.empty((n_s, n_steps + 1), dtype=complex)
+    G = np.empty((n_s, n_steps + 1), dtype=complex)
     Z[:, 0], G[:, 0] = z0, g0
     trunc_index = np.full(n_s, n_steps, dtype=int)
     active = np.ones(n_s, dtype=bool)
-
-    def f(t, z, g):
-        return rhs.advection(t, z, g), rhs.source(t, z, g)
-
-    z, g = z0.copy(), g0.copy()
-    for n in range(n_steps):
-        t = t_grid[n]
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        za, ga = z[idx], g[idx]
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1z, k1g = f(t, za, ga)
-            k2z, k2g = f(t + h / 2, za + h / 2 * k1z, ga + h / 2 * k1g)
-            k3z, k3g = f(t + h / 2, za + h / 2 * k2z, ga + h / 2 * k2g)
-            k4z, k4g = f(t + h, za + h * k3z, ga + h * k3g)
-            zn = za + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-            gn = ga + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
-        stages_ok = (np.isfinite(zn.real) & np.isfinite(zn.imag)
-                     & np.isfinite(gn.real) & np.isfinite(gn.imag))
-        if n == 0 and not np.all(stages_ok):
-            raise StepTooLarge("non-finite RK4 stage on the first step; reduce dt")
-        alive = stages_ok & (np.abs(zn) < blowup) & (np.abs(gn) < blowup)
-        dead = idx[~alive]
-        trunc_index[dead] = n
-        active[dead] = False
-        live = idx[alive]
-        z[live], g[live] = zn[alive], gn[alive]
-        Z[live, n + 1], G[live, n + 1] = zn[alive], gn[alive]
-    return CharacteristicSurface(
-        s_grid=s_grid, t_grid=t_grid, z=Z, g=G,
-        truncated=trunc_index < n_steps, trunc_index=trunc_index)
+    f = rhs.characteristic
+    z, g = z0, g0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            t = t_grid[n]
+            k1z, k1g = f(t, z, g)
+            k2z, k2g = f(t + h / 2, z + h / 2 * k1z, g + h / 2 * k1g)
+            k3z, k3g = f(t + h / 2, z + h / 2 * k2z, g + h / 2 * k2g)
+            k4z, k4g = f(t + h, z + h * k3z, g + h * k3g)
+            z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
+            g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
+            if n == 0 and not (np.isfinite(z).all() and np.isfinite(g).all()):
+                raise StepTooLarge("non-finite RK4 stage on the first step; reduce dt")
+            # |.| < blowup is false for NaN and inf, so it checks finiteness too
+            alive = (np.abs(z) < blowup) & (np.abs(g) < blowup)
+            trunc_index[active & ~alive] = n
+            active &= alive
+            if not active.any():
+                break
+            Z[:, n + 1], G[:, n + 1] = z, g
+    truncated = trunc_index < n_steps
+    for i in np.flatnonzero(truncated):
+        Z[i, trunc_index[i] + 1:] = G[i, trunc_index[i] + 1:] = np.nan
+    return CharacteristicSurface(s_grid=s_grid, t_grid=t_grid, z=Z, g=G,
+                                 truncated=truncated, trunc_index=trunc_index)
 
 
 def evaluate_on_surface(surf: CharacteristicSurface, t: float, z: complex) -> complex:
     """Interpolate g at (t, z) from the two curves bracketing Re z.
 
-    Curve states are first interpolated linearly in time, then g linearly
-    between the bracketing curves (ordered by label).  Queries outside the
-    swept region raise OutsideSurface rather than extrapolating.
+    Curve states are first interpolated linearly in time, then z and g
+    linearly between the bracketing curves (ordered by Re z).  At fixed t
+    the curves trace a line in the plane, not a region, so a query farther
+    from the interpolated point than the chord between the two curves
+    raises OutsideSurface, as do queries outside the swept range.
     """
     tg = surf.t_grid
     if not (tg[0] <= t <= tg[-1]):
@@ -334,13 +284,17 @@ def evaluate_on_surface(surf: CharacteristicSurface, t: float, z: complex) -> co
     zt = (1 - w) * surf.z[usable, j - 1] + w * surf.z[usable, j]
     gt = (1 - w) * surf.g[usable, j - 1] + w * surf.g[usable, j]
     order = np.argsort(zt.real)
-    xs = zt.real[order]
-    x = complex(z).real
+    zs, gs = zt[order], gt[order]
+    xs = zs.real
+    z = complex(z)
+    x = z.real
     if not (xs[0] <= x <= xs[-1]):
         raise OutsideSurface(f"Re z={x} outside the curve hull [{xs[0]}, {xs[-1]}]")
     i = int(np.searchsorted(xs, x))
     i = max(1, min(i, xs.size - 1))
     x0, x1 = xs[i - 1], xs[i]
     u = 0.0 if x1 == x0 else (x - x0) / (x1 - x0)
-    gs = gt[order]
+    chord = zs[i] - zs[i - 1]
+    if abs(z - (zs[i - 1] + u * chord)) > abs(chord):
+        raise OutsideSurface(f"z={z} lies off the curves at t={t}")
     return complex((1 - u) * gs[i - 1] + u * gs[i])

@@ -275,20 +275,23 @@ def cmd_compare(cfg: RunConfig) -> int:
         allow_near_blowup=_flag(mc.get("allow_near_blowup", False),
                                 "mc allow_near_blowup"))
     snapshot_times = [t for t in cfg.times if t > 0]
-    hists = rmt.run_ensemble(cfg.spec, sim, snapshot_times)
     evaluator = cfg.spec.transform()
+    # invert first: a curve that fails its mass check costs no MC run
+    curves = [None if evaluator is None else _density_curve(cfg, evaluator, t)
+              for t in snapshot_times]
+    hists = rmt.run_ensemble(cfg.spec, sim, snapshot_times)
     report = {"model": models.model_to_json(cfg.spec), "config": sim.to_json(),
               "threshold": cfg.threshold, "snapshots": []}
     worst = 0.0
-    for t, h in zip(snapshot_times, hists):
+    for t, h, curve in zip(snapshot_times, hists, curves):
         entry = {"t": t, "n_samples": h.n_samples}
         emp_mean = float(np.mean(h.samples))
         emp_m2 = float(np.mean(h.samples ** 2))
         ms = moments.model_moments(cfg.spec, t)
         entry["mean_gap"] = abs(emp_mean - ms.mean)
         entry["second_moment_gap"] = abs(emp_m2 - ms.second_moment)
-        if evaluator is not None:
-            ks = rmt.kolmogorov_distance(h, _density_curve(cfg, evaluator, t))
+        if curve is not None:
+            ks = rmt.kolmogorov_distance(h, curve)
             entry["kolmogorov"] = ks
             worst = max(worst, ks)
         report["snapshots"].append(entry)

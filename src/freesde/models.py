@@ -246,19 +246,11 @@ def ou_variance(theta: float, sigma: float, t: float) -> float:
 
 
 def ou_support(theta: float, sigma: float, t: float) -> SupportInterval:
-    """Semicircle support interval; three regimes by the sign of theta.
-
-    Growing like e^(theta t) for theta > 0, like sqrt(t) for theta = 0, and
-    saturating at sigma * sqrt(2/|theta|) for theta < 0.
+    """Semicircle support [-r, r] with r = 2 sqrt(variance): the cut of
+    ``ou_cauchy``, growing like e^(theta t) for theta > 0, like sqrt(t) for
+    theta = 0, and saturating at sigma * sqrt(2/|theta|) for theta < 0.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if abs(theta * t) < 1e-8:
-        r = 2.0 * sigma * math.sqrt(t)
-    elif theta > 0:
-        r = math.sqrt(2.0 * sigma * sigma / theta * math.expm1(2.0 * theta * t))
-    else:
-        r = math.sqrt(2.0 * sigma * sigma / abs(theta) * -math.expm1(2.0 * theta * t))
+    r = 2.0 * math.sqrt(ou_variance(theta, sigma, t))
     return SupportInterval(-r, r)
 
 

@@ -41,6 +41,7 @@ if TYPE_CHECKING:
     from .models import ModelSpec
 
 PICARD_TOL = 1e-8
+PICARD_MAX_ITER = 25
 
 
 def _n_workers() -> int:
@@ -104,8 +105,6 @@ class SimConfig:
     t_end: float
     n_paths: int
     seed: int = 0
-    scheme: str = "euler"  # "euler" | "picard"
-    picard_max_iter: int = 25
     allow_near_blowup: bool = False
 
     def __post_init__(self):
@@ -120,8 +119,6 @@ class SimConfig:
                 f"t_end={self.t_end} is not a multiple of dt={self.dt}")
         if self.n_paths < 1:
             raise InvalidConfig("n_paths must be a positive integer")
-        if self.scheme not in ("euler", "picard"):
-            raise InvalidConfig(f"unknown scheme '{self.scheme}'")
 
     @property
     def n_steps(self) -> int:
@@ -129,7 +126,7 @@ class SimConfig:
 
     def to_json(self) -> dict:
         return {"N": self.N, "dt": self.dt, "t_end": self.t_end,
-                "n_paths": self.n_paths, "seed": self.seed, "scheme": self.scheme}
+                "n_paths": self.n_paths, "seed": self.seed}
 
 
 def _on_grid(t: float, dt: float) -> bool:
@@ -266,27 +263,34 @@ class PicardResult:
     iterations: int = 0
 
 
-def _picard_path(model: ModelSpec, x0: np.ndarray, dt: float,
-                 dws: np.ndarray, max_iter: int) -> PicardResult:
+def _ratios(diffs: list[float]) -> list[float]:
+    return [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
+
+
+def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
     """Successive approximations of the integral equation on a fixed grid.
 
     Iterates x^(m+1)(t) = x0 + sum a(x^(m)) dt + sum b(x^(m)) dW c(x^(m))
-    against the same driving increments every sweep; the fixed point of the
-    discrete map coincides with the explicit one-step scheme on that grid.
+    against the same driving increments (the stream of path index 0) every
+    sweep; the fixed point of the discrete map coincides with the explicit
+    one-step scheme on that grid.  Meant for short horizons: the scheme is a
+    local contraction, so keep t_end small (about 0.5 or less) or expect
+    NoContraction.
     """
-    n_steps = dws.shape[0]
-    N = x0.shape[0]
-    cur = np.broadcast_to(x0, (n_steps + 1, N, N)).copy()
+    rng = path_rng(cfg.seed, 0)
+    dws = [sample_wigner_increment(cfg.N, cfg.dt, rng) for _ in range(cfg.n_steps)]
+    x0 = model.x0 * np.eye(cfg.N)
+    cur = np.broadcast_to(x0, (cfg.n_steps + 1, cfg.N, cfg.N)).copy()
     diffs: list[float] = []
     grow = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         nxt = np.empty_like(cur)
         nxt[0] = x0
-        for j in range(n_steps):
-            inc = _apply_increment(cur[j], model, dt, dws[j]) - cur[j]
+        for j in range(cfg.n_steps):
+            inc = _apply_increment(cur[j], model, cfg.dt, dws[j]) - cur[j]
             nxt[j + 1] = nxt[j] + inc
             nxt[j + 1] = (nxt[j + 1] + nxt[j + 1].T) / 2.0
-        d = float(np.max(np.linalg.norm(nxt - cur, axis=(1, 2))) / math.sqrt(N))
+        d = float(np.max(np.linalg.norm(nxt - cur, axis=(1, 2))) / math.sqrt(cfg.N))
         diffs.append(d)
         cur = nxt
         if d < PICARD_TOL:
@@ -299,28 +303,7 @@ def _picard_path(model: ModelSpec, x0: np.ndarray, dt: float,
                     "shrink t_end")
         else:
             grow = 0
-    return PicardResult(path=cur, contraction=_ratios(diffs), iterations=max_iter)
-
-
-def _ratios(diffs: list[float]) -> list[float]:
-    return [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-
-
-def _draw_noise(cfg: SimConfig, rng) -> np.ndarray:
-    """Every increment of a path up front, shape (n_steps, N, N)."""
-    return np.stack([sample_wigner_increment(cfg.N, cfg.dt, rng)
-                     for _ in range(cfg.n_steps)])
-
-
-def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
-    """Path of the successive-approximation scheme (stream of path index 0).
-
-    Meant for short horizons: the scheme is a local contraction, so keep
-    t_end small (about 0.5 or less) or expect NoContraction.
-    """
-    return _picard_path(model, model.x0 * np.eye(cfg.N), cfg.dt,
-                        _draw_noise(cfg, path_rng(cfg.seed, 0)),
-                        cfg.picard_max_iter)
+    return PicardResult(path=cur, contraction=_ratios(diffs), iterations=PICARD_MAX_ITER)
 
 
 @dataclass
@@ -410,26 +393,16 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     x[...] = model.x0 * np.eye(cfg.N)
     want = set(snap_steps)
     out: dict[int, np.ndarray] = {}
-    if cfg.scheme == "picard":
-        held = {j: np.empty_like(x) for j in want}
-        for q, rng in enumerate(rngs):
-            res = _picard_path(model, x[q], cfg.dt, _draw_noise(cfg, rng),
-                               cfg.picard_max_iter)
-            for j in want:
-                held[j][q] = res.path[j]
-        for j in want:
-            out[j] = _snapshot_eigvals(held[j])
-    else:
-        dw = np.empty_like(x)
-        scratch = np.empty((2,) + x.shape)
-        packed = np.empty((len(paths), cfg.N * (cfg.N + 1) // 2))
-        if 0 in want:
-            out[0] = _snapshot_eigvals(x)
-        for j in range(1, cfg.n_steps + 1):
-            sample_wigner_increment(cfg.N, cfg.dt, rngs, dw, packed)
-            _apply_increment(x, model, cfg.dt, dw, diags, x, scratch)
-            if j in want:
-                out[j] = _snapshot_eigvals(x)
+    dw = np.empty_like(x)
+    scratch = np.empty((2,) + x.shape)
+    packed = np.empty((len(paths), cfg.N * (cfg.N + 1) // 2))
+    if 0 in want:
+        out[0] = _snapshot_eigvals(x)
+    for j in range(1, cfg.n_steps + 1):
+        sample_wigner_increment(cfg.N, cfg.dt, rngs, dw, packed)
+        _apply_increment(x, model, cfg.dt, dw, diags, x, scratch)
+        if j in want:
+            out[j] = _snapshot_eigvals(x)
     return [out[j] for j in snap_steps], diags
 
 

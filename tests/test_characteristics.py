@@ -32,9 +32,11 @@ class TestPolynomial:
             ch.Polynomial([1.0] * 10)
 
     def test_horner_and_derivative(self):
+        # the reduction reads f(z) and f'(z) off its two division remainders
         p = ch.Polynomial([1.0, -2.0, 3.0])
         assert p(2.0) == 1 - 4 + 12
-        assert p.derivative().coeffs == (-2.0, 6.0)
+        fz, fpz, _, _ = ch._reduction_parts(p, 2.0, ch.MomentFunction.from_values([1.0, 0.0]), 0.0)
+        assert (fz, fpz) == (1 - 4 + 12, -2 + 12)
 
 
 class TestDividedDifference:
@@ -154,7 +156,6 @@ class TestBuildPde:
         got = rhs(0.2, self.z, self.g, self.dg)
         want = -theta * (self.z * self.dg + self.g) + sigma ** 2 * self.g * self.dg
         assert np.max(np.abs(got - want)) < 1e-13
-        assert rhs.bc_is_constant
 
     def test_constant_diffusion_product_term(self):
         # with constant bc the noise term factors as [E(bc)]^2 g dg
@@ -173,7 +174,6 @@ class TestBuildPde:
         want = -theta * (self.g + self.z * self.dg) + \
             (1 + self.z * self.g) * (self.g + self.z * self.dg)
         assert np.max(np.abs(got - want)) < 1e-13
-        assert not rhs.bc_is_constant
 
     def test_zero_coefficients_freeze(self):
         rhs = ch.build_pde(ch.Polynomial([]), ch.Polynomial([]),
@@ -186,8 +186,7 @@ class TestBuildPde:
                            ch.MomentFunction.from_values([1.0, a0]))
         z, g, dg = self.z, self.g, self.dg
         EbcG = k * (a0 + z + z * z * g)
-        adv = rhs.advection(0.1, z, g)
-        src = rhs.source(0.1, z, g)
+        adv, src = rhs.characteristic(0.1, z, g)
         assert np.max(np.abs(adv - (-(k * z * z) * EbcG))) < 1e-13
         assert np.max(np.abs(src - k * EbcG * (1 + 2 * z * g))) < 1e-13
         full = rhs(0.1, z, g, dg)
@@ -198,6 +197,24 @@ class TestBuildPde:
         with pytest.raises(MomentsUnavailable):
             ch.build_pde(ch.Polynomial([0, 0, 0, 1]), ch.Polynomial([1.0]),
                          ch.MomentFunction.from_values([1.0, 0.0]))
+
+    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 10 ** 6))
+    @settings(max_examples=50, deadline=None)
+    def test_discrete_measure_equivalence(self, deg_a, deg_bc, seed):
+        # -E(aG^2) + E(bcG) E(bcG^2), each expectation taken on the atoms
+        rng = np.random.default_rng(seed)
+        atoms = rng.uniform(-2, 2, 3)
+        weights = rng.dirichlet(np.ones(3))
+        a, bc = (ch.Polynomial(np.append(rng.uniform(-2, 2, d), rng.uniform(0.5, 2)))
+                 for d in (deg_a, deg_bc))
+        m = ch.MomentFunction.from_values(
+            [1.0] + [float(np.sum(weights * atoms ** j)) for j in (1, 2, 3)])
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
+        g, dg, _, E_aG2 = three_atom_reference(a, atoms, weights, z)
+        _, _, E_bcG, E_bcG2 = three_atom_reference(bc, atoms, weights, z)
+        want = -E_aG2 + E_bcG * E_bcG2
+        got = ch.build_pde(a, bc, m)(0.0, z, g, dg)
+        assert abs(got - want) < 1e-11 * max(1.0, abs(E_aG2), abs(E_bcG * E_bcG2))
 
 
 def ou_rhs(theta=-1.0, sigma=1.0):
@@ -328,20 +345,15 @@ class TestEvaluateOnSurface:
         with pytest.raises(OutsideSurface):
             ch.evaluate_on_surface(surf, 1.0, 100.0 + 1.0j)
 
+    def test_off_curve_query_raises(self):
+        # at t=1 the curves cross Re z = 1 near Im z = 0.43; the value
+        # bracketed there (-0.679+0.707i) is not g(1+0.3i) = -0.794+0.761i
+        surf = self._ou_surface()
+        with pytest.raises(OutsideSurface):
+            ch.evaluate_on_surface(surf, 1.0, 1.0 + 0.3j)
+
     def test_time_out_of_range(self):
         surf = self._ou_surface()
         with pytest.raises(OutsideSurface):
             ch.evaluate_on_surface(surf, 2.0, 0.5j)
 
-
-class TestSurfaceSerialization:
-    def test_json_roundtrip(self):
-        surf = TestEvaluateOnSurface._ou_surface(t_end=0.05)
-        back = ch.CharacteristicSurface.from_json(surf.to_json())
-        assert np.allclose(back.z, surf.z)
-        assert np.allclose(back.g, surf.g)
-        assert np.array_equal(back.truncated, surf.truncated)
-
-    def test_shock_flag(self):
-        surf = TestEvaluateOnSurface._ou_surface(t_end=0.05)
-        assert not surf.has_shock(0)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freesde import cli
+from freesde import cli, rmt
 from freesde import models as md
 
 
@@ -188,6 +188,18 @@ class TestCompareCommand:
         cli.main(["compare", "--config", cfgfile])
         report = json.loads((tmp_path / "compare_ou.json").read_text())
         assert report["config"]["seed"] == 999
+
+    def test_mass_check_fails_before_monte_carlo(self, tmp_path, monkeypatch, capsys):
+        # 16 grid points miss the curve mass (1.03); the MC run must not start
+        def spy(*args, **kwargs):
+            raise AssertionError("run_ensemble ran before the curves were inverted")
+        monkeypatch.setattr(rmt, "run_ensemble", spy)
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.2, 0.4],
+            out_dir=str(tmp_path), seed=11, grid={"lo": -3.0, "hi": 3.0, "n": 16},
+            mc={"N": 200, "n_paths": 8})
+        assert cli.main(["compare", "--config", cfgfile]) == 3
+        assert "mass" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -38,10 +38,6 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig):
             rmt.SimConfig(N=10, dt=2.0, t_end=1.0, n_paths=1)
 
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(InvalidConfig):
-            rmt.SimConfig(N=10, dt=1e-2, t_end=1.0, n_paths=1, scheme="heun")
-
     def test_rejects_t_end_off_grid(self):
         # round(0.1 / 0.03) = 3 steps would silently stop at 0.09
         with pytest.raises(InvalidConfig):
@@ -221,14 +217,6 @@ class TestPicard:
         cfg = rmt.SimConfig(N=16, dt=5e-3, t_end=0.5, n_paths=1, seed=1)
         with pytest.raises(NoContraction):
             rmt.picard_solve(spec, cfg)
-
-    def test_picard_scheme_through_ensemble(self):
-        spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
-        base = dict(N=24, dt=2e-3, t_end=0.1, n_paths=3, seed=44)
-        hp = rmt.run_ensemble(spec, rmt.SimConfig(scheme="picard", **base), [0.1])[0]
-        he = rmt.run_ensemble(spec, rmt.SimConfig(scheme="euler", **base), [0.1])[0]
-        # fixed point of the sweep is the explicit path on the same noise
-        assert np.max(np.abs(hp.samples - he.samples)) < 1e-6
 
 
 class TestEnsemble:
