@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cauchy import CauchyEvaluator, SupportInterval, semicircle_cauchy
 from .characteristics import MomentFunction, Polynomial
@@ -34,6 +33,10 @@ _MEPS = float(np.finfo(float).eps)
 
 # Relative guard band below the blow-up time; queries beyond are refused.
 BLOWUP_GUARD = 1e-9
+
+# Most time steps of the gbm1 Newton continuation.  With the default step of
+# 0.05 its horizon is t = 50, and a call costs at most 1000 Newton solves.
+GBM_MAX_SWEEPS = 1000
 
 
 class ModelSpec:
@@ -175,17 +178,17 @@ class Explosive(ModelSpec):
         return 0.9 * blowup_time(self.k, self.a)
 
     def moments(self, t):
-        """E(X) = a for all t; the second moment comes from quadrature."""
-        return self.a, (self.a ** 2 if t == 0.0
-                        else _explosive_second_moment(self.k, self.a, t))
+        """E(X) = a and E(X^2) = a^2/(1 - tau), tau = a^2 k^2 t: the second
+        moment diverges at the blow-up time tau = 1."""
+        _check_blowup(self.k, self.a, t)
+        return self.a, self.a ** 2 / (1.0 - (self.a * self.k) ** 2 * t)
 
     def moment_function(self):
         """The constant mean alone: the degree-2 noise product needs no more."""
         return MomentFunction(lambda j, t: self.a, jmax=1)
 
     def support(self, t):
-        return (explosive_support(self.k, self.a, t) if t > 0
-                else SupportInterval(self.a, self.a))
+        return explosive_support(self.k, self.a, t)
 
     def transform(self):
         horizon = blowup_time(self.k, self.a) * (1.0 - BLOWUP_GUARD)
@@ -336,7 +339,8 @@ def gbm_cauchy(theta: float, t: float, z, tol: float = 1e-12,
     """Transform of the first geometric-Brownian variant by Newton continuation.
 
     Starts from the exact t = 0 transform 1/(1 - z) and advances in time
-    steps of at most ``dt_max``, reseeding Newton from the previous solution.
+    steps of at most ``dt_max``, reseeding Newton from the previous solution;
+    a t that needs more than ``GBM_MAX_SWEEPS`` steps is refused.
     The time sweep runs at Im z lifted to at least ``y_safe`` (the solution
     is analytic on the upper half plane, while branch points move along the
     real axis); afterwards Im z is lowered geometrically to the query height.
@@ -351,10 +355,14 @@ def gbm_cauchy(theta: float, t: float, z, tol: float = 1e-12,
     if t == 0.0:
         out = 1.0 / (1.0 - zf)
         return (out.reshape(zin.shape) if np.ndim(z) else complex(out[0]))
+    n_steps = int(math.ceil(t / dt_max))
+    if n_steps > GBM_MAX_SWEEPS:
+        raise NewtonDiverged(
+            f"t={t:g} is past the continuation horizon t={GBM_MAX_SWEEPS * dt_max:g} "
+            f"({GBM_MAX_SWEEPS} time steps of at most {dt_max:g})")
     y_lift = np.maximum(zf.imag, y_safe)
     zl = zf.real + 1j * y_lift
     g = 1.0 / (1.0 - zl)
-    n_steps = int(math.ceil(t / dt_max))
     for i in range(1, n_steps + 1):
         g, ok = _gbm_newton(alpha, t * i / n_steps, zl, g, tol)
         if not ok:
@@ -403,72 +411,66 @@ def _check_blowup(k: float, a: float, t: float) -> None:
         raise PastBlowup(f"t={t} beyond the blow-up guard of {blowup_time(k, a)}")
 
 
+def _support_ends(k: float, a: float, t: float):
+    """The support ends z_pm = a/(1 -/+ s)^2, s = a k sqrt(t), as (nearest
+    double, remainder) pairs.  Their offsets from a are formed in 50-digit
+    decimal arithmetic, so each pair resolves its end far below an ulp, also
+    for a support narrower than an ulp of a."""
+    _check_blowup(k, a, t)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a_ = Decimal(a)
+        s = a_ * Decimal(k) * Decimal(t).sqrt()
+        ends = []
+        for off in (-a_ * s * (2 + s) / (1 + s) ** 2, a_ * s * (2 - s) / (1 - s) ** 2):
+            near = float(a_ + off)
+            ends.append((near, float(a_ - Decimal(near) + off)))
+    return ends
+
+
 def explosive_support(k: float, a: float, t: float) -> SupportInterval:
-    """Branch points z_pm = a (1 +/- a k sqrt(t))^2 / (1 - a^2 k^2 t)^2."""
+    """Support [a/(1+s)^2, a/(1-s)^2], s = a k sqrt(t), the reciprocal of the
+    semicircle support of X^(-1), with each end correctly rounded."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    _check_blowup(k, a, t)
-    tau = (a * k) ** 2 * t
-    den = (1.0 - tau) ** 2
-    lo = a * (1.0 - a * k * math.sqrt(t)) ** 2 / den
-    hi = a * (1.0 + a * k * math.sqrt(t)) ** 2 / den
+    (lo, _), (hi, _) = _support_ends(k, a, t)
     return SupportInterval(lo, hi)
 
 
-def _quadratic_roots(A, B, C):
-    """Both roots of A g^2 + B g + C = 0, numerically stable, linear fallback."""
-    disc = B * B - 4.0 * A * C
-    sq = np.sqrt(disc)
-    sq = np.where((np.conj(B) * sq).real < 0.0, -sq, sq)
-    q = -0.5 * (B + sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lin = np.where(B != 0, -C / np.where(B != 0, B, 1.0), np.inf + 0j)
-        r1 = np.where(A != 0, q / np.where(A != 0, A, 1.0), lin)
-        r2 = np.where(q != 0, C / np.where(q != 0, q, 1.0), lin)
-    return r1, r2
-
-
 def explosive_cauchy(k: float, a: float, t: float, z):
-    """Root of the quadratic functional equation of the model,
+    """Transform of the explosive model as the reciprocal of a semicircle.
 
-        k^2 t z^3 g^2 + (z/a - 1 + (a + 2z) z k^2 t) g + 1/a + (z + a) k^2 t = 0,
+    By the free Ito rule Y = X^(-1) solves dY = -k dW + k^2 a dt, so Y is a
+    semicircle of centre m = 1/a + a k^2 t and variance v = k^2 t, and
+    g_X(z) = -(1 + w g_Y(w))/z at w = 1/z.  The result is the Herglotz root
+    of the model's quadratic functional equation
 
-    on the branch reached by continuity in time from 1/(a - z) at t = 0.
+        k^2 t z^3 g^2 + (z/a - 1 + (a + 2z) z k^2 t) g + 1/a + (z + a) k^2 t = 0.
 
-    With complex cubic leading coefficient both roots can lie in the upper
-    half plane, so the Herglotz sign alone does not identify the transform;
-    the root is tracked through a short time sweep instead (root collisions
-    happen only at the real branch points, never along the sweep for
-    Im z != 0), and the sign condition is applied afterwards as a check.
-    Real z is legitimate: off the support the tracked root stays real, and
-    inside it the boundary value with Im g > 0 is returned.
+    Clearing the 1/z gives g = (4 v z / q + 2 m) / q with q = 1 - m z + sigma,
+    where sigma^2 = (1 - z/z_-)(1 - z/z_+) over the support ends z_pm and
+    sigma(0) = 1.  sigma is the product of the principal roots of z - z_pm
+    over -sqrt(z_- z_+) = -a/(1 - a^2 k^2 t): analytic off the support, free
+    of cancellation near z = 0 and near the blow-up time, and, for real z
+    inside the support, the boundary value from above.  z - z_pm is taken
+    against the ends to twice double precision (``_support_ends``), so the
+    cut is exact at the edge nodes of a grid and for a support narrower
+    than an ulp of a.  q = 2 at z = 0 gives g(0) = E(Y) = m exactly.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    _check_blowup(k, a, t)
+    (lo, lo_rest), (hi, hi_rest) = _support_ends(k, a, t)
     zarr = np.asarray(z, dtype=complex)
     if t == 0.0:
         out = 1.0 / (a - zarr)
         return out if np.ndim(z) else complex(out)
-    g = 1.0 / (a - zarr)
-    n_sweep = 40
-    r1 = r2 = g
-    for j in range(1, n_sweep + 1):
-        tj = t * j / n_sweep
-        k2t = k * k * tj
-        A = k2t * zarr ** 3
-        B = zarr / a - 1.0 + (a + 2.0 * zarr) * zarr * k2t
-        C = 1.0 / a + (zarr + a) * k2t
-        r1, r2 = _quadratic_roots(A, B, C)
-        g = np.where(np.abs(r1 - g) <= np.abs(r2 - g), r1, r2)
-    on_axis = zarr.imag == 0.0
-    if np.any(on_axis):
-        # conjugate-pair boundary values inside the support: take Im g >= 0
-        pair = np.abs(r1.imag) > 0
-        pick_up = np.where(r1.imag >= 0, r1, r2)
-        g = np.where(on_axis & pair, pick_up, g)
-    if np.any((zarr.imag > 0) & (g.imag <= 0)):
-        raise BranchViolation("tracked explosive root left the upper half plane")
+    v = k * k * t
+    m = 1.0 / a + a * k * k * t
+    sigma = (np.sqrt(zarr - lo - lo_rest) * np.sqrt(zarr - hi - hi_rest)
+             / (-math.sqrt(lo) * math.sqrt(hi)))
+    # 1 - m z, written so that it does not cancel at z = a
+    q = np.where(zarr == 0, 2.0, sigma - (zarr - a) / a - a * v * zarr)
+    g = (4.0 * v * zarr / q + 2.0 * m) / q
     return g if np.ndim(z) else complex(g)
 
 
@@ -491,22 +493,6 @@ def explosive_density(k: float, a: float, t: float, x):
     val = np.sqrt(np.where(inside, disc, 0.0)) / (2.0 * math.pi * xi_safe ** 3 * tau) / a
     out = np.where(inside, val, 0.0)
     return out if np.ndim(x) else float(out)
-
-
-def _explosive_second_moment(k: float, a: float, t: float) -> float:
-    """Second moment by adaptive quadrature of the closed-form density.
-
-    No closed form is known; the integral diverges as t approaches the
-    blow-up time, which is warned about near the horizon.
-    """
-    tau = (a * k) ** 2 * t
-    if tau > 0.9:
-        warnings.warn("explosive second moment diverges toward the blow-up time; "
-                      f"tau={tau:.3f} is in the unreliable band", RuntimeWarning)
-    sup = explosive_support(k, a, t)
-    val, _ = quad(lambda x: x * x * explosive_density(k, a, t, x),
-                  sup.lo, sup.hi, limit=200)
-    return float(val)
 
 
 # -- readers of the model record ---------------------------------------------

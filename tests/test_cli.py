@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +16,17 @@ from hypothesis import strategies as st
 
 from freesde import cli, rmt
 from freesde import models as md
+
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def run_fresh(code, *args, timeout):
+    """Run ``python -c code args`` in a fresh interpreter that finds freesde."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def write_config(tmp_path, **fields):
@@ -203,6 +218,14 @@ class TestCompareCommand:
 
 
 class TestExitCodes:
+    def test_gbm1_past_continuation_horizon_is_fast_exit_3(self, tmp_path):
+        # the Newton continuation used to run ceil(t/0.05) steps, unbounded
+        proc = run_fresh("import sys; from freesde.cli import main; sys.exit(main(sys.argv[1:]))",
+                         "density", "--model", "gbm1", "--theta", "0", "--times", "1e6",
+                         "--out", str(tmp_path), timeout=5)
+        assert proc.returncode == 3
+        assert "continuation horizon" in proc.stderr
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         # support query inside the blow-up guard band
         cfgfile = write_config(tmp_path, model="explosive", k=1.0, a=1.0,
@@ -427,6 +450,23 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+
+
+class TestRuntimeDependencies:
+    def test_cli_imports_only_numpy(self):
+        code = ("import sys; before = {m.partition('.')[0] for m in sys.modules}; "
+                "import freesde.cli; "
+                "print(sorted({m.partition('.')[0] for m in sys.modules} - before"
+                " - set(sys.stdlib_module_names) - {'freesde'}))")
+        proc = run_fresh(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['numpy']"
+
+    def test_declared_dependencies_are_numpy_alone(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            deps = tomllib.load(fh)["project"]["dependencies"]
+        assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
 
 
 class TestSvgWriter:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freesde import cauchy as ca
@@ -14,6 +16,7 @@ from freesde.errors import (
 )
 
 SQRT2 = math.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
 
 
 class TestModelSpecJson:
@@ -220,6 +223,21 @@ class TestGeometricBrownian2:
             md.cauchy_evaluator(md.GeometricBrownian2(0.0))
 
 
+def _explosive_query():
+    """Points of the closed upper half plane, as functions of the support:
+    zero, polar points with |z| from 1e-300 up (angles 0 and pi give the
+    real axis), and points on or just above the support and its margins."""
+    polar = st.builds(
+        lambda e, phi: lambda sup: complex(10.0 ** e * math.cos(phi),
+                                           10.0 ** e * max(math.sin(phi), 0.0)),
+        st.floats(-300.0, 8.0), st.one_of(st.sampled_from([0.0, math.pi]),
+                                          st.floats(0.0, math.pi)))
+    near = st.builds(
+        lambda s, h: lambda sup: complex(sup.lo + s * sup.width, h),
+        st.floats(-0.2, 1.2), st.one_of(st.just(0.0), st.floats(1e-12, 1.0)))
+    return st.one_of(st.just(lambda sup: 0j), polar, near)
+
+
 class TestExplosive:
     def test_initial_transform(self):
         for z in (2.0 + 1.0j, 0.3, -5.0):
@@ -247,6 +265,49 @@ class TestExplosive:
         g = md.explosive_cauchy(1.0, 1.0, 0.25, xs + 0j)
         dens = md.explosive_density(1.0, 1.0, 0.25, xs)
         assert np.max(np.abs(np.asarray(g).imag / math.pi - dens)) < 1e-8
+
+    def test_branch_held_near_blowup(self):
+        # a 40-step root-tracking sweep lost the Herglotz root here
+        g = md.explosive_cauchy(1.0, 1.0, 0.99, 15860.201383176098 + 1e-6j)
+        assert np.isfinite(g) and g.imag > 0
+
+    # t/T* from 1e-300 keeps t, |g| ~ 1/sqrt(tau) and g^2 in double range
+    @given(st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+           st.floats(1e-300, 1.0 - 1e-6), _explosive_query())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_reciprocal_semicircle_properties(self, k, a, frac, query):
+        t = frac * md.blowup_time(k, a)
+        sup = md.explosive_support(k, a, t)
+        z = query(sup)
+        g = md.explosive_cauchy(k, a, t, z)
+        assert np.isfinite(g) and g.imag >= 0
+        # off the axis Im g >= Im z / (|z| + z_+)^2, asserted where that is
+        # a normal double
+        if z.imag / (abs(z) + sup.hi) ** 2 >= 1e-300:
+            assert g.imag > 0
+        if z == 0:
+            assert g == 1.0 / a + a * k * k * t
+        # The paper's quadratic functional equation R(g; z) = 0.  Near a
+        # branch point a narrow support makes |g| and dR/dz large, and moving
+        # z by a few ulps then moves R by more than 1e-10 of its terms; the
+        # root is held to the equation at some z within that distance.
+        k2t = k * k * t
+        terms = (k2t * z ** 3 * g * g, (z / a - 1.0 + (a + 2.0 * z) * z * k2t) * g,
+                 1.0 / a + (z + a) * k2t)
+        dR_dz = 3.0 * k2t * z * z * g * g + (1.0 / a + (a + 4.0 * z) * k2t) * g + k2t
+        z_ulps = 8.0 * EPS * (abs(z) + a)
+        assert abs(sum(terms)) <= 1e-10 * sum(map(abs, terms)) + abs(dR_dz) * z_ulps
+        # The printed density's discriminant cancels to ~eps against a peak
+        # of 4 tau (tau = frac): below tau = 1e-6 that is no 1e-8 reference,
+        # and above it its square-root edges move by up to eps/sqrt(tau) <
+        # 1e-12 relative, so it is read as a range over x (1 +/- 1e-12).
+        if z.imag == 0 and frac >= 1e-6:
+            # nodes over the support of Y = X^(-1) find the peak even when
+            # z_+ is astronomically far out
+            ws = np.linspace(1.0 / sup.hi, 1.0 / sup.lo, 4097)
+            peak = np.max(md.explosive_density(k, a, t, 1.0 / ws))
+            dens = md.explosive_density(k, a, t, z.real * np.array([1 - 1e-12, 1, 1 + 1e-12]))
+            assert dens.min() - 1e-8 * peak <= g.imag / math.pi <= dens.max() + 1e-8 * peak
 
     def test_support_quarter(self):
         sup = md.explosive_support(1.0, 1.0, 0.25)

@@ -1,10 +1,10 @@
 """Catalan numbers, Wigner moments, the power identity, and model moment laws."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from freesde import cauchy as ca
 from freesde import models as md
@@ -97,16 +97,21 @@ class TestModelMoments:
         assert abs(ms.second_moment - 1.0) < 1e-14  # semicircle radius 2
 
     def test_explosive_mean_constant(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for t in (0.1, 0.5, 0.8):
-                ms = mo.model_moments(md.Explosive(1.0, 1.0), t)
-                assert ms.mean == 1.0
-                assert np.isfinite(ms.second_moment)
+        for t in (0.1, 0.5, 0.8):
+            ms = mo.model_moments(md.Explosive(1.0, 1.0), t)
+            assert ms.mean == 1.0
+            assert np.isfinite(ms.second_moment)
 
-    def test_explosive_divergence_warning(self):
-        with pytest.warns(RuntimeWarning):
-            mo.model_moments(md.Explosive(1.0, 1.0), 0.95)
+    @pytest.mark.parametrize("k, a", [(1.0, 1.0), (1.3, 0.7)])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_explosive_second_moment_against_quadrature(self, k, a, frac):
+        # a^2/(1 - tau) against the integral of x^2 times the paper's density
+        t = frac * md.blowup_time(k, a)
+        sup = md.explosive_support(k, a, t)
+        want, _ = quad(lambda x: x * x * md.explosive_density(k, a, t, x),
+                       sup.lo, sup.hi, limit=200)
+        got = mo.model_moments(md.Explosive(k, a), t).second_moment
+        assert abs(got - want) <= 1e-10 * want
 
     def test_variance_nonnegative_everywhere(self):
         specs = [md.OrnsteinUhlenbeck(-1.0, 1.0), md.OrnsteinUhlenbeck(0.5, 2.0),
