@@ -34,10 +34,6 @@ _MEPS = float(np.finfo(float).eps)
 # Relative guard band below the blow-up time; queries beyond are refused.
 BLOWUP_GUARD = 1e-9
 
-# Most time steps of the gbm1 Newton continuation.  With the default step of
-# 0.05 its horizon is t = 50, and a call costs at most 1000 Newton solves.
-GBM_MAX_SWEEPS = 1000
-
 
 class ModelSpec:
     """A model dX = a(X) dt + b(X) dW c(X): a frozen dataclass of its
@@ -280,105 +276,104 @@ def gbm_support(theta: float, t: float) -> SupportInterval:
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    alpha = theta - 1.0
     s = math.sqrt(1.0 + 4.0 / t)
-    ends = []
-    for r in ((-1.0 + s) / 2.0, (-1.0 - s) / 2.0):
-        ends.append(r / (1.0 + r) * math.exp((alpha - r) * t))
+    ends = [r / (1.0 + r) * math.exp((theta - 1.0 - r) * t)
+            for r in ((-1.0 + s) / 2.0, (-1.0 - s) / 2.0)]
     return SupportInterval(min(ends), max(ends))
 
 
-def _gbm_residual(alpha: float, t: float, z, g):
-    return z + 1.0 / g - np.exp((alpha - z * g) * t)
-
-
-def _gbm_newton(alpha: float, t: float, z, g, tol: float,
-                max_iter: int = 200, max_halvings: int = 8):
-    """Vectorized damped Newton on F(g) = z + 1/g - e^((alpha - z g) t).
-
-    The full step is tried first; only a step that worsens |F| (or leaves
-    the finite range) is halved, at most ``max_halvings`` times, after which
-    the full step is kept anyway: Newton's path near a fold is not
-    |F|-monotone, and the final residual check is the actual gate.  The
-    per-point tolerance has an ulp floor proportional to |z| because the
-    residual subtracts terms of that size.
+def _gbm_newton(alpha: float, t: float, z, max_iter: int = 100, max_halvings: int = 30):
+    """Damped Newton on K(s) = s - t w = zeta = Log z - alpha t, w = e^s/(1 - e^s),
+    at each point of ``z`` (see ``gbm_cauchy``); returns s, w and the mask
+    of points with |K - zeta| <= 2 eps (|s| + t |w| + |zeta|).  Where
+    Re z < 0 it runs on s - i pi against Log(-z) - alpha t, so Im s is as
+    fine near pi as near 0.  From Re zeta + i (Im zeta + pi)/2 each step is
+    halved, projected onto the strip, until |K - zeta| decreases; near a
+    fold that can fail, and then the full step is taken.
     """
-    g = g.copy()
-    tol_v = np.maximum(tol, 8.0 * _MEPS * np.abs(z))
-    F = _gbm_residual(alpha, t, z, g)
-    for _ in range(max_iter):
-        act = np.abs(F) > tol_v
-        if not np.any(act):
-            return g, True
-        za, ga, Fa = z[act], g[act], F[act]
-        E = np.exp((alpha - za * ga) * t)
-        dF = -1.0 / ga ** 2 + za * t * E
-        step = Fa / dF
-        cand = ga - step
-        Fc = _gbm_residual(alpha, t, za, cand)
-        retry = ~(np.abs(Fc) <= np.abs(Fa)) | ~np.isfinite(Fc)
-        if np.any(retry):
-            lam = np.ones(step.shape)
-            for _ in range(max_halvings):
-                lam = np.where(retry, lam / 2.0, lam)
-                trial = ga - lam * step
-                Ft = _gbm_residual(alpha, t, za, trial)
-                improved = (np.abs(Ft) < np.abs(Fa)) & np.isfinite(Ft)
-                take = retry & (improved | ~np.isfinite(Fc))
-                cand = np.where(take, trial, cand)
-                Fc = np.where(take, Ft, Fc)
-                retry = retry & ~improved
-                if not np.any(retry):
+    flip = z.real < 0
+    lo = np.where(flip, -math.pi, 0.0)  # the strip is lo <= Im s <= lo + pi
+
+    def residual(s, zeta, flip):
+        ex = np.exp(s)
+        v = np.where(flip, 1.0 + ex, -np.expm1(s))  # 1/(1 + w)
+        # Im 1/v = Im w does not cancel where |e^s| >> 1
+        w = (np.where(flip, -ex, ex) / v).real + 1j * (1.0 / v).imag
+        return w, s - t * w - zeta, 1.0 - t * w / v
+
+    def converged(s, w, F, zeta):
+        return np.abs(F) <= 2.0 * _MEPS * (np.abs(s) + t * np.abs(w) + np.abs(zeta))
+
+    with np.errstate(all="ignore"):
+        zeta = np.log(np.where(flip, -z, z)) - alpha * t
+        s = zeta.real + 0.5j * (zeta.imag + math.pi + 2.0 * lo)
+        w, F, dK = residual(s, zeta, flip)
+        for _ in range(max_iter):
+            act = np.flatnonzero(~converged(s, w, F, zeta))
+            if act.size == 0:
+                break
+            step = F[act] / dK[act]
+            for i in range(max_halvings + 1):
+                trial = s[act] - (0.5 ** i if i < max_halvings else 1.0) * step
+                trial = trial.real + 1j * np.clip(trial.imag, lo[act], lo[act] + math.pi)
+                wt, Ft, dKt = residual(trial, zeta[act], flip[act])
+                take = (np.abs(Ft) < np.abs(F[act])) | (i == max_halvings)
+                idx = act[take]
+                s[idx], w[idx], F[idx], dK[idx] = trial[take], wt[take], Ft[take], dKt[take]
+                act, step = act[~take], step[~take]
+                if act.size == 0:
                     break
-        g[act], F[act] = cand, Fc
-    return g, bool(not np.any(np.abs(F) > tol_v))
+        done = converged(s, w, F, zeta)
+        # off the support at Im z << |z|, steps on Im s alone resolve it to its
+        # own precision while they contract and the residual holds
+        polish, d_old = done.copy(), np.full(s.shape, np.inf)
+        for _ in range(max_iter):
+            d = (F / dK).imag
+            polish &= (np.abs(d) > 2.0 * _MEPS * np.abs(s.imag)) & (np.abs(d) < 0.5 * d_old)
+            act, d_old = np.flatnonzero(polish), np.abs(d)
+            if act.size == 0:
+                break
+            trial = s[act].real + 1j * np.clip(s[act].imag - d[act], lo[act], lo[act] + math.pi)
+            wt, Ft, dKt = residual(trial, zeta[act], flip[act])
+            take = converged(trial, wt, Ft, zeta[act])
+            idx = act[take]
+            s[idx], w[idx], F[idx], dK[idx] = trial[take], wt[take], Ft[take], dKt[take]
+            polish[act[~take]] = False
+    return s - 1j * lo, w, done
 
 
-def gbm_cauchy(theta: float, t: float, z, tol: float = 1e-12,
-               dt_max: float = 0.05, y_safe: float = 0.5):
-    """Transform of the first geometric-Brownian variant by Newton continuation.
+def gbm_cauchy(theta: float, t: float, z):
+    """Transform of the first geometric-Brownian variant.
 
-    Starts from the exact t = 0 transform 1/(1 - z) and advances in time
-    steps of at most ``dt_max``, reseeding Newton from the previous solution;
-    a t that needs more than ``GBM_MAX_SWEEPS`` steps is refused.
-    The time sweep runs at Im z lifted to at least ``y_safe`` (the solution
-    is analytic on the upper half plane, while branch points move along the
-    real axis); afterwards Im z is lowered geometrically to the query height.
-    Every accepted point satisfies the functional-equation residual bound
-    and the Herglotz branch condition.
+    With w = z g, z + 1/g = e^((theta - 1 - z g) t) is the inverse map
+    z = w/(1+w) e^((theta - 1 - w) t).  w -> w/(1+w) keeps the upper half
+    plane, so s = Log(w/(1+w)) lies in 0 <= Im s <= pi and, on the Herglotz
+    branch, s - t w = Log z - (theta - 1) t with principal logarithms.
+    ``_gbm_newton`` solves that at each point; real z gets the boundary
+    value from above.  A point that does not converge raises
+    ``NewtonDiverged``; a root with Im s < t Im w (off the closure of the
+    branch's domain) or Im g <= 0 at Im z > 0 raises ``BranchViolation``.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    alpha = theta - 1.0
     zin = np.asarray(z, dtype=complex)
     zf = zin.ravel()
     if t == 0.0:
         out = 1.0 / (1.0 - zf)
         return (out.reshape(zin.shape) if np.ndim(z) else complex(out[0]))
-    n_steps = int(math.ceil(t / dt_max))
-    if n_steps > GBM_MAX_SWEEPS:
-        raise NewtonDiverged(
-            f"t={t:g} is past the continuation horizon t={GBM_MAX_SWEEPS * dt_max:g} "
-            f"({GBM_MAX_SWEEPS} time steps of at most {dt_max:g})")
-    y_lift = np.maximum(zf.imag, y_safe)
-    zl = zf.real + 1j * y_lift
-    g = 1.0 / (1.0 - zl)
-    for i in range(1, n_steps + 1):
-        g, ok = _gbm_newton(alpha, t * i / n_steps, zl, g, tol)
-        if not ok:
-            raise NewtonDiverged(f"continuation stalled at t={t * i / n_steps:.4g}")
-    y = y_lift.copy()
-    target = zf.imag
-    while np.any(y > target):
-        # geometric descent, jumping to the target height (possibly the real
-        # axis itself) once within the 1e-14 floor
-        y = np.where(y / 2.0 <= np.maximum(target, 1e-14), target, y / 2.0)
-        zl = zf.real + 1j * y
-        g, ok = _gbm_newton(alpha, t, zl, g, tol)
-        if not ok:
-            raise NewtonDiverged(f"descent stalled at Im z={y.min():.3g}")
-    upper = zf.imag > 0
-    if np.any(upper & (g.imag <= 0)):
+    alpha = theta - 1.0
+    zero = zf == 0
+    s, w, done = _gbm_newton(alpha, t, zf[~zero])
+    if not np.all(done):
+        raise NewtonDiverged(f"{np.count_nonzero(~done)} points did not converge at t={t:g}")
+    if np.any(s.imag < t * w.imag - 8.0 * _MEPS * (np.abs(s) + t * np.abs(w))):
+        raise BranchViolation("root leaves the domain of the Herglotz branch")
+    g0 = math.exp(-alpha * t) if -alpha * t < 709.78 else math.inf  # g(0) = E(X^-1)
+    g = np.full(zf.shape, g0, dtype=complex)
+    # g = w/z = (1 + w) e^((w - alpha) t): the first form gives Re g with the
+    # smaller residual, the second Im g to its own precision where Im g << |g|
+    g[~zero] = (w / zf[~zero]).real + 1j * (g0 * np.exp(t * w) * (1.0 + w)).imag
+    if np.any((zf.imag > 0) & (g.imag <= 0)):
         raise BranchViolation("converged root leaves the upper half plane")
     return g.reshape(zin.shape) if np.ndim(z) else complex(g[0])
 
@@ -481,16 +476,18 @@ def explosive_density(k: float, a: float, t: float, x):
     scaled operator is sqrt(-(1-tau)^2 xi^2 + 2(1+tau) xi - 1) / (2 pi xi^3 tau);
     the returned value includes the 1/a change-of-variables factor.  As
     tau -> 1 this approaches sqrt(4 xi - 1) / (2 pi xi^3) on [1/4, inf).
+    The discriminant, which cancels at small tau, is evaluated as
+    (1-tau)^2 (x - z_-)(z_+ - x) / a^2 against ``_support_ends``.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    _check_blowup(k, a, t)
+    (lo, lo_rest), (hi, hi_rest) = _support_ends(k, a, t)
     tau = (a * k) ** 2 * t
-    xi = np.asarray(x, dtype=float) / a
-    disc = -((1.0 - tau) ** 2) * xi * xi + 2.0 * (1.0 + tau) * xi - 1.0
+    x = np.asarray(x, dtype=float)
+    disc = (1.0 - tau) ** 2 * ((x - lo) - lo_rest) * ((hi - x) + hi_rest) / (a * a)
     inside = disc > 0.0
-    xi_safe = np.where(inside, xi, 1.0)
-    val = np.sqrt(np.where(inside, disc, 0.0)) / (2.0 * math.pi * xi_safe ** 3 * tau) / a
+    xi = np.where(inside, x / a, 1.0)
+    val = np.sqrt(np.where(inside, disc, 0.0)) / (2.0 * math.pi * xi ** 3 * tau) / a
     out = np.where(inside, val, 0.0)
     return out if np.ndim(x) else float(out)
 

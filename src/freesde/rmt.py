@@ -42,6 +42,7 @@ if TYPE_CHECKING:
 
 PICARD_TOL = 1e-8
 PICARD_MAX_ITER = 25
+MAX_N = 4096  # largest matrix dimension: one path's buffers stay under ~0.6 GB
 
 
 def _n_workers() -> int:
@@ -108,8 +109,8 @@ class SimConfig:
     allow_near_blowup: bool = False
 
     def __post_init__(self):
-        if self.N < 2:
-            raise InvalidConfig("matrix dimension must be at least 2")
+        if not 2 <= self.N <= MAX_N:
+            raise InvalidConfig(f"matrix dimension must be in [2, {MAX_N}], got {self.N}")
         if not (self.dt > 0):
             raise InvalidConfig("dt must be positive")
         if self.dt > self.t_end:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,24 @@ class TestDensityCommand:
         assert cli.main(argv) == 0
         xs, ps = read_density(tmp_path / f"density_gbm1_t{t:g}.csv")
         assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
+
+    # A Newton continuation in time stalled at (2, 2.5), overflowed at
+    # (1, 6) and lost mass at (-1, 6).
+    @pytest.mark.parametrize("theta, t", [(2.0, 2.5), (1.0, 6.0), (-1.0, 6.0)])
+    def test_gbm1_reach(self, tmp_path, capsys, theta, t):
+        argv = ["density", "--model", "gbm1", "--theta", str(theta),
+                "--times", str(t), "--out", str(tmp_path)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        stamp = ("%g" % t).replace(".", "p")
+        xs, ps = read_density(tmp_path / f"density_gbm1_t{stamp}.csv")
+        assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
+        mean, second = md.GeometricBrownian1(theta).moments(t)
+        assert abs(np.trapezoid(xs * ps, xs) / mean - 1.0) < 1e-4
+        assert abs(np.trapezoid(xs * xs * ps, xs) / second - 1.0) < 1e-4
 
     @pytest.mark.parametrize("t", [0.85, 0.9, 0.95])
     def test_explosive_near_blowup(self, tmp_path, t):
@@ -218,13 +237,14 @@ class TestCompareCommand:
 
 
 class TestExitCodes:
-    def test_gbm1_past_continuation_horizon_is_fast_exit_3(self, tmp_path):
-        # the Newton continuation used to run ceil(t/0.05) steps, unbounded
+    def test_gbm1_unreachable_time_is_fast_exit_3(self, tmp_path):
+        # a Newton continuation in time once ran ceil(t/0.05) steps, unbounded
         proc = run_fresh("import sys; from freesde.cli import main; sys.exit(main(sys.argv[1:]))",
                          "density", "--model", "gbm1", "--theta", "0", "--times", "1e6",
                          "--out", str(tmp_path), timeout=5)
         assert proc.returncode == 3
-        assert "continuation horizon" in proc.stderr
+        assert "numerical failure" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         # support query inside the blow-up guard band
@@ -243,6 +263,14 @@ class TestExitCodes:
         monkeypatch.setenv("FREESDE_THREADS", "two")
         assert cli.main(["compare", "--config", cfgfile]) == 2
         assert "FREESDE_THREADS" in capsys.readouterr().err
+
+    def test_huge_matrix_is_exit_2(self, tmp_path, capsys):
+        # N = 1e7 once reached numpy's allocator and ended in a traceback
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+            out_dir=str(tmp_path / "o"), mc={"N": 10_000_000, "dt": 1e-2, "n_paths": 2})
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_bad_seed_env_is_exit_2(self, tmp_path, monkeypatch, capsys):
         cfgfile = write_config(

@@ -203,6 +203,42 @@ class TestGeometricBrownian1:
         assert fractions[1] < 0.01
 
 
+def _gbm_query():
+    """Points of the closed upper half plane, as functions of the support:
+    zero, the exact support ends, polar points with |z| from 1e-30 to 1e30
+    (angles 0 and pi give the real axis), and points near the support at
+    heights from 1e-300 up."""
+    polar = st.builds(
+        lambda e, phi: lambda sup: complex(10.0 ** e * math.cos(phi),
+                                           10.0 ** e * max(math.sin(phi), 0.0)),
+        st.floats(-30.0, 30.0), st.one_of(st.sampled_from([0.0, math.pi]),
+                                          st.floats(0.0, math.pi)))
+    near = st.builds(
+        lambda s, h: lambda sup: complex(sup.lo + s * sup.width, h),
+        st.floats(-0.2, 1.2), st.one_of(st.just(0.0), st.floats(-300.0, 1.0).map(
+            lambda e: 10.0 ** e)))
+    ends = st.sampled_from([lambda sup: complex(sup.lo), lambda sup: complex(sup.hi)])
+    return st.one_of(st.just(lambda sup: 0j), ends, polar, near)
+
+
+class TestGeometricBrownian1Property:
+    @given(st.floats(-2.0, 3.0), st.floats(1e-6, 6.0), _gbm_query())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_root_of_functional_equation_on_herglotz_branch(self, theta, t, query):
+        sup = md.gbm_support(theta, t)
+        z = query(sup)
+        g = md.gbm_cauchy(theta, t, z)
+        assert np.isfinite(g) and g.imag >= -4.0 * EPS * abs(g)
+        # off the axis Im g >= Im z / (|z| + z_+)^2, asserted where that is
+        # a normal double
+        if z.imag / (abs(z) + sup.hi) ** 2 >= 1e-300:
+            assert g.imag > 0
+        if z == 0:
+            assert g == math.exp((1.0 - theta) * t)
+        terms = (z, 1.0 / g, np.exp((theta - 1.0 - z * g) * t))
+        assert abs(terms[0] + terms[1] - terms[2]) <= 1e-13 * sum(map(abs, terms))
+
+
 class TestGeometricBrownian2:
     def test_initial_moments(self):
         assert md.gbm2_moments(0.3, 0.0) == (1.0, 1.0)
@@ -308,6 +344,19 @@ class TestExplosive:
             peak = np.max(md.explosive_density(k, a, t, 1.0 / ws))
             dens = md.explosive_density(k, a, t, z.real * np.array([1 - 1e-12, 1, 1 + 1e-12]))
             assert dens.min() - 1e-8 * peak <= g.imag / math.pi <= dens.max() + 1e-8 * peak
+
+    # the printed discriminant cancels to ~eps against its peak 4 tau: at
+    # k=a=1, tau=1e-9 it gave 2.37 at x = z_+ where Im g/pi is 0.0083
+    @pytest.mark.parametrize("tau", [1e-12, 1e-9, 1e-6])
+    @pytest.mark.parametrize("k, a", [(1.0, 1.0), (1.3, 0.7)])
+    def test_density_matches_transform_at_small_tau(self, k, a, tau):
+        t = tau / (a * k) ** 2
+        sup = md.explosive_support(k, a, t)
+        xs = sup.lo + sup.width * (1.0 - np.cos(np.linspace(0.0, math.pi, 1025))) / 2.0
+        xs[0], xs[-1] = sup.lo, sup.hi
+        dens = md.explosive_density(k, a, t, xs)
+        g = md.explosive_cauchy(k, a, t, xs + 0j)
+        assert np.max(np.abs(g.imag / math.pi - dens)) <= 1e-12 * np.max(dens)
 
     def test_support_quarter(self):
         sup = md.explosive_support(1.0, 1.0, 0.25)
