@@ -8,8 +8,9 @@ Library layout:
   equations to quasilinear form and RK4 integration of their characteristics.
 - ``models``: one record per worked model (Ornstein-Uhlenbeck, two
   geometric-Brownian variants, and the finite-time explosive model) with
-  its moments, support, transform, SDE polynomials and Monte Carlo step,
-  plus the closed-form transforms, supports, and densities behind them.
+  its moments, support, Cauchy transform ``cauchy(t, z)``, SDE polynomials
+  and Monte Carlo step, plus the closed-form transforms, supports, and
+  densities behind them.
 - ``moments``: Catalan numbers, Wigner-process moments, the free power
   identity, and readers of each model's moment laws.
 - ``rmt``: finite-N symmetric-matrix Monte Carlo oracle with eigenvalue
@@ -18,7 +19,6 @@ Library layout:
 """
 
 from .cauchy import (
-    CauchyEvaluator,
     DensityCurve,
     SupportInterval,
     density_moment,

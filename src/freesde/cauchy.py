@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     ClampExceeded,
-    EvaluatorDomain,
     GridMismatch,
     GridTooCoarse,
     NonFinite,
@@ -112,13 +111,13 @@ class DensityCurve:
 
     # -- contracts ---------------------------------------------------------
 
-    def assert_normalized(self, tol: float = MASS_TOL) -> None:
-        if abs(self.mass - 1.0) > tol:
-            raise NotNormalized(f"curve mass {self.mass} not within {tol} of 1")
+    def assert_normalized(self) -> None:
+        if abs(self.mass - 1.0) > MASS_TOL:
+            raise NotNormalized(f"curve mass {self.mass} not within {MASS_TOL} of 1")
 
-    def is_uniform(self, rtol: float = 1e-9) -> bool:
+    def is_uniform(self) -> bool:
         d = np.diff(self.xs)
-        return bool(np.max(d) - np.min(d) <= rtol * np.max(d))
+        return bool(np.max(d) - np.min(d) <= 1e-9 * np.max(d))
 
     @property
     def step(self) -> float:
@@ -148,52 +147,16 @@ class DensityCurve:
             ps.append(float(b))
         return cls.from_samples(xs, ps, t=t)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "xs": list(map(float, self.xs)),
-            "ps": list(map(float, self.ps)),
-            "support": {"lo": self.support.lo, "hi": self.support.hi},
-            "mass": self.mass,
-        }
 
-
-@dataclass(frozen=True)
-class CauchyEvaluator:
-    """Immutable handle for a time-indexed Cauchy transform g(t, z).
-
-    ``fn`` must accept a float time and a complex ndarray and return the
-    transform values elementwise.
-    """
-
-    fn: Callable[[float, np.ndarray], np.ndarray]
-    t_min: float = 0.0
-    t_max: float = math.inf
-    name: str = ""
-
-    def __call__(self, t: float, z):
-        if not (self.t_min <= t <= self.t_max):
-            raise EvaluatorDomain(
-                f"{self.name or 'evaluator'}: t={t} outside [{self.t_min}, {self.t_max}]")
-        zarr = np.asarray(z, dtype=complex)
-        out = np.asarray(self.fn(t, zarr), dtype=complex)
-        if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
-            raise NonFinite(f"{self.name or 'evaluator'}: non-finite transform value")
-        if np.isscalar(z) or np.ndim(z) == 0:
-            return complex(out.reshape(-1)[0])
-        return out
-
-
-def stieltjes_invert(g: CauchyEvaluator, t: float, xs, eps0: float = 1e-3,
-                     clamp_mass_tol: float = CLAMP_MASS_TOL) -> DensityCurve:
-    """Recover the density on the grid ``xs`` from a Cauchy transform.
+def stieltjes_invert(g: Callable, t: float, xs, eps0: float = 1e-3) -> DensityCurve:
+    """Recover the density on the grid ``xs`` from a Cauchy transform g(t, z).
 
     Evaluates (1/pi) Im g(t, x + i*eps) at eps0 and eps0/2 and Richardson-
     extrapolates the eps -> 0 limit (2*p(eps/2) - p(eps)), which removes the
     O(eps) bias.  With ``eps0 = 0`` the boundary values g(t, x) are used
     directly, for transforms that extend continuously to the real axis.
     Negative extrapolated values are clamped to zero and counted; if the
-    clamped mass exceeds ``clamp_mass_tol`` the curve is rejected, since
+    clamped mass exceeds ``CLAMP_MASS_TOL`` the curve is rejected, since
     systematically negative density signals a wrong transform branch.
     """
     xs = np.asarray(xs, dtype=float)
@@ -210,9 +173,9 @@ def stieltjes_invert(g: CauchyEvaluator, t: float, xs, eps0: float = 1e-3,
     neg = p < 0
     clamped_points = int(np.count_nonzero(neg))
     clamped_mass = float(np.trapezoid(np.where(neg, -p, 0.0), xs))
-    if clamped_mass > clamp_mass_tol:
+    if clamped_mass > CLAMP_MASS_TOL:
         raise ClampExceeded(
-            f"clamped density mass {clamped_mass:.3e} exceeds {clamp_mass_tol:.1e}")
+            f"clamped density mass {clamped_mass:.3e} exceeds {CLAMP_MASS_TOL:.1e}")
     p = np.where(neg, 0.0, p)
     return DensityCurve.from_samples(xs, p, t=t, clamped_points=clamped_points,
                                      clamped_mass=clamped_mass)

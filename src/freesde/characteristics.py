@@ -229,13 +229,12 @@ def _mapped_zeros(shape: tuple, dtype) -> np.ndarray:
 
 
 def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
-                              dt: float = 1e-3,
-                              blowup: float = BLOWUP_CUTOFF) -> CharacteristicSurface:
+                              dt: float = 1e-3) -> CharacteristicSurface:
     """March every characteristic curve with classical fixed-step RK4.
 
     ``init`` maps the label array to the initial pair (z(s,0), g(s,0)).
     All labels advance together (curves are independent, so the sweep is
-    vectorized across them).  A curve whose |z| or |g| passes ``blowup``,
+    vectorized across them).  A curve whose |z| or |g| passes ``BLOWUP_CUTOFF``,
     or that turns non-finite, is truncated and marked.
     """
     if dt <= 0 or t_end < 0:
@@ -266,8 +265,8 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
             g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
             if n == 0 and not (np.isfinite(z).all() and np.isfinite(g).all()):
                 raise StepTooLarge("non-finite RK4 stage on the first step; reduce dt")
-            # |.| < blowup is false for NaN and inf, so it checks finiteness too
-            alive = (np.abs(z) < blowup) & (np.abs(g) < blowup)
+            # |.| < cutoff is false for NaN and inf, so it checks finiteness too
+            alive = (np.abs(z) < BLOWUP_CUTOFF) & (np.abs(g) < BLOWUP_CUTOFF)
             trunc_index[active & ~alive] = n
             active &= alive
             if not active.any():

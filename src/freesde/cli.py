@@ -124,13 +124,14 @@ def _load_config(args) -> RunConfig:
                      threshold=_number(float, raw.get("threshold", 0.08), "threshold"))
 
 
-def _auto_grid(spec: models.ModelSpec, t: float, n: int = 1024) -> np.ndarray:
-    """Support widened by 5%, with nodes clustered at the support edges.
+def _auto_grid(spec: models.ModelSpec, t: float) -> np.ndarray:
+    """Support widened by 5%, with 1024 nodes clustered at the support edges.
 
     The cosine map runs over the support itself (where the sqrt edges and
     any near-blow-up spikes live) and short uniform tails cover the 5%
     margins on each side, so vanishing outside the support stays visible.
     """
+    n = 1024
     sup = spec.support(t)
     if sup.width <= 0:
         pad = 0.5 * max(abs(sup.lo), 1.0)
@@ -153,10 +154,9 @@ def _fmt_t(t: float) -> str:
     return ("%g" % t).replace(".", "p").replace("-", "m")
 
 
-def polyline_svg(curves, width: int = 800, height: int = 500,
-                 title: str = "") -> str:
+def polyline_svg(curves, title: str = "") -> str:
     """Static polyline plot: list of (xs, ps, label) on shared fixed axes."""
-    margin = 50
+    width, height, margin = 800, 500, 50
     x_min = min(float(np.min(c[0])) for c in curves)
     x_max = max(float(np.max(c[0])) for c in curves)
     y_min = 0.0
@@ -196,7 +196,7 @@ def polyline_svg(curves, width: int = 800, height: int = 500,
     return "\n".join(parts) + "\n"
 
 
-def _density_curve(cfg: RunConfig, evaluator, t: float) -> cauchy.DensityCurve:
+def _density_curve(cfg: RunConfig, t: float) -> cauchy.DensityCurve:
     """The normalized density at t from the transform's boundary values.
 
     Every transform the commands reach extends continuously to the real
@@ -206,13 +206,13 @@ def _density_curve(cfg: RunConfig, evaluator, t: float) -> cauchy.DensityCurve:
     """
     xs = (_auto_grid(cfg.spec, t) if cfg.grid is None
           else np.linspace(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"]))
-    curve = cauchy.stieltjes_invert(evaluator, t, xs, eps0=0.0)
+    curve = cauchy.stieltjes_invert(cfg.spec.cauchy, t, xs, eps0=0.0)
     curve.assert_normalized()
     return curve
 
 
 def cmd_density(cfg: RunConfig) -> int:
-    evaluator = models.cauchy_evaluator(cfg.spec)
+    models.cauchy_evaluator(cfg.spec)  # refuses a model with no transform
     if any(t <= 0 for t in cfg.times):
         raise InvalidConfig("density requires strictly positive times")
     out = Path(cfg.out_dir)
@@ -220,7 +220,7 @@ def cmd_density(cfg: RunConfig) -> int:
     tag = cfg.spec.tag
     curves = []
     for t in cfg.times:
-        curve = _density_curve(cfg, evaluator, t)
+        curve = _density_curve(cfg, t)
         path = out / f"density_{tag}_t{_fmt_t(t)}.csv"
         path.write_text(curve.to_csv())
         print(f"wrote {path} (mass={curve.mass:.6f})")
@@ -275,10 +275,9 @@ def cmd_compare(cfg: RunConfig) -> int:
         allow_near_blowup=_flag(mc.get("allow_near_blowup", False),
                                 "mc allow_near_blowup"))
     snapshot_times = [t for t in cfg.times if t > 0]
-    evaluator = cfg.spec.transform()
+    has_transform = cfg.spec.cauchy is not None
     # invert first: a curve that fails its mass check costs no MC run
-    curves = [None if evaluator is None else _density_curve(cfg, evaluator, t)
-              for t in snapshot_times]
+    curves = [_density_curve(cfg, t) if has_transform else None for t in snapshot_times]
     hists = rmt.run_ensemble(cfg.spec, sim, snapshot_times)
     report = {"model": models.model_to_json(cfg.spec), "config": sim.to_json(),
               "threshold": cfg.threshold, "snapshots": []}
@@ -304,7 +303,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         print(f"  t={entry['t']:g}: " +
               (f"KS={ks:.4f} " if ks is not None else "") +
               f"mean_gap={entry['mean_gap']:.4f}")
-    if evaluator is not None and worst > cfg.threshold:
+    if has_transform and worst > cfg.threshold:
         print(f"FAIL: worst Kolmogorov distance {worst:.4f} > {cfg.threshold}")
         return 4
     return 0
@@ -317,7 +316,7 @@ def _selftest_checks():
         for spec in (models.OrnsteinUhlenbeck(-1.0, 1.0),
                      models.GeometricBrownian1(0.5),
                      models.Explosive(1.0, 1.0)):
-            ev = models.cauchy_evaluator(spec)
+            ev = spec.cauchy
             t = 0.4
             z = rng.uniform(-3, 3, 40) + 1j * rng.uniform(1e-3, 10, 40)
             g = ev(t, z)
@@ -327,7 +326,7 @@ def _selftest_checks():
 
     def inversion():
         spec = models.Explosive(1.0, 1.0)
-        curve = _density_curve(RunConfig(spec=spec, times=[0.9]), spec.transform(), 0.9)
+        curve = _density_curve(RunConfig(spec=spec, times=[0.9]), 0.9)
         ref = models.explosive_density(1.0, 1.0, 0.9, curve.xs)
         err = np.max(np.abs(curve.ps - ref))
         assert err < 1e-6, err
@@ -359,7 +358,7 @@ def _selftest_checks():
         return True
 
     def csv_roundtrip():
-        ev = models.cauchy_evaluator(models.OrnsteinUhlenbeck(-1.0, 1.0))
+        ev = models.OrnsteinUhlenbeck(-1.0, 1.0).cauchy
         xs = np.linspace(-2, 2, 300)
         curve = cauchy.stieltjes_invert(ev, 1.0, xs, eps0=1e-3)
         back = cauchy.DensityCurve.from_csv(curve.to_csv())

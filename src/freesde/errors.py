@@ -10,10 +10,6 @@ class FreeSdeError(Exception):
     """Base class for all package-specific failures."""
 
 
-class EvaluatorDomain(FreeSdeError):
-    """Time outside the validity range of a transform evaluator."""
-
-
 class NonFinite(FreeSdeError):
     """A transform evaluation produced NaN or Inf."""
 

@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .cauchy import CauchyEvaluator, SupportInterval, semicircle_cauchy
+from .cauchy import SupportInterval, semicircle_cauchy
 from .characteristics import MomentFunction, Polynomial
 from .errors import (
     BranchViolation,
@@ -34,6 +34,10 @@ _MEPS = float(np.finfo(float).eps)
 # Relative guard band below the blow-up time; queries beyond are refused.
 BLOWUP_GUARD = 1e-9
 
+# Iteration cap of the gbm1 Newton solve, and step halvings per iteration.
+NEWTON_MAX_ITER = 100
+NEWTON_MAX_HALVINGS = 30
+
 
 class ModelSpec:
     """A model dX = a(X) dt + b(X) dW c(X): a frozen dataclass of its
@@ -42,8 +46,8 @@ class ModelSpec:
     ``tag`` names it in configs and flags; X_0 = ``x0`` I; ``mc_horizon`` is
     the latest Monte Carlo t_end without ``allow_near_blowup``.
     ``moments(t)`` gives the mean and second moment, ``support(t)`` the
-    spectral support, ``transform()`` the Cauchy-transform evaluator (or
-    None), ``polynomials()`` the drift a(x) and noise product (b c)(x).
+    spectral support, ``cauchy(t, z)`` the Cauchy transform (None where it
+    is not known), ``polynomials()`` the drift a(x) and noise product (b c)(x).
     ``euler_increment(x, dt, dw, m, t, diag)`` writes x + a(x) dt + b(x) dw
     c(x) for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
     scratch and gbm1 square-root clamps added to ``diag``; see
@@ -81,9 +85,8 @@ class OrnsteinUhlenbeck(ModelSpec):
     def support(self, t):
         return ou_support(self.theta, self.sigma, t)
 
-    def transform(self):
-        return CauchyEvaluator(lambda t, z: ou_cauchy(self.theta, self.sigma, t, z),
-                               name=self.tag)
+    def cauchy(self, t, z):
+        return ou_cauchy(self.theta, self.sigma, t, z)
 
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([self.sigma])
@@ -109,8 +112,8 @@ class GeometricBrownian1(ModelSpec):
     def support(self, t):
         return gbm_support(self.theta, t) if t > 0 else SupportInterval(1.0, 1.0)
 
-    def transform(self):
-        return CauchyEvaluator(lambda t, z: gbm_cauchy(self.theta, t, z), name=self.tag)
+    def cauchy(self, t, z):
+        return gbm_cauchy(self.theta, t, z)
 
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([0.0, 1.0])
@@ -134,6 +137,7 @@ class GeometricBrownian2(ModelSpec):
 
     tag = "gbm2"
     x0 = 1.0
+    cauchy = None
 
     def moments(self, t):
         return gbm2_moments(self.theta, t)
@@ -141,9 +145,6 @@ class GeometricBrownian2(ModelSpec):
     def support(self, t):
         raise InvalidConfig(
             "support of the second geometric-Brownian variant is not known in closed form")
-
-    def transform(self):
-        return None
 
     def polynomials(self):
         raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
@@ -186,10 +187,8 @@ class Explosive(ModelSpec):
     def support(self, t):
         return explosive_support(self.k, self.a, t)
 
-    def transform(self):
-        horizon = blowup_time(self.k, self.a) * (1.0 - BLOWUP_GUARD)
-        return CauchyEvaluator(lambda t, z: explosive_cauchy(self.k, self.a, t, z),
-                               t_max=horizon, name=self.tag)
+    def cauchy(self, t, z):
+        return explosive_cauchy(self.k, self.a, t, z)
 
     def polynomials(self):
         return Polynomial([]), Polynomial([0.0, 0.0, self.k])
@@ -282,7 +281,7 @@ def gbm_support(theta: float, t: float) -> SupportInterval:
     return SupportInterval(min(ends), max(ends))
 
 
-def _gbm_newton(alpha: float, t: float, z, max_iter: int = 100, max_halvings: int = 30):
+def _gbm_newton(alpha: float, t: float, z):
     """Damped Newton on K(s) = s - t w = zeta = Log z - alpha t, w = e^s/(1 - e^s),
     at each point of ``z`` (see ``gbm_cauchy``); returns s, w and the mask
     of points with |K - zeta| <= 2 eps (|s| + t |w| + |zeta|).  Where
@@ -308,16 +307,16 @@ def _gbm_newton(alpha: float, t: float, z, max_iter: int = 100, max_halvings: in
         zeta = np.log(np.where(flip, -z, z)) - alpha * t
         s = zeta.real + 0.5j * (zeta.imag + math.pi + 2.0 * lo)
         w, F, dK = residual(s, zeta, flip)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             act = np.flatnonzero(~converged(s, w, F, zeta))
             if act.size == 0:
                 break
             step = F[act] / dK[act]
-            for i in range(max_halvings + 1):
-                trial = s[act] - (0.5 ** i if i < max_halvings else 1.0) * step
+            for i in range(NEWTON_MAX_HALVINGS + 1):
+                trial = s[act] - (0.5 ** i if i < NEWTON_MAX_HALVINGS else 1.0) * step
                 trial = trial.real + 1j * np.clip(trial.imag, lo[act], lo[act] + math.pi)
                 wt, Ft, dKt = residual(trial, zeta[act], flip[act])
-                take = (np.abs(Ft) < np.abs(F[act])) | (i == max_halvings)
+                take = (np.abs(Ft) < np.abs(F[act])) | (i == NEWTON_MAX_HALVINGS)
                 idx = act[take]
                 s[idx], w[idx], F[idx], dK[idx] = trial[take], wt[take], Ft[take], dKt[take]
                 act, step = act[~take], step[~take]
@@ -327,7 +326,7 @@ def _gbm_newton(alpha: float, t: float, z, max_iter: int = 100, max_halvings: in
         # off the support at Im z << |z|, steps on Im s alone resolve it to its
         # own precision while they contract and the residual holds
         polish, d_old = done.copy(), np.full(s.shape, np.inf)
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             d = (F / dK).imag
             polish &= (np.abs(d) > 2.0 * _MEPS * np.abs(s.imag)) & (np.abs(d) < 0.5 * d_old)
             act, d_old = np.flatnonzero(polish), np.abs(d)
@@ -494,10 +493,9 @@ def explosive_density(k: float, a: float, t: float, x):
 
 # -- readers of the model record ---------------------------------------------
 
-def cauchy_evaluator(spec: ModelSpec) -> CauchyEvaluator:
-    """The model's transform as an immutable evaluator handle."""
-    evaluator = spec.transform()
-    if evaluator is None:
+def cauchy_evaluator(spec: ModelSpec):
+    """The model's transform g(t, z); a config error where none is known."""
+    if spec.cauchy is None:
         raise InvalidConfig(f"no transform is available for model '{spec.tag}'; "
                             "only its moments are known in closed form")
-    return evaluator
+    return spec.cauchy

@@ -43,6 +43,8 @@ if TYPE_CHECKING:
 PICARD_TOL = 1e-8
 PICARD_MAX_ITER = 25
 MAX_N = 4096  # largest matrix dimension: one path's buffers stay under ~0.6 GB
+MAX_PATHS = 10**4  # most paths per ensemble: the list of path blocks stays bounded
+MAX_STEPS = 10**6  # most Euler steps per path, t_end/dt
 
 
 def _n_workers() -> int:
@@ -115,11 +117,14 @@ class SimConfig:
             raise InvalidConfig("dt must be positive")
         if self.dt > self.t_end:
             raise InvalidConfig("dt must not exceed t_end")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise InvalidConfig(f"t_end/dt must be at most {MAX_STEPS}, got "
+                                f"{self.t_end / self.dt:g}")
+        if not 1 <= self.n_paths <= MAX_PATHS:
+            raise InvalidConfig(f"n_paths must be in [1, {MAX_PATHS}], got {self.n_paths}")
         if not _on_grid(self.t_end, self.dt):
             raise InvalidConfig(
                 f"t_end={self.t_end} is not a multiple of dt={self.dt}")
-        if self.n_paths < 1:
-            raise InvalidConfig("n_paths must be a positive integer")
 
     @property
     def n_steps(self) -> int:

@@ -1,0 +1,51 @@
+"""The benchmark's hooks into the package: the names it rebinds and the ops it
+checks.  ``bench/`` reaches into ``freesde`` by module attribute, so a rename
+or removal there must fail here before it fails a benchmark run."""
+
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+import freesde.cli  # noqa: F401 - loads every module the spans name
+from freesde import models
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load("spans")
+ops = _load("ops")
+
+
+@pytest.mark.parametrize("stem, module, attr", spans.SPANS + spans.COUNTS)
+def test_hook_resolves(stem, module, attr):
+    owner, name = spans._resolve(module, attr)
+    assert callable(getattr(owner, name)), stem
+
+
+def test_analytic_warmup_ops_pass_under_tracing(tmp_path):
+    runner = ops.Runner(ops.WORKLOADS["analytic_sweep"], tmp_path, 0, time.perf_counter)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        results = [(op, runner.run(op)) for op in runner.workload.warmup]
+    finally:
+        tracer.uninstall()
+    for op, res in results:
+        runner.check(op, res)
+        assert not res.failed, (op.name, res.exit_code, res.error, res.problems)
+    # the records' transforms call the closed forms through the rebound names
+    names = {span[1] for span in tracer.spans}
+    assert {"models.gbm_cauchy", "models.explosive_cauchy", "cauchy.invert"} <= names
+    assert tracer.counts["models.gbm_newton_calls"] > 0
+    assert models.gbm_cauchy.__name__ == "gbm_cauchy"  # the original is back

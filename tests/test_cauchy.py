@@ -10,7 +10,6 @@ from freesde import models as md
 from freesde.characteristics import Polynomial
 from freesde.errors import (
     ClampExceeded,
-    EvaluatorDomain,
     GridMismatch,
     GridTooCoarse,
     NonFinite,
@@ -19,8 +18,7 @@ from freesde.errors import (
 
 
 def semicircle_evaluator(variance=1.0):
-    return ca.CauchyEvaluator(fn=lambda t, z: ca.semicircle_cauchy(z, variance),
-                              name="semicircle")
+    return lambda t, z: ca.semicircle_cauchy(z, variance)
 
 
 def semicircle_curve(variance=1.0, n=1024, width=1.1, t=None):
@@ -61,13 +59,6 @@ class TestDensityCurve:
         assert np.array_equal(back.xs, curve.xs)
         assert np.array_equal(back.ps, curve.ps)
 
-    def test_json_fields(self):
-        curve = semicircle_curve(n=64, t=0.5)
-        d = curve.to_json_dict()
-        assert set(d) == {"t", "xs", "ps", "support", "mass"}
-        assert d["t"] == 0.5
-        assert d["support"]["lo"] == curve.support.lo
-
 
 class TestStieltjesInvert:
     def test_semicircle_at_zero(self):
@@ -78,9 +69,8 @@ class TestStieltjesInvert:
         assert abs(curve.ps[i0] - 1.0 / math.pi) < 1e-4
 
     def test_point_mass_away_from_atom(self):
-        ev = ca.CauchyEvaluator(fn=lambda t, z: -1.0 / z, name="atom")
         xs = np.linspace(0.5, 2.0, 64)
-        curve = ca.stieltjes_invert(ev, 0.0, xs, eps0=1e-3)
+        curve = ca.stieltjes_invert(lambda t, z: -1.0 / z, 0.0, xs, eps0=1e-3)
         assert np.max(curve.ps) < 1e-3
         assert curve.mass < 1e-3
 
@@ -104,21 +94,15 @@ class TestStieltjesInvert:
         assert np.max(np.abs(curve.ps - ref)[away]) < 1e-4
         curve.assert_normalized()
 
-    def test_domain_error(self):
-        ev = ca.CauchyEvaluator(fn=lambda t, z: -1.0 / z, t_min=0.0, t_max=1.0)
-        with pytest.raises(EvaluatorDomain):
-            ca.stieltjes_invert(ev, 2.0, np.linspace(-1, 1, 32))
-
     def test_nonfinite_error(self):
-        ev = ca.CauchyEvaluator(fn=lambda t, z: z * np.nan)
         with pytest.raises(NonFinite):
-            ca.stieltjes_invert(ev, 0.0, np.linspace(-1, 1, 32))
+            ca.stieltjes_invert(lambda t, z: z * np.nan, 0.0, np.linspace(-1, 1, 32))
 
     def test_wrong_branch_rejected(self):
         # conjugate branch has negative imaginary part: everything clamps
-        ev = ca.CauchyEvaluator(fn=lambda t, z: np.conj(ca.semicircle_cauchy(z, 1.0)))
         with pytest.raises(ClampExceeded):
-            ca.stieltjes_invert(ev, 0.0, np.linspace(-2.2, 2.2, 256))
+            ca.stieltjes_invert(lambda t, z: np.conj(ca.semicircle_cauchy(z, 1.0)),
+                                0.0, np.linspace(-2.2, 2.2, 256))
 
 
 def brute_force_pv(curve: ca.DensityCurve, x: float, refine: int = 4) -> float:
@@ -169,6 +153,14 @@ class TestHilbertTransform:
         curve = semicircle_curve(n=1024)
         for x in (-1.5, -0.7, 0.3, 1.2, 1.8):
             assert abs(ca.hilbert_transform(curve, x) - brute_force_pv(curve, x)) < 2e-3
+
+    @pytest.mark.parametrize("n", [257, 513, 1024, 1025])
+    def test_grid_matches_pointwise(self, n):
+        # the one-convolution form is the pair sum of hilbert_transform at each node
+        curve = semicircle_curve(n=n)
+        grid = ca.hilbert_transform_grid(curve)
+        point = np.array([ca.hilbert_transform(curve, x) for x in curve.xs])
+        assert np.max(np.abs(grid - point)) <= 1e-13 * np.max(np.abs(point))
 
 
 class TestDensityMoment:

@@ -272,6 +272,18 @@ class TestExitCodes:
         assert cli.main(["compare", "--config", cfgfile]) == 2
         assert "config error" in capsys.readouterr().err
 
+    # t_end/dt overflowed to infinity and was reported as a numerical failure;
+    # a huge path count built an unbounded list of path blocks.  The other two
+    # sizes are just past their limits, so a lost check costs seconds, not a hang.
+    @pytest.mark.parametrize("mc", [{"N": 4, "dt": 1e-320, "t_end": 10, "n_paths": 1},
+                                    {"N": 2, "dt": 1e-6, "t_end": 2, "n_paths": 1},
+                                    {"N": 4, "dt": 1e-2, "n_paths": 10**4 + 1}])
+    def test_oversized_ensemble_is_exit_2(self, tmp_path, capsys, mc):
+        cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+                               out_dir=str(tmp_path / "o"), mc=mc)
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_bad_seed_env_is_exit_2(self, tmp_path, monkeypatch, capsys):
         cfgfile = write_config(
             tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],

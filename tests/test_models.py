@@ -333,17 +333,16 @@ class TestExplosive:
         dR_dz = 3.0 * k2t * z * z * g * g + (1.0 / a + (a + 4.0 * z) * k2t) * g + k2t
         z_ulps = 8.0 * EPS * (abs(z) + a)
         assert abs(sum(terms)) <= 1e-10 * sum(map(abs, terms)) + abs(dR_dz) * z_ulps
-        # The printed density's discriminant cancels to ~eps against a peak
-        # of 4 tau (tau = frac): below tau = 1e-6 that is no 1e-8 reference,
-        # and above it its square-root edges move by up to eps/sqrt(tau) <
-        # 1e-12 relative, so it is read as a range over x (1 +/- 1e-12).
-        if z.imag == 0 and frac >= 1e-6:
-            # nodes over the support of Y = X^(-1) find the peak even when
-            # z_+ is astronomically far out
+        # On the axis Im g / pi is the printed density.  Scale is the largest
+        # of the grid peak, Im g / pi and the density: the grid over the
+        # support of Y = X^(-1) finds the peak even when z_+ is astronomically
+        # far out, but it collapses for a support narrower than an ulp.
+        if z.imag == 0:
             ws = np.linspace(1.0 / sup.hi, 1.0 / sup.lo, 4097)
             peak = np.max(md.explosive_density(k, a, t, 1.0 / ws))
-            dens = md.explosive_density(k, a, t, z.real * np.array([1 - 1e-12, 1, 1 + 1e-12]))
-            assert dens.min() - 1e-8 * peak <= g.imag / math.pi <= dens.max() + 1e-8 * peak
+            dens = md.explosive_density(k, a, t, z.real)
+            scale = max(peak, g.imag / math.pi, dens)
+            assert abs(g.imag / math.pi - dens) <= 1e-8 * scale
 
     # the printed discriminant cancels to ~eps against its peak 4 tau: at
     # k=a=1, tau=1e-9 it gave 2.37 at x = z_+ where Im g/pi is 0.0083

@@ -38,6 +38,15 @@ class TestSimConfig:
         with pytest.raises(InvalidConfig):
             rmt.SimConfig(N=10, dt=2.0, t_end=1.0, n_paths=1)
 
+    def test_rejects_oversized_ensemble(self):
+        # checked before the grid test, whose round(t_end/dt) overflowed
+        for t_end, dt, n_paths in ((10.0, 1e-320, 1), (1.0, 1.0 / (rmt.MAX_STEPS + 1), 1),
+                                   (1.0, 1e-2, rmt.MAX_PATHS + 1)):
+            with pytest.raises(InvalidConfig):
+                rmt.SimConfig(N=4, dt=dt, t_end=t_end, n_paths=n_paths)
+        cfg = rmt.SimConfig(N=4, dt=1.0 / rmt.MAX_STEPS, t_end=1.0, n_paths=rmt.MAX_PATHS)
+        assert cfg.n_steps == rmt.MAX_STEPS
+
     def test_rejects_t_end_off_grid(self):
         # round(0.1 / 0.03) = 3 steps would silently stop at 0.09
         with pytest.raises(InvalidConfig):
