@@ -17,7 +17,7 @@ quasilinear equation dg/dt + P dg/dz = Q whose characteristic curves
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,6 +34,14 @@ MAX_DEGREE = 8
 BLOWUP_CUTOFF = 1e12
 
 
+def _trim(c) -> tuple:
+    """Coefficients lowest degree first, trailing zeros dropped."""
+    c = list(c)
+    while c and c[-1] == 0.0:
+        c.pop()
+    return tuple(c)
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Real-coefficient polynomial, lowest degree first, trailing zeros trimmed."""
@@ -41,12 +49,10 @@ class Polynomial:
     coeffs: tuple
 
     def __init__(self, coeffs: Sequence[float]):
-        c = [float(v) for v in coeffs]
-        while c and c[-1] == 0.0:
-            c.pop()
+        c = _trim(float(v) for v in coeffs)
         if len(c) - 1 > MAX_DEGREE:
             raise OrderTooHigh(f"degree {len(c) - 1} exceeds engine limit {MAX_DEGREE}")
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", c)
 
     @property
     def degree(self) -> int:
@@ -160,6 +166,91 @@ def reduce_resolvent_expectation(f: Polynomial, g, dg, z, m: MomentFunction, t: 
     return E_fG, E_fG2
 
 
+def _padd(*ps) -> tuple:
+    """Sum of coefficient sequences (lowest degree first), trailing zeros trimmed."""
+    out = [0.0] * max(map(len, ps))
+    for p in ps:
+        for i, c in enumerate(p):
+            out[i] += c
+    return _trim(out)
+
+
+def _pmul(p, q) -> tuple:
+    out = [0.0] * max(len(p) + len(q) - 1, 0)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            out[i + j] += pi * qj
+    return tuple(out)
+
+
+def _pneg(p) -> tuple:
+    return tuple(-c for c in p)
+
+
+def _pderiv(p) -> tuple:
+    return tuple(i * c for i, c in enumerate(p))[1:]
+
+
+def _moment_sums(c, mu):
+    """Coefficients in z of S1 = sum_j e_j(z) mu_j and S2 = sum_j d_j(z) mu_j
+    for f = sum_i c_i x^i: the z^p coefficient of S1 is sum_i c_i mu_{i-1-p}
+    and that of S2 is (p+1) sum_i c_i mu_{i-2-p}."""
+    k = len(c)
+    S1 = [sum(c[i] * mu[i - 1 - p] for i in range(p + 1, k)) for p in range(k - 1)]
+    S2 = [(p + 1) * sum(c[i] * mu[i - 2 - p] for i in range(p + 2, k))
+          for p in range(k - 2)]
+    return S1, S2
+
+
+def _fold(a: Polynomial, bc: Polynomial, mu) -> tuple:
+    """(P0, P1, Q0, Q1, Q2) with P = P0 + P1 g and Q = Q0 + Q1 g + Q2 g^2,
+    each a real polynomial in z, for the moments mu = (mu_0, .., mu_need)."""
+    a, bc = a.coeffs, bc.coeffs
+    _, S2_a = _moment_sums(a, mu)
+    S1_bc, S2_bc = _moment_sums(bc, mu)
+    dbc = _pderiv(bc)
+    return (_padd(a, _pneg(_pmul(bc, S1_bc))),
+            _padd(_pneg(_pmul(bc, bc))),
+            _padd(_pneg(S2_a), _pmul(S1_bc, S2_bc)),
+            _padd(_pneg(_pderiv(a)), _pmul(bc, S2_bc), _pmul(S1_bc, dbc)),
+            _padd(_pmul(bc, dbc)))
+
+
+def _is_zero(v) -> bool:
+    return isinstance(v, float) and v == 0.0
+
+
+def _mul_add(c, x, y):
+    """c x + y, skipping a zero term and taking a unit factor for free.
+
+    ``c`` and ``y`` are each a float (a constant) or an array; the result
+    may be ``x`` itself, and is a float only when c is zero and y a float.
+    """
+    if isinstance(c, float):
+        if c == 0.0:
+            return y
+        if c == -1.0:
+            return -x if _is_zero(y) else y - x
+        cx = x if c == 1.0 else c * x
+    else:
+        cx = c * x
+    return cx if _is_zero(y) else cx + y
+
+
+def _horner(c, z):
+    """sum_k c_k z^k for coefficients lowest first, skipping zero terms and
+    taking a unit leading factor for free; a float when c is constant."""
+    if len(c) < 2:
+        return c[0] if c else 0.0
+    top = c[-1]
+    acc = z if top == 1.0 else -z if top == -1.0 else top * z
+    for ck in c[-2:0:-1]:
+        if ck:
+            acc = acc + ck
+        acc = acc * z
+    return acc + c[0] if c[0] else acc
+
+
 @dataclass(frozen=True)
 class PdeRightHandSide:
     """Assembled right-hand side dg/dt = -E(aG^2) + E(bcG) E(bcG^2).
@@ -167,24 +258,46 @@ class PdeRightHandSide:
     ``characteristic`` gives the quasilinear split dg/dt + P dg/dz = Q that
     the characteristic integrator marches, and the call evaluates Q - P dg/dz:
 
-        P = a(z) - bc(z) E(bcG),
-        Q = -a'(z) g - S2_a + E(bcG) (bc'(z) g + S2_bc).
+        P = a(z) - bc(z) E(bcG)
+          = [a - bc S1_bc] + [-bc^2] g,
+        Q = -a'(z) g - S2_a + E(bcG) (bc'(z) g + S2_bc)
+          = [-S2_a + S1_bc S2_bc] + [-a' + bc S2_bc + S1_bc bc'] g + [bc bc'] g^2.
+
+    The bracketed coefficients are real polynomials in z that depend on t
+    only through the moments mu_0..mu_need, need = max(deg a, deg bc) - 1.
+    They are folded once per distinct moment vector (once per march when
+    the moments are constant) and evaluated by Horner.
     """
 
     drift: Polynomial
     diffusion: Polynomial  # the product b*c as one polynomial in x
     moments: MomentFunction
+    _folded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t: float, z, g, dg):
         P, Q = self.characteristic(t, z, g)
         return Q - P * dg
 
+    def _coefficients(self, t: float) -> tuple:
+        """(P0, P1, Q0, Q1, Q2) at time t, refolded only when the moments change."""
+        need = max(self.drift.degree, self.diffusion.degree) - 1
+        mu = tuple(self.moments(j, t) for j in range(need + 1))
+        folded = self._folded.get(mu)
+        if folded is None:
+            self._folded.clear()
+            folded = self._folded[mu] = _fold(self.drift, self.diffusion, mu)
+        return folded
+
     def characteristic(self, t: float, z, g):
-        """(P, Q): dz/dt = P and dg/dt = Q along a characteristic curve."""
-        az, apz, _, S2_a = _reduction_parts(self.drift, z, self.moments, t)
-        bcz, bcpz, S1_bc, S2_bc = _reduction_parts(self.diffusion, z, self.moments, t)
-        E_bcG = bcz * g + S1_bc
-        return az - bcz * E_bcG, -(apz * g + S2_a) + E_bcG * (bcpz * g + S2_bc)
+        """(P, Q): dz/dt = P and dg/dt = Q along a characteristic curve.
+
+        Each is an array like z, or a float where it is constant; it may be
+        the argument z or g itself, so callers treat it as read-only.
+        """
+        P0, P1, Q0, Q1, Q2 = self._coefficients(t)
+        P = _mul_add(_horner(P1, z), g, _horner(P0, z))
+        Q = _mul_add(_mul_add(_horner(Q2, z), g, _horner(Q1, z)), g, _horner(Q0, z))
+        return P, Q
 
 
 def build_pde(a: Polynomial, bc: Polynomial, m: MomentFunction) -> PdeRightHandSide:
@@ -234,48 +347,59 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
 
     ``init`` maps the label array to the initial pair (z(s,0), g(s,0)).
     All labels advance together (curves are independent, so the sweep is
-    vectorized across them).  A curve whose |z| or |g| passes ``BLOWUP_CUTOFF``,
-    or that turns non-finite, is truncated and marked.
+    vectorized across them), each step written into one time-major row.
+    A curve whose |z| or |g| passes ``BLOWUP_CUTOFF``, or that turns
+    non-finite, is truncated and marked.
     """
     if dt <= 0 or t_end < 0:
         raise ValueError("need dt > 0 and t_end >= 0")
     s_grid = np.asarray(s_grid, dtype=float)
     z0, g0 = init(s_grid)
-    z0 = np.asarray(z0, dtype=complex) + np.zeros(s_grid.shape, dtype=complex)
-    g0 = np.asarray(g0, dtype=complex) + np.zeros(s_grid.shape, dtype=complex)
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     h = t_end / n_steps if n_steps else 0.0
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
     n_s = s_grid.size
-    Z = _mapped_zeros((n_s, n_steps + 1), complex)
-    G = _mapped_zeros((n_s, n_steps + 1), complex)
-    Z[:, 0], G[:, 0] = z0, g0
+    Z = _mapped_zeros((n_steps + 1, n_s), complex)
+    G = _mapped_zeros((n_steps + 1, n_s), complex)
+    Z[0], G[0] = z0, g0
     trunc_index = np.full(n_s, n_steps, dtype=int)
     active = np.ones(n_s, dtype=bool)
     f = rhs.characteristic
-    z, g = z0, g0
+
+    def advance(x, k1, k2, k3, k4, out):
+        # x + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, into ``out``
+        acc = k2 * 2
+        acc += k1
+        acc += k3 * 2
+        acc += k4
+        acc *= h / 6
+        np.add(x, acc, out=out)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
             t = t_grid[n]
+            z, g = Z[n], G[n]
             k1z, k1g = f(t, z, g)
             k2z, k2g = f(t + h / 2, z + h / 2 * k1z, g + h / 2 * k1g)
             k3z, k3g = f(t + h / 2, z + h / 2 * k2z, g + h / 2 * k2g)
             k4z, k4g = f(t + h, z + h * k3z, g + h * k3g)
-            z = z + h / 6 * (k1z + 2 * k2z + 2 * k3z + k4z)
-            g = g + h / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
+            advance(z, k1z, k2z, k3z, k4z, Z[n + 1])
+            advance(g, k1g, k2g, k3g, k4g, G[n + 1])
+            z, g = Z[n + 1], G[n + 1]
             if n == 0 and not (np.isfinite(z).all() and np.isfinite(g).all()):
                 raise StepTooLarge("non-finite RK4 stage on the first step; reduce dt")
             # |.| < cutoff is false for NaN and inf, so it checks finiteness too
             alive = (np.abs(z) < BLOWUP_CUTOFF) & (np.abs(g) < BLOWUP_CUTOFF)
+            if alive.all():
+                continue
             trunc_index[active & ~alive] = n
             active &= alive
             if not active.any():
                 break
-            Z[:, n + 1], G[:, n + 1] = z, g
     truncated = trunc_index < n_steps
     for i in np.flatnonzero(truncated):
-        Z[i, trunc_index[i] + 1:] = G[i, trunc_index[i] + 1:] = np.nan
-    return CharacteristicSurface(s_grid=s_grid, t_grid=t_grid, z=Z, g=G,
+        Z[trunc_index[i] + 1:, i] = G[trunc_index[i] + 1:, i] = np.nan
+    return CharacteristicSurface(s_grid=s_grid, t_grid=t_grid, z=Z.T, g=G.T,
                                  truncated=truncated, trunc_index=trunc_index)
 
 

@@ -263,8 +263,6 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tag = cfg.spec.tag
     mc = cfg.mc
     sim = rmt.SimConfig(
@@ -274,6 +272,8 @@ def cmd_compare(cfg: RunConfig) -> int:
         n_paths=_number(int, mc.get("n_paths", 20), "mc n_paths"), seed=cfg.seed,
         allow_near_blowup=_flag(mc.get("allow_near_blowup", False),
                                 "mc allow_near_blowup"))
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     snapshot_times = [t for t in cfg.times if t > 0]
     has_transform = cfg.spec.cauchy is not None
     # invert first: a curve that fails its mass check costs no MC run
@@ -349,6 +349,20 @@ def _selftest_checks():
         assert np.max(np.abs(recon - poly(x))) < 1e-12
         return True
 
+    def characteristics_closed_form():
+        # each record's polynomials and moments, marched to t = 0.2, give its
+        # closed-form transform on the curves
+        for spec in (models.OrnsteinUhlenbeck(-1.0, 1.0),
+                     models.GeometricBrownian1(0.5),
+                     models.Explosive(1.0, 1.0)):
+            rhs = characteristics.build_pde(*spec.polynomials(), spec.moment_function())
+            surf = characteristics.integrate_characteristics(
+                rhs, lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
+                np.linspace(-2.0, 4.0, 21), t_end=0.2)
+            err = np.max(np.abs(surf.g[:, -1] - spec.cauchy(0.2, surf.z[:, -1])))
+            assert err < 1e-8, (spec.tag, err)
+        return True
+
     def mc_determinism():
         spec = models.OrnsteinUhlenbeck(-1.0, 1.0)
         sim = rmt.SimConfig(N=40, dt=1e-2, t_end=0.2, n_paths=3, seed=5)
@@ -368,6 +382,7 @@ def _selftest_checks():
     return [("herglotz+decay", herglotz_decay), ("stieltjes inversion", inversion),
             ("catalan/power identity", catalan_identity),
             ("difference-quotient identity", division_identity),
+            ("characteristics vs closed form", characteristics_closed_form),
             ("mc determinism", mc_determinism), ("csv roundtrip", csv_roundtrip)]
 
 

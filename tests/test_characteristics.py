@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freesde import characteristics as ch
@@ -217,6 +217,67 @@ class TestBuildPde:
         assert abs(got - want) < 1e-11 * max(1.0, abs(E_aG2), abs(E_bcG * E_bcG2))
 
 
+def two_division_characteristic(rhs, t, z, g):
+    """(P, Q) from the reference reduction, two synthetic divisions per polynomial."""
+    az, apz, _, S2_a = ch._reduction_parts(rhs.drift, z, rhs.moments, t)
+    bcz, bcpz, S1_bc, S2_bc = ch._reduction_parts(rhs.diffusion, z, rhs.moments, t)
+    E_bcG = bcz * g + S1_bc
+    return az - bcz * E_bcG, -(apz * g + S2_a) + E_bcG * (bcpz * g + S2_bc)
+
+
+def term_scale(rhs, t, z, g):
+    """Sums of the moduli of the terms of P and Q: a bound on either form's rounding."""
+    m_abs = ch.MomentFunction(lambda j, t: abs(rhs.moments(j, t)), rhs.moments.jmax)
+    z_abs, g_abs = np.abs(z), np.abs(g)
+    az, apz, _, S2_a = ch._reduction_parts(
+        ch.Polynomial(np.abs(rhs.drift.coeffs)), z_abs, m_abs, t)
+    bcz, bcpz, S1_bc, S2_bc = ch._reduction_parts(
+        ch.Polynomial(np.abs(rhs.diffusion.coeffs)), z_abs, m_abs, t)
+    E_bcG = bcz * g_abs + S1_bc
+    return (np.maximum((az + bcz * E_bcG).real, 1e-300),
+            np.maximum((apz * g_abs + S2_a + E_bcG * (bcpz * g_abs + S2_bc)).real, 1e-300))
+
+
+coefficient = st.one_of(st.integers(-8, 8).map(lambda k: k / 4),
+                        st.floats(-2, 2).filter(lambda v: abs(v) > 1e-3))
+
+
+class TestFoldedCharacteristic:
+    """The coefficient polynomials folded once per moment vector and evaluated
+    by Horner reproduce the two-division reduction at every time."""
+
+    @given(st.lists(coefficient, max_size=5), st.lists(coefficient, max_size=5),
+           st.lists(st.floats(-2, 2), min_size=3, max_size=3), st.floats(0.1, 1.0),
+           st.integers(0, 10 ** 6))
+    @example([0.0, -1.0], [1.0], [0.0, 0.0, 0.0], 0.5, 0)      # ou: P = -z - g, Q = g
+    @example([1.0, -1.0, 0.5], [-1.0], [0.5, -1.0, 1.5], 0.5, 1)
+    @example([0.0, 0.5], [0.0, 1.0], [1.0, 1.0, 1.0], 0.5, 2)  # gbm1
+    @example([], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 0.5, 3)     # explosive
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_two_division_form(self, a, bc, atoms, t2, seed):
+        # moments of three atoms that move with t, so every mu_j changes in time
+        atoms = np.asarray(atoms)
+
+        def mu(j, t):
+            return float(np.mean((atoms * (1.0 + t) + t) ** j))
+
+        m = ch.MomentFunction(mu, jmax=4)
+        a, bc = ch.Polynomial(a), ch.Polynomial(bc)
+        rhs = ch.build_pde(a, bc, m)
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-2, 2, 4) + 1j * rng.uniform(0.1, 2, 4)
+        g = rng.normal(size=4) + 1j * rng.normal(size=4)
+        for t in (0.0, t2, 0.0):
+            got = rhs.characteristic(t, z, g)
+            want = two_division_characteristic(rhs, t, z, g)
+            for x, y, s in zip(got, want, term_scale(rhs, t, z, g)):
+                assert np.all(np.abs(x - y) <= 1e-12 * s)
+
+    def test_ou_folds_to_two_terms(self):
+        P0, P1, Q0, Q1, Q2 = ou_rhs()._coefficients(0.3)
+        assert (P0, P1, Q0, Q1, Q2) == ((0.0, -1.0), (-1.0,), (), (1.0,), ())
+
+
 def ou_rhs(theta=-1.0, sigma=1.0):
     return ch.build_pde(ch.Polynomial([0.0, theta]), ch.Polynomial([sigma]),
                         ch.MomentFunction.none())
@@ -291,6 +352,25 @@ class TestIntegrateCharacteristics:
                 rhs, lambda s: (np.full(s.shape, 1e200 + 0j),
                                 np.full(s.shape, 1.0 + 0j)),
                 np.array([0.0]), t_end=0.1, dt=1e-2)
+
+
+    def test_time_major_layout_and_truncation(self):
+        # dz/dt = -z^2 from z0 = -s blows up at t = 1/s: 25 of the 31 curves
+        # truncate, at 25 different steps
+        rhs = ch.build_pde(ch.Polynomial([0, 0, -1.0]), ch.Polynomial([]),
+                           ch.MomentFunction.from_values([1.0, 0.0]))
+        s = np.linspace(0.5, 3.5, 31)
+        surf = ch.integrate_characteristics(
+            rhs, lambda s: (-s + 0j, np.ones_like(s) + 0j), s, t_end=1.0, dt=1e-2)
+        trunc = [100] * 6 + [91, 84, 77, 72, 67, 63, 59, 56, 53, 50, 48, 46, 44,
+                             42, 40, 39, 38, 36, 35, 34, 33, 32, 31, 30, 29]
+        assert surf.trunc_index.tolist() == trunc
+        assert surf.z.shape == surf.g.shape == (31, 101)
+        assert surf.truncated.tolist() == [k < 100 for k in trunc]
+        for i, k in enumerate(trunc):
+            for arr in (surf.z[i], surf.g[i]):
+                assert np.isfinite(arr[:k + 1]).all()
+                assert np.isnan(arr[k + 1:]).all()
 
 
 class TestModelRecordsThroughEngine:

@@ -119,6 +119,14 @@ class TestDensityCommand:
         assert cli.main(["density", "--config", cfgfile]) == 2
         assert not (tmp_path / "none").exists()
 
+    def test_compare_config_error_leaves_no_directory(self, tmp_path):
+        # 10 / 1e-320 steps is refused by SimConfig before anything is written
+        cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0, times=[1.0],
+                               mc={"N": 4, "dt": 1e-320, "t_end": 10},
+                               out_dir=str(tmp_path / "none"))
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert not (tmp_path / "none").exists()
+
     def test_unknown_config_field_rejected(self, tmp_path):
         cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0,
                                times=[1.0], bogus=1)
@@ -490,6 +498,7 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "all checks passed" in out
         assert "FAIL" not in out
+        assert "PASS characteristics vs closed form" in out
 
 
 class TestRuntimeDependencies:
