@@ -57,6 +57,7 @@ from .models import (
     model_from_json,
     model_to_json,
     ou_cauchy,
+    ou_euler_law,
     ou_support,
     ou_variance,
 )

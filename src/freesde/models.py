@@ -51,10 +51,17 @@ class ModelSpec:
     ``euler_increment(x, dt, dw, m, t, diag)`` writes x + a(x) dt + b(x) dw
     c(x) for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
     scratch and gbm1 square-root clamps added to ``diag``; see
-    ``rmt._apply_increment``, which symmetrizes it.
+    ``rmt._apply_increment``, which symmetrizes it.  ``euler_segment(dt, k)``
+    gives the Euler steps that one increment draw covers, out of the k left
+    before the next snapshot, with the drift time and the noise time that
+    ``euler_increment`` and the draw take for them.
     """
 
     mc_horizon = math.inf
+
+    def euler_segment(self, dt, k):
+        """One Euler step per draw: (1, dt, dt)."""
+        return 1, dt, dt
 
     def moment_function(self) -> MomentFunction:
         """Both moment orders as a (j, t) handle for the evolution equations."""
@@ -94,6 +101,16 @@ class OrnsteinUhlenbeck(ModelSpec):
     def euler_increment(self, x, dt, dw, m, t, diag):
         np.multiply(x, 1.0 + self.theta * dt, out=m)
         m += np.multiply(dw, self.sigma, out=t)
+
+    def euler_segment(self, dt, k):
+        """All k steps in one draw, by the law of the Euler chain
+        (``ou_euler_law``): the drift time h has 1 + theta h = rho^k.  Where
+        that law overflows a double the chain goes on one step per draw."""
+        try:
+            decay, noise = ou_euler_law(self.theta, dt, k)
+        except OverflowError:
+            return 1, dt, dt
+        return k, (decay - 1.0) / self.theta if self.theta else k * dt, noise
 
 
 @dataclass(frozen=True)
@@ -150,9 +167,11 @@ class GeometricBrownian2(ModelSpec):
         raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
 
     def euler_increment(self, x, dt, dw, m, t, diag):
+        # x and dw are exactly symmetric, so dw x = (x dw)^T: one product
+        np.matmul(x, dw, out=t)
         np.multiply(x, 1.0 + self.theta * dt, out=m)
-        m += np.matmul(x, dw, out=t)
-        m += np.matmul(dw, x, out=t)
+        m += t
+        m += t.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -241,6 +260,33 @@ def ou_variance(theta: float, sigma: float, t: float) -> float:
     if abs(theta * t) < 1e-8:
         return sigma * sigma * t
     return sigma * sigma * math.expm1(2.0 * theta * t) / (2.0 * theta)
+
+
+def ou_euler_law(theta: float, dt: float, k: int) -> tuple[float, float]:
+    """Decay rho^k and noise time dt (1 + rho^2 + ... + rho^(2k-2)) of k
+    Euler steps x <- rho x + sigma dW, rho = 1 + theta dt.
+
+    k steps map x to rho^k x + sigma W, W one Wigner increment of the noise
+    time.  Both come from log |rho| through exp and expm1, so neither
+    cancels as theta dt -> 0; rho <= 0 (theta dt <= -1) is admitted.  Where
+    k theta dt is below 2^-60 the chain is the theta = 0 chain to double
+    precision: (1, k dt).  Raises OverflowError where rho^k or the noise
+    time overflows a double.
+    """
+    h = theta * dt
+    if abs(k * h) < 2.0 ** -60:
+        return 1.0, k * dt
+    rho = 1.0 + h
+    if rho == 0.0:  # only the last step's noise survives
+        return 0.0, dt
+    lg = math.log1p(h) if rho > 0 else math.log(-rho)
+    decay = math.exp(k * lg)
+    if rho < 0 and k % 2:
+        decay = -decay
+    noise = dt * (math.expm1(2 * k * lg) / math.expm1(2.0 * lg) if lg else k)
+    if math.isinf(noise):
+        raise OverflowError("noise time of the Euler chain overflows a double")
+    return decay, noise
 
 
 def ou_support(theta: float, sigma: float, t: float) -> SupportInterval:

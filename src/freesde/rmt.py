@@ -3,7 +3,11 @@
 Real symmetric N x N states driven by symmetric Gaussian increments whose
 empirical spectrum converges to the semicircle law: independent entries
 above the diagonal with variance dt/N and diagonal variance 2 dt/N, so
-E[trace(dW^2)/N] = dt (1 + 1/N).  Paths own counter-keyed random streams
+E[trace(dW^2)/N] = dt (1 + 1/N).  The Ornstein-Uhlenbeck model is linear
+with additive noise, so its Euler chain has an exact law at every snapshot:
+it is sampled from one snapshot to the next with one increment draw
+(``ModelSpec.euler_segment``); the other models draw once per Euler step.
+Paths own counter-keyed random streams
 (Philox keyed by (seed, path index)) and are stepped in blocks, each block
 as one (Q, N, N) stack; BLAS runs single-threaded while paths run, so each
 path's arithmetic is the same for any pool size and any blocking, and every
@@ -236,7 +240,8 @@ def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
                      out: np.ndarray | None = None,
                      scratch: np.ndarray | None = None) -> np.ndarray:
     """One explicit step x + a(x) dt + b(x) dw c(x) (the model's
-    ``euler_increment``), symmetrized.
+    ``euler_increment``), symmetrized; dt is the drift time of the segment
+    that dw drives (see ``ModelSpec.euler_segment``).
 
     x and dw are one matrix or matching (..., N, N) stacks; ``diag`` is a
     PathDiagnostics for one matrix, or a sequence of them, one per matrix of
@@ -390,8 +395,10 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     path's diagnostics.
 
     The Euler scheme steps the block as one (Q, N, N) stack in reused
-    buffers.  Path p draws from its own stream in the same order as it
-    would alone, so every path's values are independent of the blocking.
+    buffers, one segment (``ModelSpec.euler_segment``) per increment draw,
+    up to each snapshot and to t_end.  Path p draws from its own stream in
+    the same order as it would alone, so every path's values are
+    independent of the blocking.
     """
     rngs = [path_rng(cfg.seed, p) for p in paths]
     diags = [PathDiagnostics() for _ in paths]
@@ -402,13 +409,15 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     dw = np.empty_like(x)
     scratch = np.empty((2,) + x.shape)
     packed = np.empty((len(paths), cfg.N * (cfg.N + 1) // 2))
-    if 0 in want:
-        out[0] = _snapshot_eigvals(x)
-    for j in range(1, cfg.n_steps + 1):
-        sample_wigner_increment(cfg.N, cfg.dt, rngs, dw, packed)
-        _apply_increment(x, model, cfg.dt, dw, diags, x, scratch)
-        if j in want:
-            out[j] = _snapshot_eigvals(x)
+    j = 0
+    for stop in sorted(want | {cfg.n_steps}):
+        while j < stop:
+            k, drift, noise = model.euler_segment(cfg.dt, stop - j)
+            sample_wigner_increment(cfg.N, noise, rngs, dw, packed)
+            _apply_increment(x, model, drift, dw, diags, x, scratch)
+            j += k
+        if stop in want:
+            out[stop] = _snapshot_eigvals(x)
     return [out[j] for j in snap_steps], diags
 
 

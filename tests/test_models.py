@@ -1,15 +1,17 @@
 """Closed-form transform, support, and density checks for the four models."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freesde import cauchy as ca
 from freesde import models as md
+from freesde import rmt
 from freesde.errors import (
     InvalidConfig,
     PastBlowup,
@@ -107,6 +109,64 @@ class TestOrnsteinUhlenbeck:
             v = md.ou_variance(theta, sigma, t)
             r = md.ou_support(theta, sigma, t).hi
             assert abs(v - (r / 2.0) ** 2) <= 1e-12 * max(1.0, v)
+
+
+def _composed_euler_law(theta, dt, k):
+    """(decay, noise time) of k Euler steps x <- rho x + sigma dW, rho = 1 +
+    theta dt, by binary powers of the one-step map in 80-digit arithmetic:
+    (d, n) then (d', n') is (d d', d'^2 n + n')."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        step = (1 + Decimal(theta * dt), Decimal(dt))
+        acc = (Decimal(1), Decimal(0))
+        while k:
+            if k & 1:
+                acc = (acc[0] * step[0], step[0] ** 2 * acc[1] + step[1])
+            step = (step[0] ** 2, step[0] ** 2 * step[1] + step[1])
+            k >>= 1
+    return acc
+
+
+class TestOuEulerLaw:
+    """ou's segment law is the k-fold composition of one Euler step."""
+
+    @given(st.floats(-5.0, 5.0), st.floats(0.0, 0.1, exclude_min=True, allow_subnormal=False),
+           st.integers(0, rmt.MAX_STEPS))
+    @example(0.0, 0.05, 7)                   # theta = 0: noise time k dt
+    @example(0.0, 0.1, rmt.MAX_STEPS)
+    @example(-10.0, 0.1, 5)                  # theta dt = -1: rho = 0
+    @example(-15.0, 0.1, 5)                  # rho = -0.5: rho^k changes sign
+    @example(-25.0, 0.1, 7)                  # rho = -1.5
+    @example(-20.0, 0.1, 9)                  # rho = -1
+    @example(1e-9, 1e-3, rmt.MAX_STEPS)      # theta dt -> 0: no cancellation
+    @example(-3e-7, 0.1, 4321)
+    @example(5.0, 0.1, rmt.MAX_STEPS)        # overflows
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_composed_steps(self, theta, dt, k):
+        decay, noise = _composed_euler_law(theta, dt, k)
+        try:
+            got = md.ou_euler_law(theta, dt, k)
+        except OverflowError:
+            assert max(abs(decay), noise) > Decimal("1e300")
+            return
+        # relative, down to the smallest normal double
+        tiny = Decimal(np.finfo(float).tiny)
+        for value, want in zip(got, (decay, noise)):
+            assert abs(Decimal(value) - want) <= Decimal("1e-12") * abs(want) + tiny
+
+    def test_segment_drift_time_gives_the_decay(self):
+        for theta, dt, k in ((-1.0, 1e-2, 37), (0.8, 1e-3, 500), (-10.0, 0.1, 3)):
+            spec = md.OrnsteinUhlenbeck(theta, 1.0)
+            decay, noise = md.ou_euler_law(theta, dt, k)
+            steps, drift, got = spec.euler_segment(dt, k)
+            assert (steps, got) == (k, noise)
+            assert abs(1.0 + theta * drift - decay) <= 4 * EPS * max(1.0, abs(decay))
+        assert md.OrnsteinUhlenbeck(0.0, 1.0).euler_segment(1e-2, 5) == (5, 5e-2, 5e-2)
+        # an overflowing law falls back to one Euler step per draw
+        assert md.OrnsteinUhlenbeck(5.0, 1.0).euler_segment(0.1, 1000) == (1, 0.1, 0.1)
+        for spec in (md.GeometricBrownian1(0.5), md.GeometricBrownian2(0.5),
+                     md.Explosive(1.0, 1.0)):
+            assert spec.euler_segment(1e-2, 40) == (1, 1e-2, 1e-2)
 
 
 class TestGeometricBrownian1:

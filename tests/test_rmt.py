@@ -341,6 +341,67 @@ class TestEnsemble:
         assert diff < 3.0 * max(out[2e-3][1], out[1e-3][1])
 
 
+class TestOuSegments:
+    """ou is sampled snapshot to snapshot by the exact law of its Euler chain."""
+
+    def test_one_draw_per_snapshot_interval(self, monkeypatch):
+        draws = []
+        sample = rmt.sample_wigner_increment
+
+        def spy(N, dt, rngs, *args):
+            draws.append((len(rngs), dt))
+            return sample(N, dt, rngs, *args)
+
+        monkeypatch.setattr(rmt, "sample_wigner_increment", spy)
+        spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
+        cfg = rmt.SimConfig(N=8, dt=1e-2, t_end=0.3, n_paths=5, seed=3)
+        # out of order, duplicated and at t = 0: intervals 0 -> 0.1 -> 0.3
+        times = [0.3, 0.1, 0.0, 0.1]
+        noise = [md.ou_euler_law(-1.0, 1e-2, k)[1] for k in (10, 20)]
+        for threads, blocks in (("1", [5]), ("2", [3, 2])):
+            monkeypatch.setenv("FREESDE_THREADS", threads)
+            draws.clear()
+            pooled, _ = rmt.run_paths(spec, cfg, times)
+            assert sorted(draws) == sorted((q, v) for q in blocks for v in noise)
+            assert np.array_equal(pooled[1], pooled[3])
+            assert np.all(pooled[2] == 0.0) and np.all(pooled[0] != 0.0)
+        # the other models draw once per Euler step
+        draws.clear()
+        rmt.run_paths(md.Explosive(1.0, 1.0), cfg, times)
+        assert sorted(draws) == [(2, 1e-2)] * 30 + [(3, 1e-2)] * 30
+
+    def test_jumped_state_has_the_chain_law(self):
+        # E[tr X^2/N] = sigma^2 (noise time) (1 + 1/N) at both snapshots, the
+        # second after a decayed first; step by step on independent streams
+        # the same chain agrees
+        N, P, dt, steps = 40, 48, 1e-2, (40, 100)
+        spec = md.OrnsteinUhlenbeck(0.8, 1.3)
+        cfg = rmt.SimConfig(N=N, dt=dt, t_end=1.0, n_paths=P, seed=1515)
+        pooled, _ = rmt.run_paths(spec, cfg, [0.4, 1.0])
+        rngs = [rmt.path_rng(1515, P + p) for p in range(P)]
+        x = np.zeros((P, N, N))
+        chain = {}
+        for j in range(1, steps[-1] + 1):
+            dw = rmt.sample_wigner_increment(N, dt, rngs)
+            x = rmt._apply_increment(x, spec, dt, dw)
+            if j in steps:
+                chain[j] = np.einsum("pij,pij->p", x, x) / N
+        for lam, k in zip(pooled, steps):
+            jumped = (lam.reshape(P, N) ** 2).mean(axis=1)
+            se = jumped.std(ddof=1) / math.sqrt(P)
+            want = spec.sigma ** 2 * md.ou_euler_law(spec.theta, dt, k)[1] * (1 + 1 / N)
+            assert abs(jumped.mean() - want) < 3.0 * se
+            se_chain = chain[k].std(ddof=1) / math.sqrt(P)
+            assert abs(jumped.mean() - chain[k].mean()) < 3.0 * math.hypot(se, se_chain)
+
+    def test_overflowing_law_steps_one_by_one(self):
+        # rho = 1.5: rho^(2k) overflows for k > 875, the state not before 1750
+        spec = md.OrnsteinUhlenbeck(5.0, 1.0)
+        cfg = rmt.SimConfig(N=4, dt=0.1, t_end=100.0, n_paths=1, seed=2)
+        pooled, _ = rmt.run_paths(spec, cfg, [100.0])
+        assert np.all(np.isfinite(pooled[0])) and np.max(np.abs(pooled[0])) > 1e150
+
+
 class TestGbm1Agreement:
     def test_kolmogorov_and_positivity(self):
         # matrix square roots force positivity: clamped mass stays tiny
