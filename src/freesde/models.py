@@ -48,10 +48,10 @@ class ModelSpec:
     ``moments(t)`` gives the mean and second moment, ``support(t)`` the
     spectral support, ``cauchy(t, z)`` the Cauchy transform (None where it
     is not known), ``polynomials()`` the drift a(x) and noise product (b c)(x).
-    ``euler_increment(x, dt, dw, m, t, diag)`` writes x + a(x) dt + b(x) dw
-    c(x) for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
-    scratch and gbm1 square-root clamps added to ``diag``; see
-    ``rmt._apply_increment``, which symmetrizes it.  ``euler_segment(dt, k)``
+    ``euler_increment(x, dt, dw, m, t)`` writes x + a(x) dt + b(x) dw c(x)
+    for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
+    scratch, and returns gbm1's square-root clamp per matrix (else None);
+    see ``rmt._apply_increment``, which symmetrizes it.  ``euler_segment(dt, k)``
     gives the Euler steps that one increment draw covers, out of the k left
     before the next snapshot, with the drift time and the noise time that
     ``euler_increment`` and the draw take for them.
@@ -98,7 +98,7 @@ class OrnsteinUhlenbeck(ModelSpec):
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([self.sigma])
 
-    def euler_increment(self, x, dt, dw, m, t, diag):
+    def euler_increment(self, x, dt, dw, m, t):
         np.multiply(x, 1.0 + self.theta * dt, out=m)
         m += np.multiply(dw, self.sigma, out=t)
 
@@ -135,16 +135,13 @@ class GeometricBrownian1(ModelSpec):
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([0.0, 1.0])
 
-    def euler_increment(self, x, dt, dw, m, t, diag):
+    def euler_increment(self, x, dt, dw, m, t):
         factor, clamp = psd_factor(x)
-        if diag is not None:
-            diags = [diag] if x.ndim == 2 else diag
-            for d, c in zip(diags, np.reshape(clamp, -1)):
-                d.clamp_total += float(c)
         np.matmul(factor, dw, out=m)
         np.matmul(m, factor.swapaxes(-1, -2), out=t)
         np.multiply(x, 1.0 + self.theta * dt, out=m)
         m += t
+        return clamp
 
 
 @dataclass(frozen=True)
@@ -166,7 +163,7 @@ class GeometricBrownian2(ModelSpec):
     def polynomials(self):
         raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
 
-    def euler_increment(self, x, dt, dw, m, t, diag):
+    def euler_increment(self, x, dt, dw, m, t):
         # x and dw are exactly symmetric, so dw x = (x dw)^T: one product
         np.matmul(x, dw, out=t)
         np.multiply(x, 1.0 + self.theta * dt, out=m)
@@ -212,7 +209,7 @@ class Explosive(ModelSpec):
     def polynomials(self):
         return Polynomial([]), Polynomial([0.0, 0.0, self.k])
 
-    def euler_increment(self, x, dt, dw, m, t, diag):
+    def euler_increment(self, x, dt, dw, m, t):
         np.matmul(x, dw, out=m)
         np.matmul(m, x, out=t)
         t *= self.k

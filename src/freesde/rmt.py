@@ -228,33 +228,27 @@ def psd_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     return np.stack([f for f, _ in pairs]), np.array([c for _, c in pairs])
 
 
-@dataclass
-class PathDiagnostics:
-    """Per-path accumulators surfaced by the ensemble driver."""
-
-    clamp_total: float = 0.0
-
-
 def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
-                     diag: PathDiagnostics | Sequence[PathDiagnostics] | None = None,
-                     out: np.ndarray | None = None,
+                     clamp: np.ndarray | None = None, out: np.ndarray | None = None,
                      scratch: np.ndarray | None = None) -> np.ndarray:
     """One explicit step x + a(x) dt + b(x) dw c(x) (the model's
     ``euler_increment``), symmetrized; dt is the drift time of the segment
     that dw drives (see ``ModelSpec.euler_segment``).
 
-    x and dw are one matrix or matching (..., N, N) stacks; ``diag`` is a
-    PathDiagnostics for one matrix, or a sequence of them, one per matrix of
-    a stack.  ``out`` (which may be x itself) receives the new state and
-    ``scratch`` (shape (2,) + x.shape) holds the temporaries; both are
-    allocated when not given.
+    x and dw are one matrix or matching (..., N, N) stacks; the square-root
+    clamp of each matrix (gbm1 only) is added into ``clamp``, a float array
+    of shape x.shape[:-2].  ``out`` (which may be x itself) receives the new
+    state and ``scratch`` (shape (2,) + x.shape) holds the temporaries; both
+    are allocated when not given.
     """
     if scratch is None:
         scratch = np.empty((2,) + x.shape)
     if out is None:
         out = np.empty_like(x)
     m, t = scratch
-    model.euler_increment(x, dt, dw, m, t, diag)
+    c = model.euler_increment(x, dt, dw, m, t)
+    if clamp is not None and c is not None:
+        clamp += c
     np.add(m, m.swapaxes(-1, -2), out=out)
     out *= 0.5
     return out
@@ -300,7 +294,6 @@ def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
         for j in range(cfg.n_steps):
             inc = _apply_increment(cur[j], model, cfg.dt, dws[j]) - cur[j]
             nxt[j + 1] = nxt[j] + inc
-            nxt[j + 1] = (nxt[j + 1] + nxt[j + 1].T) / 2.0
         d = float(np.max(np.linalg.norm(nxt - cur, axis=(1, 2))) / math.sqrt(cfg.N))
         diffs.append(d)
         cur = nxt
@@ -389,41 +382,46 @@ def _snapshot_eigvals(x: np.ndarray) -> np.ndarray:
 
 
 def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
-                 snap_steps: Sequence[int]
-                 ) -> tuple[list[np.ndarray], list[PathDiagnostics]]:
+                 snap_steps: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """Eigenvalues (Q, N) at each snapshot of a block of Q paths, plus each
-    path's diagnostics.
+    path's square-root clamp mass, shape (Q,).
 
     The Euler scheme steps the block as one (Q, N, N) stack in reused
     buffers, one segment (``ModelSpec.euler_segment``) per increment draw,
-    up to each snapshot and to t_end.  Path p draws from its own stream in
-    the same order as it would alone, so every path's values are
-    independent of the blocking.
+    from snapshot to snapshot; it ends at the last one.  Path p draws from
+    its own stream in the same order as it would alone, so every path's
+    values are independent of the blocking.  A state that overflows or turns
+    NaN raises NonFinite at once (the error state is set here because it is
+    local to each pool thread).
     """
     rngs = [path_rng(cfg.seed, p) for p in paths]
-    diags = [PathDiagnostics() for _ in paths]
+    clamp = np.zeros(len(paths))
     x = np.empty((len(paths), cfg.N, cfg.N))
     x[...] = model.x0 * np.eye(cfg.N)
-    want = set(snap_steps)
     out: dict[int, np.ndarray] = {}
     dw = np.empty_like(x)
     scratch = np.empty((2,) + x.shape)
     packed = np.empty((len(paths), cfg.N * (cfg.N + 1) // 2))
     j = 0
-    for stop in sorted(want | {cfg.n_steps}):
-        while j < stop:
-            k, drift, noise = model.euler_segment(cfg.dt, stop - j)
-            sample_wigner_increment(cfg.N, noise, rngs, dw, packed)
-            _apply_increment(x, model, drift, dw, diags, x, scratch)
-            j += k
-        if stop in want:
-            out[stop] = _snapshot_eigvals(x)
-    return [out[j] for j in snap_steps], diags
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for stop in sorted(set(snap_steps)):
+                while j < stop:
+                    k, drift, noise = model.euler_segment(cfg.dt, stop - j)
+                    sample_wigner_increment(cfg.N, noise, rngs, dw, packed)
+                    _apply_increment(x, model, drift, dw, clamp, x, scratch)
+                    j += k
+                out[stop] = _snapshot_eigvals(x)
+        except FloatingPointError as exc:
+            raise NonFinite(
+                f"Monte Carlo state not finite at step {j + k}: {exc}") from exc
+    return [out[j] for j in snap_steps], clamp
 
 
 def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
-              ) -> tuple[list[np.ndarray], list[PathDiagnostics]]:
-    """Pooled eigenvalues at each snapshot plus per-path diagnostics.
+              ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Pooled eigenvalues at each snapshot plus each path's square-root
+    clamp mass, shape (n_paths,).
 
     Paths run in contiguous blocks, each stepped as one stack (optionally on
     a small thread pool sized by FREESDE_THREADS), with BLAS pinned to one
@@ -447,7 +445,7 @@ def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
             results = [_evolve_path(model, cfg, b, snap_steps) for b in blocks]
     pooled = [np.concatenate([res[0][i].ravel() for res in results])
               for i in range(len(snap_steps))]
-    return pooled, [d for res in results for d in res[1]]
+    return pooled, np.concatenate([res[1] for res in results])
 
 
 def run_ensemble(model: ModelSpec, cfg: SimConfig,

@@ -15,6 +15,7 @@ from freesde.errors import (
     EmptyHistogram,
     InvalidConfig,
     NoContraction,
+    NonFinite,
     PastBlowup,
 )
 
@@ -139,11 +140,11 @@ class TestPathStack:
             assert np.array_equal(stacked[p], one)
         a = np.random.default_rng(seed).uniform(-1, 1, (q, n, n))
         x = a @ a.swapaxes(-1, -2) / n + np.eye(n)
-        diags = [rmt.PathDiagnostics() for _ in range(q)]
-        m = rmt._apply_increment(x, spec, dt, stacked, diags)
+        clamp = np.zeros(q)
+        m = rmt._apply_increment(x, spec, dt, stacked, clamp)
         for p in range(q):
             assert np.array_equal(m[p], rmt._apply_increment(x[p], spec, dt, stacked[p]))
-        assert all(d.clamp_total == 0.0 for d in diags)
+        assert np.array_equal(clamp, np.zeros(q))
         lam = np.linalg.eigvalsh(m)
         for p in range(q):
             assert np.array_equal(lam[p], np.linalg.eigvalsh(m[p]))
@@ -158,11 +159,11 @@ class TestPathStack:
                       np.eye(6)])
         dw = rmt.sample_wigner_increment(
             6, 1e-2, [rmt.path_rng(8, p) for p in range(3)])
-        diags = [rmt.PathDiagnostics() for _ in range(3)]
+        clamp = np.zeros(3)
         spec = md.GeometricBrownian1(0.5)
-        m = rmt._apply_increment(x, spec, 1e-2, dw, diags)
+        m = rmt._apply_increment(x, spec, 1e-2, dw, clamp)
         assert len(calls) == 1 and np.array_equal(calls[0], x[1])
-        assert [d.clamp_total for d in diags] == [0.0, 0.5, 0.0]
+        assert np.array_equal(clamp, [0.0, 0.5, 0.0])
         for p in range(3):
             assert np.array_equal(m[p], rmt._apply_increment(x[p], spec, 1e-2, dw[p]))
 
@@ -190,11 +191,11 @@ class TestGbm1Factor:
                             lambda x: calls.append(x) or sqrt(x))
         x = np.diag([1.0, -0.5, 2.0, 1.5, 0.8, 1.2])
         dw = rmt.sample_wigner_increment(6, 1e-2, rmt.path_rng(8, 0))
-        diag = rmt.PathDiagnostics()
-        m = rmt._apply_increment(x, md.GeometricBrownian1(0.5), 1e-2, dw, diag)
+        clamp = np.zeros(())
+        m = rmt._apply_increment(x, md.GeometricBrownian1(0.5), 1e-2, dw, clamp)
         assert len(calls) == 1
         assert np.array_equal(m, m.T)
-        assert diag.clamp_total == 0.5
+        assert clamp == 0.5
 
 
 class TestPicard:
@@ -256,11 +257,11 @@ class TestEnsemble:
             for threads in ("1", "2", "3"):
                 monkeypatch.setenv("FREESDE_THREADS", threads)
                 runs.append(rmt.run_paths(spec, cfg, [0.1, 0.2]))
-            for pooled, diags in runs[1:]:
+            for pooled, clamp in runs[1:]:
                 for a, b in zip(pooled, runs[0][0]):
                     assert np.array_equal(a, b)
-                assert [d.clamp_total for d in diags] == \
-                    [d.clamp_total for d in runs[0][1]]
+                assert clamp.shape == (cfg.n_paths,)
+                assert np.array_equal(clamp, runs[0][1])
 
     @pytest.mark.parametrize("spec", [md.GeometricBrownian1(0.5),
                                       md.Explosive(1.0, 1.0)],
@@ -272,11 +273,11 @@ class TestEnsemble:
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("FREESDE_THREADS", threads)
             runs.append(rmt.run_paths(spec, cfg, [0.05, 0.1]))
-        for pooled, diags in runs[1:]:
+        for pooled, clamp in runs[1:]:
             for a, b in zip(pooled, runs[0][0]):
                 assert np.array_equal(a, b)
-            assert [d.clamp_total for d in diags] == \
-                [d.clamp_total for d in runs[0][1]]
+            assert clamp.shape == (cfg.n_paths,)
+            assert np.array_equal(clamp, runs[0][1])
 
     def test_blas_pinned_during_paths_and_restored(self, monkeypatch):
         api = rmt._blas_thread_api()
@@ -308,6 +309,45 @@ class TestEnsemble:
             assert get() == 2
         finally:
             put(before)
+
+    def test_march_ends_at_last_snapshot(self, monkeypatch):
+        # a t_end past the last snapshot draws no further increments
+        draws = []
+        sample = rmt.sample_wigner_increment
+
+        def spy(N, dt, rngs, *args):
+            draws.append(len(rngs))
+            return sample(N, dt, rngs, *args)
+
+        monkeypatch.setattr(rmt, "sample_wigner_increment", spy)
+        monkeypatch.setenv("FREESDE_THREADS", "1")
+        spec = md.GeometricBrownian1(0.5)
+        runs = []
+        for t_end in (0.1, 1.0):
+            draws.clear()
+            cfg = rmt.SimConfig(N=8, dt=1e-2, t_end=t_end, n_paths=3, seed=4)
+            runs.append(rmt.run_paths(spec, cfg, [0.1]))
+            assert draws == [3] * 10
+        assert np.array_equal(runs[0][0][0], runs[1][0][0])
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_overflow_stops_the_march(self, monkeypatch):
+        # theta dt = 5e306: step 1 is finite, step 2 overflows and is the last
+        steps = []
+        step = rmt._apply_increment
+
+        def spy(x, *args):
+            steps.append(x.shape)
+            return step(x, *args)
+
+        monkeypatch.setattr(rmt, "_apply_increment", spy)
+        monkeypatch.setenv("FREESDE_THREADS", "1")
+        cfg = rmt.SimConfig(N=4, dt=0.05, t_end=0.5, n_paths=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="step 2"):
+                rmt.run_paths(md.GeometricBrownian2(1e308), cfg, [0.05, 0.5])
+        assert steps == [(2, 4, 4)] * 2
 
     def test_snapshot_must_align_with_grid(self):
         spec = md.OrnsteinUhlenbeck(0.0, 1.0)
@@ -408,14 +448,14 @@ class TestGbm1Agreement:
         spec = md.GeometricBrownian1(0.5)
         t = 0.15
         cfg = rmt.SimConfig(N=300, dt=1e-3, t_end=t, n_paths=20, seed=7)
-        pooled, diags = rmt.run_paths(spec, cfg, [t])
+        pooled, clamp = rmt.run_paths(spec, cfg, [t])
         hist = rmt.EigenHistogram.from_samples(pooled[0], t)
         ev = md.cauchy_evaluator(spec)
         sup = md.gbm_support(spec.theta, t)
         xs = np.linspace(sup.lo * 0.9, sup.hi * 1.1, 1500)
         curve = ca.stieltjes_invert(ev, t, xs, eps0=1e-4)
         assert rmt.kolmogorov_distance(hist, curve) < 0.05
-        assert all(d.clamp_total < 1e-6 * cfg.N for d in diags)
+        assert clamp.shape == (cfg.n_paths,) and np.all(clamp < 1e-6 * cfg.N)
 
 
 class TestEigenHistogram:
