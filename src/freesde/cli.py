@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -402,7 +403,9 @@ def cmd_selftest() -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="freesde",
         description="Spectral dynamics of free stochastic differential equations")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -344,11 +343,9 @@ class EigenHistogram:
         return int(self.samples.size)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("bin_lo,bin_hi,count\n")
-        for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            buf.write("%.17g,%.17g,%d\n" % (lo, hi, c))
-        return buf.getvalue()
+        edges = self.bin_edges.tolist()
+        return "bin_lo,bin_hi,count\n" + "".join(map(
+            "%.17g,%.17g,%d\n".__mod__, zip(edges[:-1], edges[1:], self.counts.tolist())))
 
 
 def _snapshot_steps(cfg: SimConfig, snapshot_times: Sequence[float]) -> list[int]:

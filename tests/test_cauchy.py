@@ -154,7 +154,7 @@ class TestHilbertTransform:
         for x in (-1.5, -0.7, 0.3, 1.2, 1.8):
             assert abs(ca.hilbert_transform(curve, x) - brute_force_pv(curve, x)) < 2e-3
 
-    @pytest.mark.parametrize("n", [257, 513, 1024, 1025])
+    @pytest.mark.parametrize("n", [257, 513, 1024, 1025, 4097])
     def test_grid_matches_pointwise(self, n):
         # the one-convolution form is the pair sum of hilbert_transform at each node
         curve = semicircle_curve(n=n)

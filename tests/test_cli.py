@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freesde import cli, rmt
+from freesde import cauchy, cli, rmt
 from freesde import models as md
 
 
@@ -516,6 +516,46 @@ class TestRuntimeDependencies:
         with open(SRC.parent / "pyproject.toml", "rb") as fh:
             deps = tomllib.load(fh)["project"]["dependencies"]
         assert [re.match(r"[\w.-]+", d).group() for d in deps] == ["numpy"]
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_leaks_between_runs(self, tmp_path):
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0,
+                               times=[1.0], out_dir=str(tmp_path / "b"))
+        assert cli.main(["density", "--config", cfgfile, "--svg", "--theta", "-0.5",
+                         "--out", str(tmp_path / "a")]) == 0
+        assert (tmp_path / "a" / "density_ou.svg").exists()
+        assert cli.main(["density", "--config", cfgfile]) == 0
+        assert not (tmp_path / "b" / "density_ou.svg").exists()
+        expected = cli._density_curve(
+            cli.RunConfig(spec=md.OrnsteinUhlenbeck(-1.0, 1.0), times=[1.0]), 1.0)
+        assert (tmp_path / "b" / "density_ou_t1.csv").read_text() == expected.to_csv()
+        assert (tmp_path / "a" / "density_ou_t1.csv").read_text() != expected.to_csv()
+
+
+class TestCsvContract:
+    """Each row is its values in 17-significant-digit %g, comma-separated, LF-ended."""
+
+    EDGES = [-1e308, -2.5, 0.0, 5e-324, 0.1 + 0.2, 1 / 3, 1e308]
+
+    def test_density_rows(self):
+        ps = [0.0, 1 / 3, 0.1 + 0.2, 1.0, 5e-324, 0.5, 0.0]
+        curve = cauchy.DensityCurve.from_samples(self.EDGES, ps)
+        expected = "x,p\n" + "".join("%.17g,%.17g\n" % row for row in zip(self.EDGES, ps))
+        assert curve.to_csv() == expected
+        assert "\n4.9406564584124654e-324,1\n" in expected and "\n0.30000000000000004," in expected
+
+    def test_histogram_rows(self):
+        counts = [0, 3, 2 ** 40, 1, 7, 2]
+        hist = rmt.EigenHistogram(time=1.0, samples=np.zeros(1),
+                                  bin_edges=np.array(self.EDGES), counts=np.array(counts))
+        expected = "bin_lo,bin_hi,count\n" + "".join(
+            "%.17g,%.17g,%d\n" % row for row in zip(self.EDGES, self.EDGES[1:], counts))
+        assert hist.to_csv() == expected
+        assert "\n0.33333333333333331,1e+308,2\n" in expected
 
 
 class TestSvgWriter:
