@@ -66,6 +66,13 @@ class SupportInterval:
         return SupportInterval(self.lo - pad, self.hi + pad)
 
 
+def csv_table(header: str, rows) -> str:
+    """The header row, then each row (a tuple of numbers, one per header
+    column) in 17-significant-digit %g, comma-separated; LF line endings."""
+    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    return header + "\n" + "".join(map(row.__mod__, rows))
+
+
 @dataclass
 class DensityCurve:
     """Sampled spectral density p(x) on a strictly increasing grid.
@@ -123,8 +130,7 @@ class DensityCurve:
     # -- serialization -----------------------------------------------------
 
     def to_csv(self) -> str:
-        return "x,p\n" + "".join(map(
-            "%.17g,%.17g\n".__mod__, zip(self.xs.tolist(), self.ps.tolist())))
+        return csv_table("x,p", zip(self.xs.tolist(), self.ps.tolist()))
 
     @classmethod
     def from_csv(cls, text: str, t: float | None = None) -> "DensityCurve":

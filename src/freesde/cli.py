@@ -26,23 +26,12 @@ import numpy as np
 
 from . import cauchy, characteristics, models, moments, rmt
 from .errors import FreeSdeError, GridTooCoarse, InvalidConfig
+from .models import config_number
 
 _MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
     f.name for cls in models.MODELS.values() for f in dataclasses.fields(cls)))
 _RUN_KEYS = ("times", "grid", "out_dir", "svg", "seed", "mc", "threshold")
 _MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
-
-
-def _number(kind, value, what: str):
-    """kind(value); a malformed or non-finite value is a config error."""
-    try:
-        number = kind(value)
-        finite = math.isfinite(number)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise InvalidConfig(f"{what} must be a finite {kind.__name__}, got {value!r}")
-    return number
 
 
 def _flag(value, what: str) -> bool:
@@ -73,8 +62,8 @@ class RunConfig:
         if self.grid is not None:
             if not isinstance(self.grid, dict) or {"lo", "hi", "n"} - set(self.grid):
                 raise InvalidConfig(f"grid needs an object with lo/hi/n, got {self.grid!r}")
-            lo, hi = (_number(float, self.grid[k], f"grid {k}") for k in ("lo", "hi"))
-            n = _number(int, self.grid["n"], "grid n")
+            lo, hi = (config_number(float, self.grid[k], f"grid {k}") for k in ("lo", "hi"))
+            n = config_number(int, self.grid["n"], "grid n")
             if n < 16:
                 raise InvalidConfig("grid needs at least 16 points")
             if not lo < hi:
@@ -115,14 +104,14 @@ def _load_config(args) -> RunConfig:
         raise InvalidConfig("times needs a list or a comma-separated string "
                             f"(config file or --times), got {times!r}")
     seed_env = os.environ.get("FREESDE_SEED")
-    seed = (_number(int, seed_env, "FREESDE_SEED") if seed_env is not None
-            else _number(int, raw.get("seed", 0), "seed"))
-    return RunConfig(spec=spec, times=[_number(float, t, "time") for t in times],
+    seed = (config_number(int, seed_env, "FREESDE_SEED") if seed_env is not None
+            else config_number(int, raw.get("seed", 0), "seed"))
+    return RunConfig(spec=spec, times=[config_number(float, t, "time") for t in times],
                      grid=raw.get("grid"),
                      out_dir=str(raw.get("out_dir", ".")),
                      svg=_flag(raw.get("svg", False), "svg"), seed=seed,
                      mc=raw.get("mc", {}),
-                     threshold=_number(float, raw.get("threshold", 0.08), "threshold"))
+                     threshold=config_number(float, raw.get("threshold", 0.08), "threshold"))
 
 
 def _auto_grid(spec: models.ModelSpec, t: float) -> np.ndarray:
@@ -132,23 +121,27 @@ def _auto_grid(spec: models.ModelSpec, t: float) -> np.ndarray:
     any near-blow-up spikes live) and short uniform tails cover the 5%
     margins on each side, so vanishing outside the support stays visible.
     """
-    n = 1024
+    n, tail = 1024, 12
     sup = spec.support(t)
-    if sup.width <= 0:
-        pad = 0.5 * max(abs(sup.lo), 1.0)
-        xs = np.linspace(sup.lo - pad, sup.hi + pad, n)
-    else:
-        wide = sup.widened(0.05)
-        tail = 12
-        phi = np.linspace(0.0, math.pi, n - 2 * tail)
-        core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
-        left = np.linspace(wide.lo, sup.lo, tail, endpoint=False)
-        right = np.linspace(wide.hi, sup.hi, tail, endpoint=False)[::-1]
-        xs = np.concatenate([left, core, right])
+    wide = sup.widened(0.05)
+    phi = np.linspace(0.0, math.pi, n - 2 * tail)
+    core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
+    left = np.linspace(wide.lo, sup.lo, tail, endpoint=False)
+    right = np.linspace(wide.hi, sup.hi, tail, endpoint=False)[::-1]
+    xs = np.concatenate([left, core, right])
     if not np.all(np.diff(xs) > 0):
         raise GridTooCoarse(
             f"support [{sup.lo:g}, {sup.hi:g}] at t={t:g} has no strictly increasing grid")
     return xs
+
+
+def _write(cfg: RunConfig, name: str, text: str) -> Path:
+    """Write one output file; out_dir is created at the first write, so a
+    command that fails before it leaves no directory behind."""
+    path = Path(cfg.out_dir) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
 
 
 def _fmt_t(t: float) -> str:
@@ -216,49 +209,32 @@ def cmd_density(cfg: RunConfig) -> int:
     models.cauchy_evaluator(cfg.spec)  # refuses a model with no transform
     if any(t <= 0 for t in cfg.times):
         raise InvalidConfig("density requires strictly positive times")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     tag = cfg.spec.tag
     curves = []
     for t in cfg.times:
         curve = _density_curve(cfg, t)
-        path = out / f"density_{tag}_t{_fmt_t(t)}.csv"
-        path.write_text(curve.to_csv())
+        path = _write(cfg, f"density_{tag}_t{_fmt_t(t)}.csv", curve.to_csv())
         print(f"wrote {path} (mass={curve.mass:.6f})")
         curves.append((curve.xs, curve.ps, f"t={t:g}"))
     if cfg.svg:
-        svg_path = out / f"density_{tag}.svg"
-        svg_path.write_text(polyline_svg(curves, title=f"spectral density ({tag})"))
-        print(f"wrote {svg_path}")
+        path = _write(cfg, f"density_{tag}.svg",
+                      polyline_svg(curves, title=f"spectral density ({tag})"))
+        print(f"wrote {path}")
     return 0
 
 
 def cmd_support(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = cfg.spec.tag
-    lines = ["t,lo,hi"]
-    for t in cfg.times:
-        sup = cfg.spec.support(t)
-        lines.append(",".join("%.17g" % v for v in (t, sup.lo, sup.hi)))
-    path = out / f"support_{tag}.csv"
-    path.write_text("\n".join(lines) + "\n")
+    rows = [(t, sup.lo, sup.hi) for t, sup in zip(cfg.times, map(cfg.spec.support, cfg.times))]
+    path = _write(cfg, f"support_{cfg.spec.tag}.csv", cauchy.csv_table("t,lo,hi", rows))
     print(f"wrote {path}")
     return 0
 
 
 def cmd_moments(cfg: RunConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tag = cfg.spec.tag
-    lines = ["t,mean,second_moment,variance,std_over_mean"]
-    for t in cfg.times:
-        ms = moments.model_moments(cfg.spec, t)
-        ratio = ms.std_over_mean if ms.mean != 0 else math.nan
-        lines.append(",".join("%.17g" % v for v in
-                              (ms.t, ms.mean, ms.second_moment, ms.variance, ratio)))
-    path = out / f"moments_{tag}.csv"
-    path.write_text("\n".join(lines) + "\n")
+    rows = [(ms.t, ms.mean, ms.second_moment, ms.variance, ms.std_over_mean)
+            for ms in (moments.model_moments(cfg.spec, t) for t in cfg.times)]
+    path = _write(cfg, f"moments_{cfg.spec.tag}.csv", cauchy.csv_table(
+        "t,mean,second_moment,variance,std_over_mean", rows))
     print(f"wrote {path}")
     return 0
 
@@ -267,14 +243,12 @@ def cmd_compare(cfg: RunConfig) -> int:
     tag = cfg.spec.tag
     mc = cfg.mc
     sim = rmt.SimConfig(
-        N=_number(int, mc.get("N", 300), "mc N"),
-        dt=_number(float, mc.get("dt", 1e-3), "mc dt"),
-        t_end=_number(float, mc.get("t_end", max(cfg.times)), "mc t_end"),
-        n_paths=_number(int, mc.get("n_paths", 20), "mc n_paths"), seed=cfg.seed,
+        N=config_number(int, mc.get("N", 300), "mc N"),
+        dt=config_number(float, mc.get("dt", 1e-3), "mc dt"),
+        t_end=config_number(float, mc.get("t_end", max(cfg.times)), "mc t_end"),
+        n_paths=config_number(int, mc.get("n_paths", 20), "mc n_paths"), seed=cfg.seed,
         allow_near_blowup=_flag(mc.get("allow_near_blowup", False),
                                 "mc allow_near_blowup"))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     snapshot_times = [t for t in cfg.times if t > 0]
     has_transform = cfg.spec.cauchy is not None
     # invert first: a curve that fails its mass check costs no MC run
@@ -295,9 +269,8 @@ def cmd_compare(cfg: RunConfig) -> int:
             entry["kolmogorov"] = ks
             worst = max(worst, ks)
         report["snapshots"].append(entry)
-        (out / f"hist_{tag}_t{_fmt_t(t)}.csv").write_text(h.to_csv())
-    path = out / f"compare_{tag}.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write(cfg, f"hist_{tag}_t{_fmt_t(t)}.csv", h.to_csv())
+    path = _write(cfg, f"compare_{tag}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
     for entry in report["snapshots"]:
         ks = entry.get("kolmogorov")
@@ -461,22 +434,14 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     try:
-        cfg = _load_config(args)
-        if args.command == "density":
-            return cmd_density(cfg)
-        if args.command == "support":
-            return cmd_support(cfg)
-        if args.command == "moments":
-            return cmd_moments(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        return globals()[f"cmd_{args.command}"](_load_config(args))
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (FreeSdeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    return 2
 
 
 if __name__ == "__main__":

@@ -220,6 +220,20 @@ MODELS = {cls.tag: cls for cls in
           (OrnsteinUhlenbeck, GeometricBrownian1, GeometricBrownian2, Explosive)}
 
 
+def config_number(kind, value, what: str):
+    """kind(value) for a config or flag value; a boolean, a fractional value
+    for an int, or a malformed or non-finite value is a config error."""
+    try:
+        number = kind(value)
+        ok = (not isinstance(value, bool) and math.isfinite(number)
+              and (number == value or not isinstance(value, float)))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidConfig(f"{what} must be a finite {kind.__name__}, got {value!r}")
+    return number
+
+
 def model_from_json(d: dict) -> ModelSpec:
     """Parse {"model": tag, ...params}; unknown fields are rejected."""
     if not isinstance(d, dict) or "model" not in d:
@@ -235,13 +249,7 @@ def model_from_json(d: dict) -> ModelSpec:
     missing = [f for f in fields if f not in d]
     if missing:
         raise InvalidConfig(f"model '{tag}' missing fields: {missing}")
-    try:
-        params = {f: float(d[f]) for f in fields}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"bad parameter for model '{tag}': {exc}") from exc
-    if not all(map(math.isfinite, params.values())):
-        raise InvalidConfig(f"parameters of model '{tag}' must be finite: {params}")
-    return cls(**params)
+    return cls(**{f: config_number(float, d[f], f"{tag} {f}") for f in fields})
 
 
 def model_to_json(spec: ModelSpec) -> dict:

@@ -86,7 +86,8 @@ class MomentSequence:
 
     @property
     def std_over_mean(self) -> float:
-        return math.sqrt(max(self.variance, 0.0)) / self.mean
+        """Dispersion ratio; nan at a zero mean (ou), where it is undefined."""
+        return math.sqrt(max(self.variance, 0.0)) / self.mean if self.mean else math.nan
 
 
 def model_moments(spec: ModelSpec, t: float) -> MomentSequence:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .cauchy import DensityCurve
+from .cauchy import DensityCurve, csv_table
 from .errors import (
     EigenFail,
     EmptyHistogram,
@@ -344,8 +344,7 @@ class EigenHistogram:
 
     def to_csv(self) -> str:
         edges = self.bin_edges.tolist()
-        return "bin_lo,bin_hi,count\n" + "".join(map(
-            "%.17g,%.17g,%d\n".__mod__, zip(edges[:-1], edges[1:], self.counts.tolist())))
+        return csv_table("bin_lo,bin_hi,count", zip(edges[:-1], edges[1:], self.counts.tolist()))
 
 
 def _snapshot_steps(cfg: SimConfig, snapshot_times: Sequence[float]) -> list[int]:

@@ -49,3 +49,19 @@ def test_analytic_warmup_ops_pass_under_tracing(tmp_path):
     assert {"models.gbm_cauchy", "models.explosive_cauchy", "cauchy.invert"} <= names
     assert tracer.counts["models.gbm_newton_calls"] > 0
     assert models.gbm_cauchy.__name__ == "gbm_cauchy"  # the original is back
+
+
+def test_mc_compare_warmup_op_passes_its_check(tmp_path, monkeypatch):
+    # the compare check reads the histogram CSVs and the model records back
+    workload = ops.WORKLOADS["mc_small_serial"]
+    for key, value in workload.threads.items():
+        if value is None:
+            monkeypatch.delenv(key, raising=False)
+        else:
+            monkeypatch.setenv(key, value)
+    runner = ops.Runner(workload, tmp_path, 0, time.perf_counter)
+    (op,) = [op for op in workload.warmup if op.name == "compare gbm2"]
+    res = runner.run(op)
+    runner.check(op, res)
+    assert not res.failed, (op.name, res.exit_code, res.error, res.problems)
+    assert res.digest and "m2_relgap_max" in res.accuracy

@@ -387,6 +387,51 @@ class TestExitCodes:
         assert cli.main(["support", "--config", str(path)]) == 2
         assert "not a JSON object" in capsys.readouterr().err
 
+    NUMBER_RULE_BASE = {"model": "ou", "theta": -1.0, "sigma": 1.0, "times": [0.1],
+                        "seed": 3, "threshold": 1.0,
+                        "mc": {"N": 24, "dt": 0.05, "n_paths": 2}}
+
+    # A boolean was read as 0 or 1 and a fractional count was truncated:
+    # N = 24.9 ran with N = 24, n_paths = true with one path.
+    @pytest.mark.parametrize("key, value", [
+        ("mc", {"N": 24.9}), ("mc", {"n_paths": True}), ("seed", 1.5), ("theta", True),
+        ("times", [True, 2.0]), ("threshold", True),
+        ("grid", {"lo": -3.0, "hi": 3.0, "n": 40.5}),
+    ], ids=["mc.N", "mc.n_paths", "seed", "theta", "times", "threshold", "grid.n"])
+    def test_boolean_or_fractional_number_is_exit_2(self, tmp_path, capsys, key, value):
+        cfg = dict(self.NUMBER_RULE_BASE, out_dir=str(tmp_path / "o"))
+        cfg[key] = {**cfg[key], **value} if key == "mc" else value
+        assert cli.main(["compare", "--config", write_config(tmp_path, **cfg)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        cfg = dict(self.NUMBER_RULE_BASE, out_dir=str(tmp_path))
+        cfg["mc"] = dict(cfg["mc"], N=24.0)
+        assert cli.main(["compare", "--config", write_config(tmp_path, **cfg)]) == 0
+        report = json.loads((tmp_path / "compare_ou.json").read_text())
+        assert report["config"]["N"] == 24 and report["snapshots"][0]["n_samples"] == 48
+
+    # out_dir was made before any output existed, and left empty on failure
+    @pytest.mark.parametrize("command, fields", [
+        ("density", {"model": "gbm1", "theta": 0.0, "times": [20.0]}),
+        ("support", {"model": "explosive", "k": 1.0, "a": 1.0, "times": [0.5, 2.0]}),
+    ], ids=["density_gbm1_t20", "support_past_blowup"])
+    def test_failure_before_first_write_leaves_no_directory(self, tmp_path, capsys,
+                                                            command, fields):
+        cfgfile = write_config(tmp_path, out_dir=str(tmp_path / "o"), **fields)
+        assert cli.main([command, "--config", cfgfile]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_point_mass_has_no_grid(self, tmp_path, capsys):
+        # sigma = 0 keeps ou at its initial atom: a zero-width support
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=0.0, times=[1.0],
+                               out_dir=str(tmp_path / "o"))
+        assert cli.main(["density", "--config", cfgfile]) == 3
+        assert "has no strictly increasing grid" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command, fields", [
         ("support", {"model": "gbm1", "theta": 1e308, "times": [1.0]}),
         ("support", {"model": "explosive", "k": 1e-200, "a": 1e-200, "times": [1.0]}),
@@ -556,6 +601,36 @@ class TestCsvContract:
             "%.17g,%.17g,%d\n" % row for row in zip(self.EDGES, self.EDGES[1:], counts))
         assert hist.to_csv() == expected
         assert "\n0.33333333333333331,1e+308,2\n" in expected
+
+    TIMES = [0.0, 0.1 + 0.2, 1 / 3, 2.5]
+
+    def test_support_rows(self, tmp_path):
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0,
+                               times=self.TIMES, out_dir=str(tmp_path))
+        assert cli.main(["support", "--config", cfgfile]) == 0
+        sups = [md.OrnsteinUhlenbeck(-1.0, 1.0).support(t) for t in self.TIMES]
+        expected = "t,lo,hi\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % (t, s.lo, s.hi) for t, s in zip(self.TIMES, sups))
+        assert (tmp_path / "support_ou.csv").read_text() == expected
+        assert expected.startswith("t,lo,hi\n0,-0,0\n0.30000000000000004,")
+
+    @pytest.mark.parametrize("spec", [md.OrnsteinUhlenbeck(-1.0, 1.0), md.GeometricBrownian1(0.5)],
+                             ids=lambda spec: spec.tag)
+    def test_moments_rows(self, tmp_path, spec):
+        cfgfile = write_config(tmp_path, **md.model_to_json(spec), times=self.TIMES,
+                               out_dir=str(tmp_path))
+        assert cli.main(["moments", "--config", cfgfile]) == 0
+        rows = []
+        for t in self.TIMES:
+            mean, m2 = spec.moments(t)
+            var = m2 - mean ** 2
+            ratio = math.sqrt(max(var, 0.0)) / mean if mean else math.nan
+            rows.append((t, mean, m2, var, ratio))
+        expected = "t,mean,second_moment,variance,std_over_mean\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in rows)
+        assert (tmp_path / f"moments_{spec.tag}.csv").read_text() == expected
+        if spec.tag == "ou":
+            assert expected.endswith(",nan\n") and expected.count(",nan\n") == 4
 
 
 class TestSvgWriter:

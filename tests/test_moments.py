@@ -96,6 +96,12 @@ class TestModelMoments:
         assert ms.mean == 0.0
         assert abs(ms.second_moment - 1.0) < 1e-14  # semicircle radius 2
 
+    def test_zero_mean_ratio_is_nan(self):
+        # the ratio divided by the zero ou mean and raised ZeroDivisionError
+        ms = mo.model_moments(md.OrnsteinUhlenbeck(-1.0, 1.0), 1.0)
+        assert ms.mean == 0.0 and ms.variance > 0
+        assert math.isnan(ms.std_over_mean)
+
     def test_explosive_mean_constant(self):
         for t in (0.1, 0.5, 0.8):
             ms = mo.model_moments(md.Explosive(1.0, 1.0), t)
