@@ -6,8 +6,11 @@ flags override individual fields.  All emitted CSV uses 17-significant-digit
 decimals, LF line endings, and fixed field order, so identical configs
 produce byte-identical outputs.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 comparison threshold exceeded.
+Each ``cmd_*`` returns ``(exit code, {file name: text})`` and ``main`` alone
+writes them, after the command returns: a run that exits 2 or 3 writes nothing.
+
+Exit codes: 0 success, 2 configuration error (an unwritable ``out_dir`` too),
+3 numerical failure, 4 comparison threshold exceeded.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ _MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
     f.name for cls in models.MODELS.values() for f in dataclasses.fields(cls)))
 _RUN_KEYS = ("times", "grid", "out_dir", "svg", "seed", "mc", "threshold")
 _MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
+MAX_GRID_N = 10**6  # most points of a config grid: one such curve peaks near 200 MB
 
 
 def _flag(value, what: str) -> bool:
@@ -64,8 +68,8 @@ class RunConfig:
                 raise InvalidConfig(f"grid needs an object with lo/hi/n, got {self.grid!r}")
             lo, hi = (config_number(float, self.grid[k], f"grid {k}") for k in ("lo", "hi"))
             n = config_number(int, self.grid["n"], "grid n")
-            if n < 16:
-                raise InvalidConfig("grid needs at least 16 points")
+            if not 16 <= n <= MAX_GRID_N:
+                raise InvalidConfig(f"grid n must be in [16, {MAX_GRID_N}], got {n}")
             if not lo < hi:
                 raise InvalidConfig(f"grid needs lo < hi, got lo={lo}, hi={hi}")
             self.grid = {"lo": lo, "hi": hi, "n": n}
@@ -135,15 +139,6 @@ def _auto_grid(spec: models.ModelSpec, t: float) -> np.ndarray:
     return xs
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> Path:
-    """Write one output file; out_dir is created at the first write, so a
-    command that fails before it leaves no directory behind."""
-    path = Path(cfg.out_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    return path
-
-
 def _fmt_t(t: float) -> str:
     return ("%g" % t).replace(".", "p").replace("-", "m")
 
@@ -205,41 +200,36 @@ def _density_curve(cfg: RunConfig, t: float) -> cauchy.DensityCurve:
     return curve
 
 
-def cmd_density(cfg: RunConfig) -> int:
+def cmd_density(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     models.cauchy_evaluator(cfg.spec)  # refuses a model with no transform
     if any(t <= 0 for t in cfg.times):
         raise InvalidConfig("density requires strictly positive times")
     tag = cfg.spec.tag
-    curves = []
-    for t in cfg.times:
-        curve = _density_curve(cfg, t)
-        path = _write(cfg, f"density_{tag}_t{_fmt_t(t)}.csv", curve.to_csv())
-        print(f"wrote {path} (mass={curve.mass:.6f})")
-        curves.append((curve.xs, curve.ps, f"t={t:g}"))
+    curves = [_density_curve(cfg, t) for t in cfg.times]
+    files = {}
+    for t, curve in zip(cfg.times, curves):
+        print(f"  t={t:g}: mass={curve.mass:.6f}")
+        files[f"density_{tag}_t{_fmt_t(t)}.csv"] = curve.to_csv()
     if cfg.svg:
-        path = _write(cfg, f"density_{tag}.svg",
-                      polyline_svg(curves, title=f"spectral density ({tag})"))
-        print(f"wrote {path}")
-    return 0
+        files[f"density_{tag}.svg"] = polyline_svg(
+            [(c.xs, c.ps, f"t={t:g}") for t, c in zip(cfg.times, curves)],
+            title=f"spectral density ({tag})")
+    return 0, files
 
 
-def cmd_support(cfg: RunConfig) -> int:
+def cmd_support(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     rows = [(t, sup.lo, sup.hi) for t, sup in zip(cfg.times, map(cfg.spec.support, cfg.times))]
-    path = _write(cfg, f"support_{cfg.spec.tag}.csv", cauchy.csv_table("t,lo,hi", rows))
-    print(f"wrote {path}")
-    return 0
+    return 0, {f"support_{cfg.spec.tag}.csv": cauchy.csv_table("t,lo,hi", rows)}
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     rows = [(ms.t, ms.mean, ms.second_moment, ms.variance, ms.std_over_mean)
             for ms in (moments.model_moments(cfg.spec, t) for t in cfg.times)]
-    path = _write(cfg, f"moments_{cfg.spec.tag}.csv", cauchy.csv_table(
-        "t,mean,second_moment,variance,std_over_mean", rows))
-    print(f"wrote {path}")
-    return 0
+    return 0, {f"moments_{cfg.spec.tag}.csv": cauchy.csv_table(
+        "t,mean,second_moment,variance,std_over_mean", rows)}
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     tag = cfg.spec.tag
     mc = cfg.mc
     sim = rmt.SimConfig(
@@ -254,8 +244,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     # invert first: a curve that fails its mass check costs no MC run
     curves = [_density_curve(cfg, t) if has_transform else None for t in snapshot_times]
     hists = rmt.run_ensemble(cfg.spec, sim, snapshot_times)
-    report = {"model": models.model_to_json(cfg.spec), "config": sim.to_json(),
+    report = {"model": models.model_to_json(cfg.spec), "config": dataclasses.asdict(sim),
               "threshold": cfg.threshold, "snapshots": []}
+    files = {}
     worst = 0.0
     for t, h, curve in zip(snapshot_times, hists, curves):
         entry = {"t": t, "n_samples": h.n_samples}
@@ -269,9 +260,8 @@ def cmd_compare(cfg: RunConfig) -> int:
             entry["kolmogorov"] = ks
             worst = max(worst, ks)
         report["snapshots"].append(entry)
-        _write(cfg, f"hist_{tag}_t{_fmt_t(t)}.csv", h.to_csv())
-    path = _write(cfg, f"compare_{tag}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+        files[f"hist_{tag}_t{_fmt_t(t)}.csv"] = h.to_csv()
+    files[f"compare_{tag}.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
     for entry in report["snapshots"]:
         ks = entry.get("kolmogorov")
         print(f"  t={entry['t']:g}: " +
@@ -279,8 +269,8 @@ def cmd_compare(cfg: RunConfig) -> int:
               f"mean_gap={entry['mean_gap']:.4f}")
     if has_transform and worst > cfg.threshold:
         print(f"FAIL: worst Kolmogorov distance {worst:.4f} > {cfg.threshold}")
-        return 4
-    return 0
+        return 4, files
+    return 0, files
 
 
 def _selftest_checks():
@@ -434,8 +424,18 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         return cmd_selftest()
     try:
+        cfg = _load_config(args)
         # looked up at call time, so a rebound cmd_* is the one that runs
-        return globals()[f"cmd_{args.command}"](_load_config(args))
+        code, files = globals()[f"cmd_{args.command}"](cfg)
+        try:  # the one write site: nothing is written before the command returns
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+            for name, text in files.items():
+                path = Path(cfg.out_dir) / name
+                path.write_text(text)
+                print(f"wrote {path}")
+        except (OSError, ValueError) as exc:
+            raise InvalidConfig(f"cannot write out_dir {cfg.out_dir!r}: {exc}") from exc
+        return code
     except InvalidConfig as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -300,7 +300,7 @@ def ou_support(theta: float, sigma: float, t: float) -> SupportInterval:
     theta = 0, and saturating at sigma * sqrt(2/|theta|) for theta < 0.
     """
     r = 2.0 * math.sqrt(ou_variance(theta, sigma, t))
-    return SupportInterval(-r, r)
+    return SupportInterval(0.0 - r, r)  # +0.0, not -0.0, when r = 0
 
 
 def ou_cauchy(theta: float, sigma: float, t: float, z):

@@ -133,10 +133,6 @@ class SimConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
-    def to_json(self) -> dict:
-        return {"N": self.N, "dt": self.dt, "t_end": self.t_end,
-                "n_paths": self.n_paths, "seed": self.seed}
-
 
 def _on_grid(t: float, dt: float) -> bool:
     return abs(round(t / dt) * dt - t) <= 1e-9 * max(1.0, abs(t))

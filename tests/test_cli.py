@@ -205,12 +205,17 @@ class TestCompareCommand:
         assert snap["kolmogorov"] < 0.08
         assert (tmp_path / "hist_ou_t0p5.csv").exists()
 
-    def test_threshold_exceeded_exit_code(self, tmp_path):
+    def test_threshold_exceeded_exit_code(self, tmp_path, capsys):
         cfgfile = write_config(
-            tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.5],
-            out_dir=str(tmp_path), seed=11, threshold=1e-6,
+            tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.25, 0.5],
+            out_dir=str(tmp_path / "o"), seed=11, threshold=1e-6,
             mc={"N": 40, "dt": 5e-3, "n_paths": 2})
         assert cli.main(["compare", "--config", cfgfile]) == 4
+        # exit 4 still writes every file
+        names = ["hist_ou_t0p25.csv", "hist_ou_t0p5.csv", "compare_ou.json"]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted(names)
+        wrote = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")]
+        assert wrote == [f"wrote {tmp_path / 'o' / name}" for name in names]
 
     def test_gbm2_moment_gaps_only(self, tmp_path):
         cfgfile = write_config(
@@ -221,6 +226,19 @@ class TestCompareCommand:
         snap = report["snapshots"][0]
         assert "kolmogorov" not in snap
         assert snap["mean_gap"] < 0.1
+
+    # the report dropped allow_near_blowup, so it could not say whether the
+    # blow-up guard was lifted
+    @pytest.mark.parametrize("allow", [True, False])
+    def test_report_records_every_mc_setting(self, tmp_path, allow):
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.1], out_dir=str(tmp_path),
+            seed=2, threshold=1.0,
+            mc={"N": 8, "dt": 0.05, "n_paths": 2, "allow_near_blowup": allow})
+        assert cli.main(["compare", "--config", cfgfile]) == 0
+        report = json.loads((tmp_path / "compare_ou.json").read_text())
+        assert report["config"] == {"N": 8, "dt": 0.05, "t_end": 0.1, "n_paths": 2,
+                                    "seed": 2, "allow_near_blowup": allow}
 
     def test_seed_env_override(self, tmp_path, monkeypatch):
         cfgfile = write_config(
@@ -412,16 +430,41 @@ class TestExitCodes:
         report = json.loads((tmp_path / "compare_ou.json").read_text())
         assert report["config"]["N"] == 24 and report["snapshots"][0]["n_samples"] == 48
 
-    # out_dir was made before any output existed, and left empty on failure
+    # out_dir was made before any output existed, and left empty on failure;
+    # the curve at t = 1 was written before t = 20 failed
     @pytest.mark.parametrize("command, fields", [
         ("density", {"model": "gbm1", "theta": 0.0, "times": [20.0]}),
         ("support", {"model": "explosive", "k": 1.0, "a": 1.0, "times": [0.5, 2.0]}),
-    ], ids=["density_gbm1_t20", "support_past_blowup"])
+        ("density", {"model": "gbm1", "theta": 0.0, "times": [1.0, 20.0]}),
+    ], ids=["density_gbm1_t20", "support_past_blowup", "density_gbm1_t1_t20"])
     def test_failure_before_first_write_leaves_no_directory(self, tmp_path, capsys,
                                                             command, fields):
         cfgfile = write_config(tmp_path, out_dir=str(tmp_path / "o"), **fields)
         assert cli.main([command, "--config", cfgfile]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # mkdir raised FileExistsError, NotADirectoryError or ValueError: a
+    # traceback, exit 1
+    @pytest.mark.parametrize("out", ["blocker", "blocker/sub", "nul\0byte"],
+                             ids=["file", "below_file", "nul_byte"])
+    def test_unwritable_out_dir_is_exit_2(self, tmp_path, capsys, out):
+        (tmp_path / "blocker").write_text("keep")
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[1.0],
+                               out_dir=str(tmp_path) + "/" + out)
+        assert cli.main(["support", "--config", cfgfile]) == 2
+        assert "config error: cannot write" in capsys.readouterr().err
+        assert (tmp_path / "blocker").read_text() == "keep"
+
+    def test_oversized_grid_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("a grid was built for a refused config")
+        monkeypatch.setattr(cli, "_density_curve", spy)
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[1.0],
+                               grid={"lo": -3.0, "hi": 3.0, "n": cli.MAX_GRID_N + 1},
+                               out_dir=str(tmp_path / "o"))
+        assert cli.main(["density", "--config", cfgfile]) == 2
+        assert str(cli.MAX_GRID_N) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_point_mass_has_no_grid(self, tmp_path, capsys):
@@ -505,13 +548,17 @@ def _cli_runs(draw):
     for key in draw(st.lists(st.sampled_from(
             ["model", "theta", "times", "threshold", "svg"]), max_size=1)):
         flags += ["--svg"] if key == "svg" else [f"--{key}", str(draw(_BAD))]
-    return command, cfg, flags
+    return command, cfg, flags, draw(st.booleans())
 
 
-def _run_in_tmp(command, cfg, flags=()):
+def _run_in_tmp(command, cfg, flags=(), out_is_file=False):
+    """Run one command with out_dir inside a temporary directory; with
+    out_is_file a file already sits at out_dir, so no output can be written."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         cfg["out_dir"] = str(Path(tmp) / "out")
+        if out_is_file:
+            Path(cfg["out_dir"]).write_text("")
         path.write_text(json.dumps(cfg))
         return cli.main([command, "--config", str(path), *flags])
 
@@ -526,8 +573,8 @@ class TestContractProperty:
     @settings(max_examples=600, deadline=None, derandomize=True)
     @given(_cli_runs())
     def test_exit_code_is_in_contract(self, run):
-        command, cfg, flags = run
-        assert _run_in_tmp(command, cfg, flags) in (0, 2, 3, 4)
+        command, cfg, flags, out_is_file = run
+        assert _run_in_tmp(command, cfg, flags, out_is_file) in (0, 2, 3, 4)
 
     # The base configs must run, or the property above covers only exit 2.
     @settings(max_examples=100, deadline=None, derandomize=True)
@@ -612,7 +659,7 @@ class TestCsvContract:
         expected = "t,lo,hi\n" + "".join(
             "%.17g,%.17g,%.17g\n" % (t, s.lo, s.hi) for t, s in zip(self.TIMES, sups))
         assert (tmp_path / "support_ou.csv").read_text() == expected
-        assert expected.startswith("t,lo,hi\n0,-0,0\n0.30000000000000004,")
+        assert expected.startswith("t,lo,hi\n0,0,0\n0.30000000000000004,")
 
     @pytest.mark.parametrize("spec", [md.OrnsteinUhlenbeck(-1.0, 1.0), md.GeometricBrownian1(0.5)],
                              ids=lambda spec: spec.tag)

@@ -86,6 +86,9 @@ class TestOrnsteinUhlenbeck:
         assert abs(sup.lo + SQRT2) < 1e-6 and abs(sup.hi - SQRT2) < 1e-6
         sup = md.ou_support(1.0, 1.0, 0.0)
         assert sup.lo == sup.hi == 0.0
+        # -r with r = 0 gave a lower end of -0.0, which support wrote as "-0"
+        for sup in (sup, md.ou_support(1.0, 0.0, 1.0)):
+            assert math.copysign(1.0, sup.lo) == math.copysign(1.0, sup.hi) == 1.0
         # growing regime stays above the flat-drift radius
         assert md.ou_support(1.0, 1.0, 1.0).hi > 2.0
 
