@@ -266,11 +266,9 @@ def fokker_planck_residual(p_prev: DensityCurve, p_mid: DensityCurve,
     dt2 = p_next.t - p_mid.t
     if dt1 <= 0 or abs(dt2 - dt1) > 1e-9 * dt1:
         raise GridMismatch(f"times not equally spaced: {ts}")
-    _check_pv_grid(p_mid)
-    h = p_mid.step
     flux = p_mid.ps * (hilbert_transform_grid(p_mid) + np.asarray(drift(p_mid.xs), dtype=float))
     dp_dt = (p_next.ps - p_prev.ps) / (2.0 * dt1)
-    dflux_dx = (flux[2:] - flux[:-2]) / (2.0 * h)
+    dflux_dx = (flux[2:] - flux[:-2]) / (2.0 * p_mid.step)
     return dp_dt[1:-1] + dflux_dx
 
 

@@ -317,7 +317,6 @@ class CharacteristicSurface:
     entries beyond it are NaN.
     """
 
-    s_grid: np.ndarray
     t_grid: np.ndarray
     z: np.ndarray  # complex, shape (n_s, n_t)
     g: np.ndarray  # complex, shape (n_s, n_t)
@@ -341,11 +340,11 @@ def _mapped_zeros(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
-def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
+def integrate_characteristics(rhs: PdeRightHandSide, init, labels, t_end: float,
                               dt: float = 1e-3) -> CharacteristicSurface:
     """March every characteristic curve with classical fixed-step RK4.
 
-    ``init`` maps the label array to the initial pair (z(s,0), g(s,0)).
+    ``init`` maps the ``labels`` array to the initial pair (z(s,0), g(s,0)).
     All labels advance together (curves are independent, so the sweep is
     vectorized across them), each step written into one time-major row.
     A curve whose |z| or |g| passes ``BLOWUP_CUTOFF``, or that turns
@@ -353,12 +352,12 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
     """
     if dt <= 0 or t_end < 0:
         raise ValueError("need dt > 0 and t_end >= 0")
-    s_grid = np.asarray(s_grid, dtype=float)
-    z0, g0 = init(s_grid)
+    labels = np.asarray(labels, dtype=float)
+    z0, g0 = init(labels)
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     h = t_end / n_steps if n_steps else 0.0
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
-    n_s = s_grid.size
+    n_s = labels.size
     Z = _mapped_zeros((n_steps + 1, n_s), complex)
     G = _mapped_zeros((n_steps + 1, n_s), complex)
     Z[0], G[0] = z0, g0
@@ -399,8 +398,8 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, s_grid, t_end: float,
     truncated = trunc_index < n_steps
     for i in np.flatnonzero(truncated):
         Z[trunc_index[i] + 1:, i] = G[trunc_index[i] + 1:, i] = np.nan
-    return CharacteristicSurface(s_grid=s_grid, t_grid=t_grid, z=Z.T, g=G.T,
-                                 truncated=truncated, trunc_index=trunc_index)
+    return CharacteristicSurface(t_grid=t_grid, z=Z.T, g=G.T, truncated=truncated,
+                                 trunc_index=trunc_index)
 
 
 def evaluate_on_surface(surf: CharacteristicSurface, t: float, z: complex) -> complex:

@@ -9,6 +9,15 @@ produce byte-identical outputs.
 Each ``cmd_*`` returns ``(exit code, {file name: text})`` and ``main`` alone
 writes them, after the command returns: a run that exits 2 or 3 writes nothing.
 
+Config rules (each a configuration error): ``times`` strictly increase, and
+``density`` and ``compare`` need them positive; a ``grid``'s ``n`` nodes
+from ``lo`` to ``hi`` strictly increase in double precision; ``density`` and
+``compare`` hold at most ``MAX_GRID_N`` nodes summed over their times (the
+auto grid counts ``AUTO_GRID_N`` a time); ``out_dir`` is a string and
+``threshold`` is nonnegative.  A file name stamps t as ``%g`` where that
+reads back as t, else as its shortest round-trip repr, with ``.`` as ``p``
+and ``-`` as ``m``: distinct times never share a file.
+
 Exit codes: 0 success, 2 configuration error (an unwritable ``out_dir`` too),
 3 numerical failure, 4 comparison threshold exceeded.
 """
@@ -35,7 +44,8 @@ _MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
     f.name for cls in models.MODELS.values() for f in dataclasses.fields(cls)))
 _RUN_KEYS = ("times", "grid", "out_dir", "svg", "seed", "mc", "threshold")
 _MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
-MAX_GRID_N = 10**6  # most points of a config grid: one such curve peaks near 200 MB
+MAX_GRID_N = 10**6  # most nodes a run's curves hold: one such curve peaks near 200 MB
+AUTO_GRID_N = 1024  # nodes of the auto grid
 
 
 def _flag(value, what: str) -> bool:
@@ -49,7 +59,7 @@ def _flag(value, what: str) -> bool:
 class RunConfig:
     spec: models.ModelSpec
     times: list[float]
-    grid: dict | None = None  # {"lo","hi","n"} or None for auto
+    grid: dict | np.ndarray | None = None  # {"lo","hi","n"} in, its nodes out; None for auto
     out_dir: str = "."
     svg: bool = False
     seed: int = 0
@@ -61,8 +71,8 @@ class RunConfig:
             raise InvalidConfig("no times given")
         if any(t < 0 for t in self.times):
             raise InvalidConfig("times must be nonnegative")
-        if sorted(self.times) != list(self.times):
-            raise InvalidConfig("times must be sorted ascending")
+        if any(a >= b for a, b in zip(self.times, self.times[1:])):
+            raise InvalidConfig("times must be strictly increasing")
         if self.grid is not None:
             if not isinstance(self.grid, dict) or {"lo", "hi", "n"} - set(self.grid):
                 raise InvalidConfig(f"grid needs an object with lo/hi/n, got {self.grid!r}")
@@ -70,9 +80,15 @@ class RunConfig:
             n = config_number(int, self.grid["n"], "grid n")
             if not 16 <= n <= MAX_GRID_N:
                 raise InvalidConfig(f"grid n must be in [16, {MAX_GRID_N}], got {n}")
-            if not lo < hi:
-                raise InvalidConfig(f"grid needs lo < hi, got lo={lo}, hi={hi}")
-            self.grid = {"lo": lo, "hi": hi, "n": n}
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.grid = np.linspace(lo, hi, n)
+                if not np.all(np.diff(self.grid) > 0):
+                    raise InvalidConfig(f"grid needs lo < hi and n nodes that strictly increase "
+                                        f"in doubles, got lo={lo}, hi={hi}, n={n}")
+        if not isinstance(self.out_dir, str):
+            raise InvalidConfig(f"out_dir must be a string, got {self.out_dir!r}")
+        if not self.threshold >= 0:
+            raise InvalidConfig(f"threshold must be nonnegative, got {self.threshold}")
         if not isinstance(self.mc, dict):
             raise InvalidConfig("mc must be an object")
         unknown = set(self.mc) - set(_MC_KEYS)
@@ -112,7 +128,7 @@ def _load_config(args) -> RunConfig:
             else config_number(int, raw.get("seed", 0), "seed"))
     return RunConfig(spec=spec, times=[config_number(float, t, "time") for t in times],
                      grid=raw.get("grid"),
-                     out_dir=str(raw.get("out_dir", ".")),
+                     out_dir=raw.get("out_dir", "."),
                      svg=_flag(raw.get("svg", False), "svg"), seed=seed,
                      mc=raw.get("mc", {}),
                      threshold=config_number(float, raw.get("threshold", 0.08), "threshold"))
@@ -125,7 +141,7 @@ def _auto_grid(spec: models.ModelSpec, t: float) -> np.ndarray:
     any near-blow-up spikes live) and short uniform tails cover the 5%
     margins on each side, so vanishing outside the support stays visible.
     """
-    n, tail = 1024, 12
+    n, tail = AUTO_GRID_N, 12
     sup = spec.support(t)
     wide = sup.widened(0.05)
     phi = np.linspace(0.0, math.pi, n - 2 * tail)
@@ -140,7 +156,12 @@ def _auto_grid(spec: models.ModelSpec, t: float) -> np.ndarray:
 
 
 def _fmt_t(t: float) -> str:
-    return ("%g" % t).replace(".", "p").replace("-", "m")
+    """t for a file name: ``%g`` where it reads back as t, else the shortest
+    round-trip repr, so distinct times get distinct names."""
+    stamp = "%g" % t
+    if float(stamp) != t:
+        stamp = repr(t).removesuffix(".0")
+    return stamp.replace(".", "p").replace("-", "m")
 
 
 def polyline_svg(curves, title: str = "") -> str:
@@ -193,17 +214,26 @@ def _density_curve(cfg: RunConfig, t: float) -> cauchy.DensityCurve:
     offset eps leaves an O(sqrt(eps)) bias at square-root edges that no
     extrapolation removes.  The grid is the config's, else the auto grid.
     """
-    xs = (_auto_grid(cfg.spec, t) if cfg.grid is None
-          else np.linspace(cfg.grid["lo"], cfg.grid["hi"], cfg.grid["n"]))
+    xs = _auto_grid(cfg.spec, t) if cfg.grid is None else cfg.grid
     curve = cauchy.stieltjes_invert(cfg.spec.cauchy, t, xs, eps0=0.0)
     curve.assert_normalized()
     return curve
 
 
+def _check_curve_times(cfg: RunConfig) -> None:
+    """density and compare hold a curve per time until the run ends: every
+    time must be positive, and all the curves at most MAX_GRID_N nodes."""
+    if any(t <= 0 for t in cfg.times):
+        raise InvalidConfig("density and compare require strictly positive times")
+    n = AUTO_GRID_N if cfg.grid is None else cfg.grid.size
+    if len(cfg.times) * n > MAX_GRID_N:
+        raise InvalidConfig(f"{len(cfg.times)} times x {n} grid nodes exceed the "
+                            f"{MAX_GRID_N} nodes one run may hold")
+
+
 def cmd_density(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     models.cauchy_evaluator(cfg.spec)  # refuses a model with no transform
-    if any(t <= 0 for t in cfg.times):
-        raise InvalidConfig("density requires strictly positive times")
+    _check_curve_times(cfg)
     tag = cfg.spec.tag
     curves = [_density_curve(cfg, t) for t in cfg.times]
     files = {}
@@ -230,6 +260,7 @@ def cmd_moments(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 
 def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    _check_curve_times(cfg)
     tag = cfg.spec.tag
     mc = cfg.mc
     sim = rmt.SimConfig(
@@ -239,35 +270,29 @@ def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
         n_paths=config_number(int, mc.get("n_paths", 20), "mc n_paths"), seed=cfg.seed,
         allow_near_blowup=_flag(mc.get("allow_near_blowup", False),
                                 "mc allow_near_blowup"))
-    snapshot_times = [t for t in cfg.times if t > 0]
-    has_transform = cfg.spec.cauchy is not None
     # invert first: a curve that fails its mass check costs no MC run
-    curves = [_density_curve(cfg, t) if has_transform else None for t in snapshot_times]
-    hists = rmt.run_ensemble(cfg.spec, sim, snapshot_times)
+    curves = [_density_curve(cfg, t) if cfg.spec.cauchy is not None else None
+              for t in cfg.times]
+    hists = rmt.run_ensemble(cfg.spec, sim, cfg.times)
     report = {"model": models.model_to_json(cfg.spec), "config": dataclasses.asdict(sim),
               "threshold": cfg.threshold, "snapshots": []}
     files = {}
-    worst = 0.0
-    for t, h, curve in zip(snapshot_times, hists, curves):
-        entry = {"t": t, "n_samples": h.n_samples}
-        emp_mean = float(np.mean(h.samples))
-        emp_m2 = float(np.mean(h.samples ** 2))
+    worst = 0.0  # stays 0 with no transform, so gbm2 never exceeds the threshold
+    for t, h, curve in zip(cfg.times, hists, curves):
         ms = moments.model_moments(cfg.spec, t)
-        entry["mean_gap"] = abs(emp_mean - ms.mean)
-        entry["second_moment_gap"] = abs(emp_m2 - ms.second_moment)
+        entry = {"t": t, "n_samples": h.n_samples,
+                 "mean_gap": abs(float(np.mean(h.samples)) - ms.mean),
+                 "second_moment_gap": abs(float(np.mean(h.samples ** 2)) - ms.second_moment)}
+        line = f"  t={t:g}: "
         if curve is not None:
-            ks = rmt.kolmogorov_distance(h, curve)
-            entry["kolmogorov"] = ks
+            entry["kolmogorov"] = ks = rmt.kolmogorov_distance(h, curve)
             worst = max(worst, ks)
+            line += f"KS={ks:.4f} "
+        print(line + f"mean_gap={entry['mean_gap']:.4f}")
         report["snapshots"].append(entry)
         files[f"hist_{tag}_t{_fmt_t(t)}.csv"] = h.to_csv()
     files[f"compare_{tag}.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    for entry in report["snapshots"]:
-        ks = entry.get("kolmogorov")
-        print(f"  t={entry['t']:g}: " +
-              (f"KS={ks:.4f} " if ks is not None else "") +
-              f"mean_gap={entry['mean_gap']:.4f}")
-    if has_transform and worst > cfg.threshold:
+    if worst > cfg.threshold:
         print(f"FAIL: worst Kolmogorov distance {worst:.4f} > {cfg.threshold}")
         return 4, files
     return 0, files
@@ -275,18 +300,17 @@ def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 def _selftest_checks():
     rng = np.random.default_rng(20240901)
+    specs = (models.OrnsteinUhlenbeck(-1.0, 1.0), models.GeometricBrownian1(0.5),
+             models.Explosive(1.0, 1.0))
 
     def herglotz_decay():
-        for spec in (models.OrnsteinUhlenbeck(-1.0, 1.0),
-                     models.GeometricBrownian1(0.5),
-                     models.Explosive(1.0, 1.0)):
+        for spec in specs:
             ev = spec.cauchy
             t = 0.4
             z = rng.uniform(-3, 3, 40) + 1j * rng.uniform(1e-3, 10, 40)
             g = ev(t, z)
             assert np.all(np.asarray(g).imag > 0)
             assert abs(1e6j * ev(t, 1e6j) + 1) < 1e-4
-        return True
 
     def inversion():
         spec = models.Explosive(1.0, 1.0)
@@ -294,13 +318,11 @@ def _selftest_checks():
         ref = models.explosive_density(1.0, 1.0, 0.9, curve.xs)
         err = np.max(np.abs(curve.ps - ref))
         assert err < 1e-6, err
-        return True
 
     def catalan_identity():
         assert moments.catalan(10) == 16796
         for n in (2, 4, 6, 8, 10, 12):
             assert moments.verify_power_identity(n, 1.5) < 1e-12
-        return True
 
     def division_identity():
         poly = characteristics.Polynomial([3.0, -1.0, 2.0, 0.5])
@@ -311,21 +333,17 @@ def _selftest_checks():
         for j, ej in enumerate(e):
             recon = recon + ej * x ** j * (x - z)
         assert np.max(np.abs(recon - poly(x))) < 1e-12
-        return True
 
     def characteristics_closed_form():
         # each record's polynomials and moments, marched to t = 0.2, give its
         # closed-form transform on the curves
-        for spec in (models.OrnsteinUhlenbeck(-1.0, 1.0),
-                     models.GeometricBrownian1(0.5),
-                     models.Explosive(1.0, 1.0)):
+        for spec in specs:
             rhs = characteristics.build_pde(*spec.polynomials(), spec.moment_function())
             surf = characteristics.integrate_characteristics(
                 rhs, lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
                 np.linspace(-2.0, 4.0, 21), t_end=0.2)
             err = np.max(np.abs(surf.g[:, -1] - spec.cauchy(0.2, surf.z[:, -1])))
             assert err < 1e-8, (spec.tag, err)
-        return True
 
     def mc_determinism():
         spec = models.OrnsteinUhlenbeck(-1.0, 1.0)
@@ -333,7 +351,6 @@ def _selftest_checks():
         h1 = rmt.run_ensemble(spec, sim, [0.2])[0]
         h2 = rmt.run_ensemble(spec, sim, [0.2])[0]
         assert np.array_equal(h1.samples, h2.samples)
-        return True
 
     def csv_roundtrip():
         ev = models.OrnsteinUhlenbeck(-1.0, 1.0).cauchy
@@ -341,7 +358,6 @@ def _selftest_checks():
         curve = cauchy.stieltjes_invert(ev, 1.0, xs, eps0=1e-3)
         back = cauchy.DensityCurve.from_csv(curve.to_csv())
         assert np.array_equal(back.xs, curve.xs) and np.array_equal(back.ps, curve.ps)
-        return True
 
     return [("herglotz+decay", herglotz_decay), ("stieltjes inversion", inversion),
             ("catalan/power identity", catalan_identity),

@@ -437,11 +437,6 @@ def gbm2_moments(theta: float, t: float) -> tuple[float, float]:
     return math.exp(theta * t), 2.0 * math.exp(2.0 * (theta + 1.0) * t) - math.exp(2.0 * theta * t)
 
 
-def gbm2_std_over_mean(t: float) -> float:
-    """Ratio of standard deviation to mean: sqrt(2 (e^(2t) - 1)), theta-free."""
-    return math.sqrt(2.0 * math.expm1(2.0 * t))
-
-
 # -- Explosive model ---------------------------------------------------------
 
 def blowup_time(k: float, a: float) -> float:

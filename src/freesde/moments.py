@@ -22,20 +22,14 @@ from .models import ModelSpec
 
 CATALAN_MAX = 30
 
-_catalan_cache = [1]
-
 
 def catalan(k: int) -> int:
-    """k-th Catalan number by the convolution recurrence C_{n+1} = sum C_i C_{n-i}."""
+    """k-th Catalan number C_k = binom(2k, k) / (k + 1)."""
     if k < 0 or k != int(k):
         raise ValueError("order must be a nonnegative integer")
     if k > CATALAN_MAX:
         raise Overflow(f"Catalan order {k} > {CATALAN_MAX}")
-    while len(_catalan_cache) <= k:
-        n = len(_catalan_cache) - 1
-        _catalan_cache.append(
-            sum(_catalan_cache[i] * _catalan_cache[n - i] for i in range(n + 1)))
-    return _catalan_cache[k]
+    return math.comb(2 * k, k) // (k + 1)
 
 
 def wigner_moment(t: float, n: int) -> float:

@@ -183,8 +183,6 @@ def sample_wigner_increment(N: int, dt: float, rng, out: np.ndarray | None = Non
         stream.standard_normal(out=row)
     packed *= math.sqrt(dt / N)
     packed[..., diagonal] *= math.sqrt(2.0)
-    if out is None:
-        out = np.empty(lead + (N, N))
     return np.take(packed, gather, axis=-1, out=out, mode="clip")
 
 

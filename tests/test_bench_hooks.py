@@ -65,3 +65,12 @@ def test_mc_compare_warmup_op_passes_its_check(tmp_path, monkeypatch):
     runner.check(op, res)
     assert not res.failed, (op.name, res.exit_code, res.error, res.problems)
     assert res.digest and "m2_relgap_max" in res.accuracy
+
+
+def test_compare_file_stamps_match_the_bench_check():
+    # _check_compare opens hist_<model>_t<("%g" % t).replace(".", "p")>.csv
+    times = {t for w in ops.WORKLOADS.values() for op in w.ops + w.warmup + w.probes
+             if op.kind == "compare" for t in op.times}
+    assert times == {0.2, 0.4, 0.01, 0.002}
+    for t in times:
+        assert freesde.cli._fmt_t(t) == ("%g" % t).replace(".", "p")

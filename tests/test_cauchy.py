@@ -222,6 +222,22 @@ class TestFokkerPlanckResidual:
         with pytest.raises(GridMismatch):
             ca.fokker_planck_residual(prev, mid, nxt, Polynomial([0.0, -1.0]))
 
+    def test_grid_checked_once(self, monkeypatch):
+        # the residual checked the mid curve's grid, then its Hilbert transform again
+        calls = []
+        check = ca._check_pv_grid
+        monkeypatch.setattr(ca, "_check_pv_grid", lambda p: calls.append(p) or check(p))
+        prev, mid, nxt = self._ou_triplet(257)
+        ca.fokker_planck_residual(prev, mid, nxt, Polynomial([0.0, -1.0]))
+        assert len(calls) == 1 and calls[0] is mid
+
+    def test_nonuniform_grid_refused(self):
+        xs = np.sinh(np.linspace(-1.5, 1.5, 257))
+        prev, mid, nxt = (ca.DensityCurve.from_samples(xs, ca.semicircle_density(xs, 0.5), t=t)
+                          for t in (0.9, 1.0, 1.1))
+        with pytest.raises(ValueError, match="uniform grid"):
+            ca.fokker_planck_residual(prev, mid, nxt, Polynomial([0.0, -1.0]))
+
 
 class TestSemicircleClosedForms:
     def test_cdf_anchors(self):

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freesde import cauchy, cli, rmt
 from freesde import models as md
+from freesde.errors import GridTooCoarse
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -467,6 +468,74 @@ class TestExitCodes:
         assert str(cli.MAX_GRID_N) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # each grid passed lo < hi, then its nodes collapsed or overflowed and the
+    # inversion raised ValueError: a traceback, exit 1
+    @pytest.mark.parametrize("grid", [{"lo": 0.0, "hi": 5e-323, "n": 16},
+                                      {"lo": -1e308, "hi": 1e308, "n": 16},
+                                      {"lo": 1.0, "hi": 1.0000000000000002, "n": 16}],
+                             ids=["subnormal", "overflow", "one_ulp"])
+    def test_collapsed_grid_is_exit_2(self, tmp_path, capsys, grid):
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[1.0],
+                               grid=grid, out_dir=str(tmp_path / "o"))
+        assert cli.main(["density", "--config", cfgfile]) == 2
+        assert "strictly increase" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # null was written as the directory "None", and 5 as "5"
+    @pytest.mark.parametrize("out_dir", [None, 5], ids=["null", "number"])
+    def test_non_string_out_dir_is_exit_2(self, tmp_path, capsys, monkeypatch, out_dir):
+        monkeypatch.chdir(tmp_path)
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[1.0],
+                               out_dir=out_dir)
+        assert cli.main(["support", "--config", cfgfile]) == 2
+        assert "out_dir must be a string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    # gbm2 exited 0 and every model with a transform exited 4, whatever its distance
+    @pytest.mark.parametrize("model", [{"model": "gbm2", "theta": 0.0},
+                                       {"model": "ou", "theta": -1.0, "sigma": 1.0}],
+                             ids=["gbm2", "ou"])
+    def test_negative_threshold_is_exit_2(self, tmp_path, capsys, model):
+        cfgfile = write_config(tmp_path, times=[0.1], threshold=-1.0,
+                               out_dir=str(tmp_path / "o"),
+                               mc={"N": 8, "dt": 0.05, "n_paths": 2}, **model)
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "threshold must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # t = 0 was dropped from the snapshots without a word
+    def test_compare_time_zero_is_exit_2(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.0, 0.1],
+                               out_dir=str(tmp_path / "o"), threshold=1.0,
+                               mc={"N": 8, "dt": 0.05, "n_paths": 2})
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "strictly positive times" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # grid.n was bounded, but not the nodes summed over a run's times; at the
+    # bound the spy is reached (exit 3), one time more is refused before it
+    @pytest.mark.parametrize("command, grid", [
+        ("density", None), ("compare", None),
+        ("density", {"lo": -3.0, "hi": 3.0, "n": 9901}),
+        ("compare", {"lo": -3.0, "hi": 3.0, "n": 9901}),
+    ], ids=["density_auto", "compare_auto", "density_grid", "compare_grid"])
+    def test_total_grid_nodes_bounded(self, tmp_path, capsys, monkeypatch, command, grid):
+        def spy(*args, **kwargs):
+            raise GridTooCoarse("the spy stands in for the inversion")
+        monkeypatch.setattr(cli, "_density_curve", spy)
+        n = cli.AUTO_GRID_N if grid is None else grid["n"]
+        most = cli.MAX_GRID_N // n
+        for n_times, code in ((most, 3), (most + 1, 2)):
+            extra = {} if grid is None else {"grid": grid}
+            cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0,
+                                   times=[0.01 * (i + 1) for i in range(n_times)],
+                                   out_dir=str(tmp_path / "o"), threshold=1.0,
+                                   mc={"N": 4, "dt": 0.01, "n_paths": 1}, **extra)
+            assert cli.main([command, "--config", cfgfile]) == code
+            err = capsys.readouterr().err
+            assert ("spy" in err) if code == 3 else (str(cli.MAX_GRID_N) in err)
+        assert not (tmp_path / "o").exists()
+
     def test_point_mass_has_no_grid(self, tmp_path, capsys):
         # sigma = 0 keeps ou at its initial atom: a zero-width support
         cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=0.0, times=[1.0],
@@ -591,6 +660,35 @@ class TestSelftest:
         assert "all checks passed" in out
         assert "FAIL" not in out
         assert "PASS characteristics vs closed form" in out
+
+
+class TestFileStamps:
+    # "%g" named both files density_ou_t1.csv, so the second replaced the first
+    def test_distinct_times_get_distinct_files(self, tmp_path, capsys):
+        argv = ["density", "--model", "ou", "--theta", "-1", "--sigma", "1",
+                "--times", "1.0000001,1.0000002", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "density_ou_t1p0000001.csv", "density_ou_t1p0000002.csv"]
+
+    @pytest.mark.parametrize("times", ["1,1", "2,1"])
+    def test_times_not_strictly_increasing_is_exit_2(self, tmp_path, capsys, times):
+        argv = ["density", "--model", "ou", "--theta", "-1", "--sigma", "1",
+                "--times", times, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "strictly increasing" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("t", [0.2, 0.4, 0.01, 0.002, 0.25, 0.5, 1.0, 3.0, 1e-5, 1e6])
+    def test_stamp_is_g_where_g_is_exact(self, t):
+        assert cli._fmt_t(t) == ("%g" % t).replace(".", "p").replace("-", "m")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1e20), st.floats(0.0, 1e20))
+    @example(1.0000001, 1.0000002)
+    @example(1234567.0, 1234568.0)
+    def test_distinct_times_get_distinct_stamps(self, a, b):
+        assert (cli._fmt_t(a) == cli._fmt_t(b)) == (a == b)
 
 
 class TestRuntimeDependencies:

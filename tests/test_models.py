@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from freesde import cauchy as ca
 from freesde import models as md
 from freesde import rmt
+from freesde.moments import model_moments
 from freesde.errors import (
     InvalidConfig,
     PastBlowup,
@@ -313,9 +314,13 @@ class TestGeometricBrownian2:
         assert abs(second - 13.7781) < 1e-4
 
     def test_dispersion_ratio(self):
-        assert abs(md.gbm2_std_over_mean(1.0)
-                   - math.sqrt(2.0 * (math.e ** 2 - 1.0))) < 1e-12
-        assert abs(md.gbm2_std_over_mean(1.0) - 3.5746) < 1e-4
+        # the ratio the moments command writes is sqrt(2 (e^(2t) - 1)) for every theta
+        for theta in (-1.0, 0.0, 0.5, 2.0):
+            for t in (0.1, 1.0, 3.0):
+                ratio = model_moments(md.GeometricBrownian2(theta), t).std_over_mean
+                assert abs(ratio - math.sqrt(2.0 * math.expm1(2.0 * t))) <= 1e-12 * ratio
+            assert abs(model_moments(md.GeometricBrownian2(theta), 1.0).std_over_mean
+                       - 3.5746) < 1e-4
 
     def test_no_transform_available(self):
         with pytest.raises(InvalidConfig):
