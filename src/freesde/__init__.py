@@ -52,6 +52,7 @@ from .models import (
     explosive_density,
     explosive_support,
     gbm2_moments,
+    gbm_boundary,
     gbm_cauchy,
     gbm_support,
     model_from_json,

@@ -16,7 +16,14 @@ from ``lo`` to ``hi`` strictly increase in double precision; ``density`` and
 auto grid counts ``AUTO_GRID_N`` a time); ``out_dir`` is a string and
 ``threshold`` is nonnegative.  A file name stamps t as ``%g`` where that
 reads back as t, else as its shortest round-trip repr, with ``.`` as ``p``
-and ``-`` as ``m``: distinct times never share a file.
+and ``-`` as ``m``: distinct times never share a file.  Terminal lines and
+SVG legends label t by the same rule, with ``.`` and ``-`` kept.
+
+Without a config ``grid`` the model record gives the auto grid and the
+density on it (``ModelSpec.boundary``): ``AUTO_GRID_N`` nodes clustered at
+the support edges, with short uniform tails on 5% margins beside the
+support.  gbm1 reads both from its explicit boundary curve, with no Newton
+solve; its transform's Newton solve serves config grids alone.
 
 Exit codes: 0 success, 2 configuration error (an unwritable ``out_dir`` too),
 3 numerical failure, 4 comparison threshold exceeded.
@@ -28,7 +35,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -37,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cauchy, characteristics, models, moments, rmt
-from .errors import FreeSdeError, GridTooCoarse, InvalidConfig
+from .errors import FreeSdeError, InvalidConfig
 from .models import config_number
 
 _MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
@@ -134,34 +140,16 @@ def _load_config(args) -> RunConfig:
                      threshold=config_number(float, raw.get("threshold", 0.08), "threshold"))
 
 
-def _auto_grid(spec: models.ModelSpec, t: float) -> np.ndarray:
-    """Support widened by 5%, with 1024 nodes clustered at the support edges.
-
-    The cosine map runs over the support itself (where the sqrt edges and
-    any near-blow-up spikes live) and short uniform tails cover the 5%
-    margins on each side, so vanishing outside the support stays visible.
-    """
-    n, tail = AUTO_GRID_N, 12
-    sup = spec.support(t)
-    wide = sup.widened(0.05)
-    phi = np.linspace(0.0, math.pi, n - 2 * tail)
-    core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
-    left = np.linspace(wide.lo, sup.lo, tail, endpoint=False)
-    right = np.linspace(wide.hi, sup.hi, tail, endpoint=False)[::-1]
-    xs = np.concatenate([left, core, right])
-    if not np.all(np.diff(xs) > 0):
-        raise GridTooCoarse(
-            f"support [{sup.lo:g}, {sup.hi:g}] at t={t:g} has no strictly increasing grid")
-    return xs
+def _t_label(t: float) -> str:
+    """t as ``%g`` where that reads back as t, else its shortest round-trip
+    repr, so distinct times get distinct labels."""
+    label = "%g" % t
+    return label if float(label) == t else repr(t).removesuffix(".0")
 
 
 def _fmt_t(t: float) -> str:
-    """t for a file name: ``%g`` where it reads back as t, else the shortest
-    round-trip repr, so distinct times get distinct names."""
-    stamp = "%g" % t
-    if float(stamp) != t:
-        stamp = repr(t).removesuffix(".0")
-    return stamp.replace(".", "p").replace("-", "m")
+    """t for a file name: its label with ``.`` as ``p`` and ``-`` as ``m``."""
+    return _t_label(t).replace(".", "p").replace("-", "m")
 
 
 def polyline_svg(curves, title: str = "") -> str:
@@ -212,10 +200,14 @@ def _density_curve(cfg: RunConfig, t: float) -> cauchy.DensityCurve:
     Every transform the commands reach extends continuously to the real
     axis, so p = (1/pi) Im g(t, x) is read on the grid with no offset: an
     offset eps leaves an O(sqrt(eps)) bias at square-root edges that no
-    extrapolation removes.  The grid is the config's, else the auto grid.
+    extrapolation removes.  Without a config grid the record gives the
+    auto grid and the density on it (``ModelSpec.boundary``); both paths
+    share ``cauchy.clamped_curve`` and the mass check.
     """
-    xs = _auto_grid(cfg.spec, t) if cfg.grid is None else cfg.grid
-    curve = cauchy.stieltjes_invert(cfg.spec.cauchy, t, xs, eps0=0.0)
+    if cfg.grid is None:
+        curve = cauchy.clamped_curve(*cfg.spec.boundary(t, AUTO_GRID_N), t)
+    else:
+        curve = cauchy.stieltjes_invert(cfg.spec.cauchy, t, cfg.grid, eps0=0.0)
     curve.assert_normalized()
     return curve
 
@@ -238,11 +230,11 @@ def cmd_density(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     curves = [_density_curve(cfg, t) for t in cfg.times]
     files = {}
     for t, curve in zip(cfg.times, curves):
-        print(f"  t={t:g}: mass={curve.mass:.6f}")
+        print(f"  t={_t_label(t)}: mass={curve.mass:.6f}")
         files[f"density_{tag}_t{_fmt_t(t)}.csv"] = curve.to_csv()
     if cfg.svg:
         files[f"density_{tag}.svg"] = polyline_svg(
-            [(c.xs, c.ps, f"t={t:g}") for t, c in zip(cfg.times, curves)],
+            [(c.xs, c.ps, f"t={_t_label(t)}") for t, c in zip(cfg.times, curves)],
             title=f"spectral density ({tag})")
     return 0, files
 
@@ -283,7 +275,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
         entry = {"t": t, "n_samples": h.n_samples,
                  "mean_gap": abs(float(np.mean(h.samples)) - ms.mean),
                  "second_moment_gap": abs(float(np.mean(h.samples ** 2)) - ms.second_moment)}
-        line = f"  t={t:g}: "
+        line = f"  t={_t_label(t)}: "
         if curve is not None:
             entry["kolmogorov"] = ks = rmt.kolmogorov_distance(h, curve)
             worst = max(worst, ks)
@@ -318,6 +310,14 @@ def _selftest_checks():
         ref = models.explosive_density(1.0, 1.0, 0.9, curve.xs)
         err = np.max(np.abs(curve.ps - ref))
         assert err < 1e-6, err
+
+    def gbm1_curve_vs_newton():
+        spec = models.GeometricBrownian1(0.5)
+        xs, ps = spec.boundary(2.0, AUTO_GRID_N)
+        inner = ps > 0
+        ref = spec.cauchy(2.0, xs[inner] + 0j).imag / np.pi
+        err = np.max(np.abs(ps[inner] - ref))
+        assert err < 1e-7 * np.max(ps), err
 
     def catalan_identity():
         assert moments.catalan(10) == 16796
@@ -360,6 +360,7 @@ def _selftest_checks():
         assert np.array_equal(back.xs, curve.xs) and np.array_equal(back.ps, curve.ps)
 
     return [("herglotz+decay", herglotz_decay), ("stieltjes inversion", inversion),
+            ("gbm1 boundary curve vs Newton", gbm1_curve_vs_newton),
             ("catalan/power identity", catalan_identity),
             ("difference-quotient identity", division_identity),
             ("characteristics vs closed form", characteristics_closed_form),

@@ -19,10 +19,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .cauchy import SupportInterval, semicircle_cauchy
+from .cauchy import SupportInterval, semicircle_cauchy, stieltjes_invert
 from .characteristics import MomentFunction, Polynomial
 from .errors import (
     BranchViolation,
+    GridTooCoarse,
     InvalidConfig,
     NewtonDiverged,
     PastBlowup,
@@ -38,6 +39,9 @@ BLOWUP_GUARD = 1e-9
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
 
+# Uniform nodes of an auto grid on each 5% margin beside the support.
+AUTO_TAIL = 12
+
 
 class ModelSpec:
     """A model dX = a(X) dt + b(X) dW c(X): a frozen dataclass of its
@@ -47,7 +51,8 @@ class ModelSpec:
     the latest Monte Carlo t_end without ``allow_near_blowup``.
     ``moments(t)`` gives the mean and second moment, ``support(t)`` the
     spectral support, ``cauchy(t, z)`` the Cauchy transform (None where it
-    is not known), ``polynomials()`` the drift a(x) and noise product (b c)(x).
+    is not known), ``boundary(t, n)`` the n nodes of the auto grid at t and
+    the density on them, ``polynomials()`` the drift a(x) and noise product (b c)(x).
     ``euler_increment(x, dt, dw, m, t)`` writes x + a(x) dt + b(x) dw c(x)
     for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
     scratch, and returns gbm1's square-root clamp per matrix (else None);
@@ -66,6 +71,17 @@ class ModelSpec:
     def moment_function(self) -> MomentFunction:
         """Both moment orders as a (j, t) handle for the evolution equations."""
         return MomentFunction(lambda j, t: self.moments(t)[j - 1], jmax=2)
+
+    def boundary(self, t, n):
+        """A cosine map over the support, where the square-root edges and any
+        near-blow-up spikes live, inside ``_margin_grid``'s tails; the density
+        (1/pi) Im g(t, x) on it is read, and clamped, by ``stieltjes_invert``
+        at eps = 0."""
+        sup = self.support(t)
+        phi = np.linspace(0.0, math.pi, n - 2 * AUTO_TAIL)
+        core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
+        curve = stieltjes_invert(self.cauchy, t, _margin_grid(sup, core, t), eps0=0.0)
+        return curve.xs, curve.ps
 
 
 @dataclass(frozen=True)
@@ -131,6 +147,14 @@ class GeometricBrownian1(ModelSpec):
 
     def cauchy(self, t, z):
         return gbm_cauchy(self.theta, t, z)
+
+    def boundary(self, t, n):
+        """The explicit boundary curve (``gbm_boundary``), with no Newton
+        solve; g is real off the support, so the tails carry p = 0."""
+        core, p = gbm_boundary(self.theta, t, n - 2 * AUTO_TAIL)
+        pad = np.zeros(AUTO_TAIL)
+        xs = _margin_grid(SupportInterval(core[0], core[-1]), core, t)
+        return xs, np.concatenate([pad, p, pad])
 
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([0.0, 1.0])
@@ -214,6 +238,21 @@ class Explosive(ModelSpec):
         np.matmul(m, x, out=t)
         t *= self.k
         np.add(x, t, out=m)
+
+
+def _margin_grid(sup: SupportInterval, core: np.ndarray, t: float) -> np.ndarray:
+    """The ``core`` nodes on ``sup``, with ``AUTO_TAIL`` uniform nodes on
+    each 5% margin beside it, so vanishing outside the support stays
+    visible.  Nodes that collapse, overflow or underflow raise GridTooCoarse."""
+    wide = sup.widened(0.05)
+    with np.errstate(all="ignore"):
+        left = np.linspace(wide.lo, sup.lo, AUTO_TAIL, endpoint=False)
+        right = np.linspace(wide.hi, sup.hi, AUTO_TAIL, endpoint=False)[::-1]
+        xs = np.concatenate([left, core, right])
+        if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
+            raise GridTooCoarse(
+                f"support [{sup.lo:g}, {sup.hi:g}] at t={t:g} has no strictly increasing grid")
+    return xs
 
 
 MODELS = {cls.tag: cls for cls in
@@ -330,6 +369,45 @@ def gbm_support(theta: float, t: float) -> SupportInterval:
     ends = [r / (1.0 + r) * math.exp((theta - 1.0 - r) * t)
             for r in ((-1.0 + s) / 2.0, (-1.0 - s) / 2.0)]
     return SupportInterval(min(ends), max(ends))
+
+
+def gbm_boundary(theta: float, t: float, m: int):
+    """m nodes x over the support and the density p on them, from the
+    explicit boundary curve of ``gbm_cauchy``'s inverse map: no Newton solve.
+
+    On the support r = x g = u + i y has y > 0, and the inverse map
+    x = r/(1+r) e^((theta-1-r) t) is real where arg(r/(1+r)) = t y, which is
+    the curve u^2 + u + y^2 = y cot(t y).  Its roots u = (-1 +- sqrt(D))/2,
+    D = 1 - 4y^2 + 4y cot(t y), trace the lower (+) and upper (-) sides of
+    the support for y in (0, y*): D falls strictly on (0, pi/t), and y* is
+    its one root there, found by bisection.  The nodes are y = y* sin(phi)
+    at m equal steps of phi over [0, pi], the + root for phi < pi/2, so
+    x - x_edge ~ phi^2 at both edges, as for a cosine map, and the sides
+    join smoothly at y*.  Then x = |r/(1+r)| e^((theta-1-u) t) and
+    p = Im g / pi = y/(pi x); the end nodes are ``gbm_support``'s ends,
+    with p = 0.  Nodes that underflow or collapse are left for the caller's
+    grid check.
+    """
+    def disc(y, cot):
+        return 1.0 + 4.0 * y * (cot - y)
+
+    sup = gbm_support(theta, t)
+    lo, hi = 0.0, math.pi  # bisection on a = t y, where D > 0 at lo
+    while (a := 0.5 * (lo + hi)) not in (lo, hi):
+        if disc(a / t, 1.0 / math.tan(a)) > 0:
+            lo = a
+        else:
+            hi = a
+    phi = np.linspace(0.0, math.pi, m)[1:-1]
+    a = lo * np.sin(phi)
+    y = a / t
+    with np.errstate(all="ignore"):
+        root = np.sqrt(np.maximum(disc(y, 1.0 / np.tan(a)), 0.0))
+        u = 0.5 * (np.where(phi < 0.5 * math.pi, root, -root) - 1.0)
+        x = np.hypot(u, y) / np.hypot(1.0 + u, y) * np.exp((theta - 1.0 - u) * t)
+        p = y / (math.pi * x)
+    return (np.concatenate([[sup.lo], x, [sup.hi]]),
+            np.concatenate([[0.0], p, [0.0]]))
 
 
 def _gbm_newton(alpha: float, t: float, z):

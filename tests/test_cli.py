@@ -65,10 +65,10 @@ class TestDensityCommand:
         xs, ps = read_density(tmp_path / f"density_gbm1_t{t:g}.csv")
         assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
 
-    # A Newton continuation in time stalled at (2, 2.5), overflowed at
-    # (1, 6) and lost mass at (-1, 6).
-    @pytest.mark.parametrize("theta, t", [(2.0, 2.5), (1.0, 6.0), (-1.0, 6.0)])
-    def test_gbm1_reach(self, tmp_path, capsys, theta, t):
+    @staticmethod
+    def _gbm1_density_holds(tmp_path, capsys, theta, t):
+        """density gbm1 exits 0 with no RuntimeWarning, on AUTO_GRID_N strictly
+        increasing nodes, mass within 1e-3, m1 and m2 within 1e-4 relative."""
         argv = ["density", "--model", "gbm1", "--theta", str(theta),
                 "--times", str(t), "--out", str(tmp_path)]
         with warnings.catch_warnings(record=True) as caught:
@@ -78,10 +78,24 @@ class TestDensityCommand:
         assert "RuntimeWarning" not in capsys.readouterr().err
         stamp = ("%g" % t).replace(".", "p")
         xs, ps = read_density(tmp_path / f"density_gbm1_t{stamp}.csv")
+        assert xs.size == cli.AUTO_GRID_N and np.all(np.diff(xs) > 0)
         assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
         mean, second = md.GeometricBrownian1(theta).moments(t)
         assert abs(np.trapezoid(xs * ps, xs) / mean - 1.0) < 1e-4
         assert abs(np.trapezoid(xs * xs * ps, xs) / second - 1.0) < 1e-4
+
+    # A Newton continuation in time stalled at (2, 2.5), overflowed at
+    # (1, 6) and lost mass at (-1, 6).
+    @pytest.mark.parametrize("theta, t", [(2.0, 2.5), (1.0, 6.0), (-1.0, 6.0)])
+    def test_gbm1_reach(self, tmp_path, capsys, theta, t):
+        self._gbm1_density_holds(tmp_path, capsys, theta, t)
+
+    # Newton on the cosine grid lost 1.9% of the mass at t = 8 and did not
+    # converge at t = 20; the boundary curve reaches both.
+    @pytest.mark.parametrize("t", [8.0, 10.0, 20.0])
+    @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.5, 2.0])
+    def test_gbm1_reach_of_the_boundary_curve(self, tmp_path, capsys, theta, t):
+        self._gbm1_density_holds(tmp_path, capsys, theta, t)
 
     @pytest.mark.parametrize("t", [0.85, 0.9, 0.95])
     def test_explosive_near_blowup(self, tmp_path, t):
@@ -432,12 +446,12 @@ class TestExitCodes:
         assert report["config"]["N"] == 24 and report["snapshots"][0]["n_samples"] == 48
 
     # out_dir was made before any output existed, and left empty on failure;
-    # the curve at t = 1 was written before t = 20 failed
+    # the curve at t = 1 was written before t = 50 failed its mass check
     @pytest.mark.parametrize("command, fields", [
-        ("density", {"model": "gbm1", "theta": 0.0, "times": [20.0]}),
+        ("density", {"model": "gbm1", "theta": 0.0, "times": [50.0]}),
         ("support", {"model": "explosive", "k": 1.0, "a": 1.0, "times": [0.5, 2.0]}),
-        ("density", {"model": "gbm1", "theta": 0.0, "times": [1.0, 20.0]}),
-    ], ids=["density_gbm1_t20", "support_past_blowup", "density_gbm1_t1_t20"])
+        ("density", {"model": "gbm1", "theta": 0.0, "times": [1.0, 50.0]}),
+    ], ids=["density_gbm1_t50", "support_past_blowup", "density_gbm1_t1_t50"])
     def test_failure_before_first_write_leaves_no_directory(self, tmp_path, capsys,
                                                             command, fields):
         cfgfile = write_config(tmp_path, out_dir=str(tmp_path / "o"), **fields)
@@ -660,6 +674,7 @@ class TestSelftest:
         assert "all checks passed" in out
         assert "FAIL" not in out
         assert "PASS characteristics vs closed form" in out
+        assert "PASS gbm1 boundary curve vs Newton" in out
 
 
 class TestFileStamps:
@@ -670,6 +685,16 @@ class TestFileStamps:
         assert cli.main(argv) == 0
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "density_ou_t1p0000001.csv", "density_ou_t1p0000002.csv"]
+
+    # "%g" labelled both curves t=1, on the terminal and in the SVG legend
+    def test_distinct_times_get_distinct_labels(self, tmp_path, capsys):
+        argv = ["density", "--model", "ou", "--theta", "-1", "--sigma", "1",
+                "--times", "1.0000001,1.0000002", "--svg", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "t=1.0000001: mass=" in out and "t=1.0000002: mass=" in out
+        legend = re.findall(r">(t=[^<]*)</text>", (tmp_path / "density_ou.svg").read_text())
+        assert legend == ["t=1.0000001", "t=1.0000002"]
 
     @pytest.mark.parametrize("times", ["1,1", "2,1"])
     def test_times_not_strictly_increasing_is_exit_2(self, tmp_path, capsys, times):
