@@ -152,7 +152,9 @@ def stieltjes_invert(g: Callable, t: float, xs, eps0: float = 1e-3) -> DensityCu
     extrapolates the eps -> 0 limit (2*p(eps/2) - p(eps)), which removes the
     O(eps) bias.  With ``eps0 = 0`` the boundary values g(t, x) are used
     directly, for transforms that extend continuously to the real axis.
-    The samples become a curve through ``clamped_curve``.
+    Negative extrapolated values are clamped to zero and counted; if the
+    clamped mass exceeds ``CLAMP_MASS_TOL`` the curve is rejected, since
+    systematically negative density signals a wrong transform branch.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0):
@@ -165,16 +167,6 @@ def stieltjes_invert(g: Callable, t: float, xs, eps0: float = 1e-3) -> DensityCu
         p_full = np.asarray(g(t, xs + 1j * eps0)).imag / np.pi
         p_half = np.asarray(g(t, xs + 0.5j * eps0)).imag / np.pi
         p = 2.0 * p_half - p_full
-    return clamped_curve(xs, p, t)
-
-
-def clamped_curve(xs: np.ndarray, p: np.ndarray, t: float | None = None) -> DensityCurve:
-    """The density curve of the samples ``p`` on the grid ``xs``.
-
-    Negative samples are clamped to zero and counted; if the clamped mass
-    exceeds ``CLAMP_MASS_TOL`` the curve is rejected, since systematically
-    negative density signals a wrong transform branch.
-    """
     neg = p < 0
     clamped_points = int(np.count_nonzero(neg))
     clamped_mass = float(np.trapezoid(np.where(neg, -p, 0.0), xs))

@@ -44,14 +44,13 @@ import numpy as np
 
 from . import cauchy, characteristics, models, moments, rmt
 from .errors import FreeSdeError, InvalidConfig
-from .models import config_number
+from .models import AUTO_GRID_N, config_number
 
 _MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
     f.name for cls in models.MODELS.values() for f in dataclasses.fields(cls)))
 _RUN_KEYS = ("times", "grid", "out_dir", "svg", "seed", "mc", "threshold")
 _MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
 MAX_GRID_N = 10**6  # most nodes a run's curves hold: one such curve peaks near 200 MB
-AUTO_GRID_N = 1024  # nodes of the auto grid
 
 
 def _flag(value, what: str) -> bool:
@@ -202,10 +201,10 @@ def _density_curve(cfg: RunConfig, t: float) -> cauchy.DensityCurve:
     offset eps leaves an O(sqrt(eps)) bias at square-root edges that no
     extrapolation removes.  Without a config grid the record gives the
     auto grid and the density on it (``ModelSpec.boundary``); both paths
-    share ``cauchy.clamped_curve`` and the mass check.
+    face the mass check.
     """
     if cfg.grid is None:
-        curve = cauchy.clamped_curve(*cfg.spec.boundary(t, AUTO_GRID_N), t)
+        curve = cfg.spec.boundary(t)
     else:
         curve = cauchy.stieltjes_invert(cfg.spec.cauchy, t, cfg.grid, eps0=0.0)
     curve.assert_normalized()
@@ -313,11 +312,11 @@ def _selftest_checks():
 
     def gbm1_curve_vs_newton():
         spec = models.GeometricBrownian1(0.5)
-        xs, ps = spec.boundary(2.0, AUTO_GRID_N)
-        inner = ps > 0
-        ref = spec.cauchy(2.0, xs[inner] + 0j).imag / np.pi
-        err = np.max(np.abs(ps[inner] - ref))
-        assert err < 1e-7 * np.max(ps), err
+        curve = spec.boundary(2.0)
+        inner = curve.ps > 0
+        ref = spec.cauchy(2.0, curve.xs[inner] + 0j).imag / np.pi
+        err = np.max(np.abs(curve.ps[inner] - ref))
+        assert err < 1e-7 * np.max(curve.ps), err
 
     def catalan_identity():
         assert moments.catalan(10) == 16796

@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .cauchy import SupportInterval, semicircle_cauchy, stieltjes_invert
+from .cauchy import DensityCurve, SupportInterval, semicircle_cauchy, stieltjes_invert
 from .characteristics import MomentFunction, Polynomial
 from .errors import (
     BranchViolation,
@@ -39,7 +39,9 @@ BLOWUP_GUARD = 1e-9
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
 
-# Uniform nodes of an auto grid on each 5% margin beside the support.
+# Nodes of the auto grid, and its uniform nodes on each 5% margin beside
+# the support.
+AUTO_GRID_N = 1024
 AUTO_TAIL = 12
 
 
@@ -51,8 +53,8 @@ class ModelSpec:
     the latest Monte Carlo t_end without ``allow_near_blowup``.
     ``moments(t)`` gives the mean and second moment, ``support(t)`` the
     spectral support, ``cauchy(t, z)`` the Cauchy transform (None where it
-    is not known), ``boundary(t, n)`` the n nodes of the auto grid at t and
-    the density on them, ``polynomials()`` the drift a(x) and noise product (b c)(x).
+    is not known), ``boundary(t)`` the density curve on the ``AUTO_GRID_N``
+    nodes of the auto grid at t, ``polynomials()`` the drift a(x) and noise product (b c)(x).
     ``euler_increment(x, dt, dw, m, t)`` writes x + a(x) dt + b(x) dw c(x)
     for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
     scratch, and returns gbm1's square-root clamp per matrix (else None);
@@ -72,16 +74,14 @@ class ModelSpec:
         """Both moment orders as a (j, t) handle for the evolution equations."""
         return MomentFunction(lambda j, t: self.moments(t)[j - 1], jmax=2)
 
-    def boundary(self, t, n):
+    def boundary(self, t) -> DensityCurve:
         """A cosine map over the support, where the square-root edges and any
         near-blow-up spikes live, inside ``_margin_grid``'s tails; the density
-        (1/pi) Im g(t, x) on it is read, and clamped, by ``stieltjes_invert``
-        at eps = 0."""
+        (1/pi) Im g(t, x) on it is read by ``stieltjes_invert`` at eps = 0."""
         sup = self.support(t)
-        phi = np.linspace(0.0, math.pi, n - 2 * AUTO_TAIL)
+        phi = np.linspace(0.0, math.pi, AUTO_GRID_N - 2 * AUTO_TAIL)
         core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
-        curve = stieltjes_invert(self.cauchy, t, _margin_grid(sup, core, t), eps0=0.0)
-        return curve.xs, curve.ps
+        return stieltjes_invert(self.cauchy, t, _margin_grid(sup, core, t), eps0=0.0)
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,14 @@ class GeometricBrownian1(ModelSpec):
     def cauchy(self, t, z):
         return gbm_cauchy(self.theta, t, z)
 
-    def boundary(self, t, n):
+    def boundary(self, t) -> DensityCurve:
         """The explicit boundary curve (``gbm_boundary``), with no Newton
-        solve; g is real off the support, so the tails carry p = 0."""
-        core, p = gbm_boundary(self.theta, t, n - 2 * AUTO_TAIL)
+        solve; g is real off the support, so the tails carry p = 0.  Every
+        p = y/(pi x) is positive, so nothing is clamped."""
+        core, p = gbm_boundary(self.theta, t)
         pad = np.zeros(AUTO_TAIL)
         xs = _margin_grid(SupportInterval(core[0], core[-1]), core, t)
-        return xs, np.concatenate([pad, p, pad])
+        return DensityCurve.from_samples(xs, np.concatenate([pad, p, pad]), t=t)
 
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([0.0, 1.0])
@@ -371,9 +372,10 @@ def gbm_support(theta: float, t: float) -> SupportInterval:
     return SupportInterval(min(ends), max(ends))
 
 
-def gbm_boundary(theta: float, t: float, m: int):
-    """m nodes x over the support and the density p on them, from the
-    explicit boundary curve of ``gbm_cauchy``'s inverse map: no Newton solve.
+def gbm_boundary(theta: float, t: float):
+    """The auto grid's ``AUTO_GRID_N - 2 AUTO_TAIL`` nodes x over the
+    support and the density p on them, from the explicit boundary curve of
+    ``gbm_cauchy``'s inverse map: no Newton solve.
 
     On the support r = x g = u + i y has y > 0, and the inverse map
     x = r/(1+r) e^((theta-1-r) t) is real where arg(r/(1+r)) = t y, which is
@@ -381,7 +383,7 @@ def gbm_boundary(theta: float, t: float, m: int):
     D = 1 - 4y^2 + 4y cot(t y), trace the lower (+) and upper (-) sides of
     the support for y in (0, y*): D falls strictly on (0, pi/t), and y* is
     its one root there, found by bisection.  The nodes are y = y* sin(phi)
-    at m equal steps of phi over [0, pi], the + root for phi < pi/2, so
+    at equal steps of phi over [0, pi], the + root for phi < pi/2, so
     x - x_edge ~ phi^2 at both edges, as for a cosine map, and the sides
     join smoothly at y*.  Then x = |r/(1+r)| e^((theta-1-u) t) and
     p = Im g / pi = y/(pi x); the end nodes are ``gbm_support``'s ends,
@@ -398,7 +400,7 @@ def gbm_boundary(theta: float, t: float, m: int):
             lo = a
         else:
             hi = a
-    phi = np.linspace(0.0, math.pi, m)[1:-1]
+    phi = np.linspace(0.0, math.pi, AUTO_GRID_N - 2 * AUTO_TAIL)[1:-1]
     a = lo * np.sin(phi)
     y = a / t
     with np.errstate(all="ignore"):

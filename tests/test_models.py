@@ -309,7 +309,9 @@ class TestGeometricBrownian1Property:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @example(0.5, 6.0)
     def test_boundary_curve_matches_newton(self, theta, t):
-        xs, ps = md.GeometricBrownian1(theta).boundary(t, 1024)
+        curve = md.GeometricBrownian1(theta).boundary(t)
+        xs, ps = curve.xs, curve.ps
+        assert xs.size == md.AUTO_GRID_N
         inner = np.flatnonzero(ps > 0)
         ref = md.gbm_cauchy(theta, t, xs[inner] + 0j).imag / math.pi
         assert np.max(np.abs(ps[inner] - ref)) <= 1e-7 * np.max(ps)
