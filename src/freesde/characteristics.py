@@ -63,14 +63,11 @@ class Polynomial:
         return not self.coeffs
 
     def __call__(self, x):
+        """The value at x, an array of x's shape and (at least float) dtype."""
         x = np.asarray(x)
-        dtype = np.result_type(x.dtype, float)
-        if self.is_zero:
-            return np.zeros(x.shape, dtype=dtype)
-        acc = np.full(x.shape, self.coeffs[-1], dtype=dtype)
-        for c in self.coeffs[-2::-1]:
-            acc = acc * x + c
-        return acc
+        out = np.empty(x.shape, dtype=np.result_type(x.dtype, float))
+        out[...] = _horner(self.coeffs, x)
+        return out
 
 
 def _synthetic_divide(coeffs: Sequence, z):

@@ -9,12 +9,15 @@ produce byte-identical outputs.
 Each ``cmd_*`` returns ``(exit code, {file name: text})`` and ``main`` alone
 writes them, after the command returns: a run that exits 2 or 3 writes nothing.
 
-Config rules (each a configuration error): ``times`` strictly increase, and
-``density`` and ``compare`` need them positive; a ``grid``'s ``n`` nodes
-from ``lo`` to ``hi`` strictly increase in double precision; ``density`` and
-``compare`` hold at most ``MAX_GRID_N`` nodes summed over their times (the
-auto grid counts ``AUTO_GRID_N`` a time); ``out_dir`` is a string and
-``threshold`` is nonnegative.  A file name stamps t as ``%g`` where that
+Config rules (each a configuration error): the file can be read, decoded
+and parsed; each config object (the top level, the model fields, ``grid``
+and ``mc``) holds only its own fields, by ``models.config_object``;
+``times`` strictly increase, and ``density`` and ``compare`` need them
+positive; a ``grid``'s ``n`` nodes from ``lo`` to ``hi`` strictly increase
+in double precision; ``density`` and ``compare`` hold at most
+``MAX_GRID_N`` nodes summed over their times (the auto grid counts
+``AUTO_GRID_N`` a time); ``out_dir`` is a string and ``threshold`` is
+nonnegative.  A file name stamps t as ``%g`` where that
 reads back as t, else as its shortest round-trip repr, with ``.`` as ``p``
 and ``-`` as ``m``: distinct times never share a file.  Terminal lines and
 SVG legends label t by the same rule, with ``.`` and ``-`` kept.
@@ -23,7 +26,8 @@ Without a config ``grid`` the model record gives the auto grid and the
 density on it (``ModelSpec.boundary``): ``AUTO_GRID_N`` nodes clustered at
 the support edges, with short uniform tails on 5% margins beside the
 support.  gbm1 reads both from its explicit boundary curve, with no Newton
-solve; its transform's Newton solve serves config grids alone.
+solve; its transform's Newton solve serves config grids alone, and does
+not reach as far in t (exit 3 where points do not converge).
 
 Exit codes: 0 success, 2 configuration error (an unwritable ``out_dir`` too),
 3 numerical failure, 4 comparison threshold exceeded.
@@ -44,12 +48,11 @@ import numpy as np
 
 from . import cauchy, characteristics, models, moments, rmt
 from .errors import FreeSdeError, InvalidConfig
-from .models import AUTO_GRID_N, config_number
+from .models import AUTO_GRID_N, MODEL_KEYS, config_number, config_object
 
-_MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
-    f.name for cls in models.MODELS.values() for f in dataclasses.fields(cls)))
 _RUN_KEYS = ("times", "grid", "out_dir", "svg", "seed", "mc", "threshold")
-_MC_KEYS = ("N", "dt", "t_end", "n_paths", "allow_near_blowup")
+_MC_KEYS = tuple(f.name for f in dataclasses.fields(rmt.SimConfig) if f.name != "seed")
+_GRID_KEYS = ("lo", "hi", "n")
 MAX_GRID_N = 10**6  # most nodes a run's curves hold: one such curve peaks near 200 MB
 
 
@@ -79,8 +82,7 @@ class RunConfig:
         if any(a >= b for a, b in zip(self.times, self.times[1:])):
             raise InvalidConfig("times must be strictly increasing")
         if self.grid is not None:
-            if not isinstance(self.grid, dict) or {"lo", "hi", "n"} - set(self.grid):
-                raise InvalidConfig(f"grid needs an object with lo/hi/n, got {self.grid!r}")
+            config_object(self.grid, _GRID_KEYS, "grid", required=_GRID_KEYS)
             lo, hi = (config_number(float, self.grid[k], f"grid {k}") for k in ("lo", "hi"))
             n = config_number(int, self.grid["n"], "grid n")
             if not 16 <= n <= MAX_GRID_N:
@@ -94,34 +96,22 @@ class RunConfig:
             raise InvalidConfig(f"out_dir must be a string, got {self.out_dir!r}")
         if not self.threshold >= 0:
             raise InvalidConfig(f"threshold must be nonnegative, got {self.threshold}")
-        if not isinstance(self.mc, dict):
-            raise InvalidConfig("mc must be an object")
-        unknown = set(self.mc) - set(_MC_KEYS)
-        if unknown:
-            raise InvalidConfig(f"unknown mc fields {sorted(unknown)}; "
-                                f"allowed: {', '.join(_MC_KEYS)}")
+        config_object(self.mc, _MC_KEYS, "mc")
 
 
 def _load_config(args) -> RunConfig:
     raw: dict = {}
     if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        try:  # bad UTF-8 and over-long int literals are ValueErrors; deep nesting recurses
+            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError, RecursionError) as exc:
             raise InvalidConfig(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InvalidConfig(f"config {args.config} is not a JSON object")
-        unknown = set(raw) - set(_MODEL_KEYS) - set(_RUN_KEYS)
-        if unknown:
-            raise InvalidConfig(f"unknown config fields: {sorted(unknown)}")
-    for key in _MODEL_KEYS + _RUN_KEYS:
+        config_object(raw, MODEL_KEYS + _RUN_KEYS, f"config {args.config}")
+    for key in MODEL_KEYS + _RUN_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    model_part = {k: raw[k] for k in _MODEL_KEYS if k in raw}
-    if "model" not in model_part:
-        raise InvalidConfig("no model given (config file or --model)")
-    spec = models.model_from_json(model_part)
+    spec = models.model_from_json({k: raw[k] for k in MODEL_KEYS if k in raw})
     times = raw.get("times")
     if isinstance(times, str):
         times = [v for v in times.split(",") if v]
@@ -393,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--model", choices=list(models.MODELS))
-        for key in _MODEL_KEYS[1:]:
+        for key in MODEL_KEYS[1:]:
             p.add_argument(f"--{key}", type=float)
         p.add_argument("--times", help="comma-separated times")
         p.add_argument("--out", dest="out_dir")

@@ -258,6 +258,9 @@ def _margin_grid(sup: SupportInterval, core: np.ndarray, t: float) -> np.ndarray
 
 MODELS = {cls.tag: cls for cls in
           (OrnsteinUhlenbeck, GeometricBrownian1, GeometricBrownian2, Explosive)}
+# the tag and every model's parameters, each once, in record order
+MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
+    f.name for cls in MODELS.values() for f in dataclasses.fields(cls)))
 
 
 def config_number(kind, value, what: str):
@@ -274,21 +277,29 @@ def config_number(kind, value, what: str):
     return number
 
 
+def config_object(value, fields, what: str, required=()) -> dict:
+    """value as a config object: a dict of ``fields`` alone that holds every
+    ``required`` one; anything else is a config error."""
+    if not isinstance(value, dict):
+        raise InvalidConfig(f"{what} is not a JSON object, got {type(value).__name__}")
+    unknown = set(value) - set(fields)
+    if unknown:
+        raise InvalidConfig(f"unknown {what} fields {sorted(unknown)}; "
+                            f"allowed: {', '.join(fields)}")
+    missing = [f for f in required if f not in value]
+    if missing:
+        raise InvalidConfig(f"{what} needs fields {missing}")
+    return value
+
+
 def model_from_json(d: dict) -> ModelSpec:
-    """Parse {"model": tag, ...params}; unknown fields are rejected."""
-    if not isinstance(d, dict) or "model" not in d:
-        raise InvalidConfig("model object needs a 'model' tag")
-    tag = d["model"]
+    """Parse {"model": tag, ...params}; unknown and missing fields are rejected."""
+    tag = config_object(d, MODEL_KEYS, "model", required=("model",))["model"]
     cls = MODELS.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise InvalidConfig(f"unknown model '{tag}' (expected one of {sorted(MODELS)})")
     fields = [f.name for f in dataclasses.fields(cls)]
-    extra = set(d) - {"model", *fields}
-    if extra:
-        raise InvalidConfig(f"unknown fields for model '{tag}': {sorted(extra)}")
-    missing = [f for f in fields if f not in d]
-    if missing:
-        raise InvalidConfig(f"model '{tag}' missing fields: {missing}")
+    config_object(d, ("model", *fields), f"model '{tag}'", required=fields)
     return cls(**{f: config_number(float, d[f], f"{tag} {f}") for f in fields})
 
 

@@ -420,6 +420,62 @@ class TestExitCodes:
         assert cli.main(["support", "--config", str(path)]) == 2
         assert "not a JSON object" in capsys.readouterr().err
 
+    # bytes that are not UTF-8, an int literal past Python's int-string limit
+    # and nesting past the recursion limit each ended in a traceback, exit 1
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"model": "ou"}',
+        b'{"model": "ou", "theta": ' + b"9" * 5000 + b"}",
+        b"[" * 200_000 + b"]" * 200_000,
+    ], ids=["not_utf8", "long_int", "deep_nesting"])
+    def test_unreadable_config_is_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        argv = ["density", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    # a grid field other than lo, hi and n was accepted and ignored
+    def test_unknown_grid_key_is_exit_2(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[1.0],
+                               out_dir=str(tmp_path / "o"),
+                               grid={"lo": -3.0, "hi": 3.0, "n": 2048, "spacing": "cosine"})
+        assert cli.main(["density", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert "spacing" in err and "lo, hi, n" in err
+        assert not (tmp_path / "o").exists()
+
+    # a config grid sends gbm1 through Newton, which does not converge at
+    # every node at t = 20 (the auto grid reads the boundary curve there)
+    def test_newton_divergence_is_exit_3(self, tmp_path, capsys):
+        cfgfile = write_config(tmp_path, model="gbm1", theta=0.0, times=[20.0],
+                               grid={"lo": 0.5, "hi": 57.0, "n": 1024},
+                               out_dir=str(tmp_path / "o"))
+        assert cli.main(["density", "--config", cfgfile]) == 3
+        assert "points did not converge at t=20" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_root_off_the_branch_domain_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        def off_domain(alpha, t, z):  # Im s < t Im w
+            return np.full(z.shape, -1j), np.zeros(z.shape, complex), np.ones(z.shape, bool)
+        monkeypatch.setattr(md, "_gbm_newton", off_domain)
+        cfgfile = write_config(tmp_path, model="gbm1", theta=0.5, times=[1.0],
+                               grid={"lo": 0.0, "hi": 6.0, "n": 64},
+                               out_dir=str(tmp_path / "o"))
+        assert cli.main(["density", "--config", cfgfile]) == 3
+        assert "leaves the domain of the Herglotz branch" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # density reads g on the real axis alone; selftest reads it off the axis
+    def test_root_off_the_upper_half_plane_is_exit_3(self, capsys, monkeypatch):
+        def real_g(alpha, t, z):  # w = 0 gives Im g = 0
+            return np.zeros(z.shape, complex), np.zeros(z.shape, complex), np.ones(z.shape, bool)
+        monkeypatch.setattr(md, "_gbm_newton", real_g)
+        assert cli.main(["selftest"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL herglotz+decay: converged root leaves the upper half plane" in out
+
     NUMBER_RULE_BASE = {"model": "ou", "theta": -1.0, "sigma": 1.0, "times": [0.1],
                         "seed": 3, "threshold": 1.0,
                         "mc": {"N": 24, "dt": 0.05, "n_paths": 2}}
@@ -675,6 +731,22 @@ class TestSelftest:
         assert "FAIL" not in out
         assert "PASS characteristics vs closed form" in out
         assert "PASS gbm1 boundary curve vs Newton" in out
+
+    def test_failing_check_is_exit_3_and_the_rest_still_run(self, capsys, monkeypatch):
+        ran = []
+
+        def broken():
+            ran.append("broken")
+            raise AssertionError("deliberately broken")
+        checks = [("first", lambda: ran.append("first")), ("broken", broken),
+                  ("last", lambda: ran.append("last"))]
+        monkeypatch.setattr(cli, "_selftest_checks", lambda: checks)
+        assert cli.main(["selftest"]) == 3
+        out = capsys.readouterr().out
+        assert ran == ["first", "broken", "last"]
+        assert "PASS first" in out and "PASS last" in out
+        assert "FAIL broken: deliberately broken" in out
+        assert "1 check(s) failed" in out and "all checks passed" not in out
 
 
 class TestFileStamps:

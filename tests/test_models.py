@@ -56,6 +56,12 @@ class TestOrnsteinUhlenbeck:
         z = 2.0j
         assert abs(got - (-z + np.sqrt(z * z - 4.0)) / 2.0) < 1e-14
 
+    def test_zero_variance_is_the_point_mass_at_zero(self):
+        # X_0 = 0: the transform is -1/z exactly, in and off the axis
+        z = np.array([2.0j, -1.5 + 0.25j, 3.0, -1e-300 + 0j])
+        assert np.array_equal(md.ou_cauchy(-1.0, 1.0, 0.0, z), -1.0 / z)
+        assert md.ou_cauchy(0.7, 1.0, 0.0, 0.5 + 1j) == -1.0 / (0.5 + 1j)
+
     def test_stationary_value_off_support(self):
         got = md.ou_cauchy(-1.0, 1.0, 30.0, 3.0)
         assert abs(got - (-3.0 + math.sqrt(7.0))) < 1e-10
@@ -265,6 +271,24 @@ class TestGeometricBrownian1:
             fractions.append(np.trapezoid(np.where(xs <= 1.0, curve.ps, 0.0), xs))
         assert fractions[0] > 0.2
         assert fractions[1] < 0.01
+
+    # Without the Im s polish the root stayed off the branch by its last
+    # Newton step and the transform raised BranchViolation; the point lies
+    # 1e-5 past the support's upper end, at Im z far below |z|.
+    def test_polish_keeps_the_branch_just_off_the_support(self):
+        theta, t = -0.8339417520574633, 0.9240199792976924
+        z = 2.1416561253882476 + 6.765331893059714e-16j
+        assert 0.0 < z.real - md.gbm_support(theta, t).hi < 2e-5
+        assert md.gbm_cauchy(theta, t, z).imag > 0
+
+    # The support lies in x > 0, so the density at x < 0 is exactly 0.
+    # Newton on s itself (no flip to s - i pi where Re z < 0) resolves Im s
+    # near pi only to an ulp of pi and left p up to 1.7e-17 there; without
+    # the Im s polish p reached 2.1e-22.
+    def test_config_grid_density_vanishes_left_of_zero(self):
+        xs = np.linspace(-3.0, 3.0, 2048)
+        curve = ca.stieltjes_invert(md.GeometricBrownian1(0.5).cauchy, 1.0, xs, eps0=0.0)
+        assert np.all(curve.ps[xs < 0] == 0.0)
 
 
 def _gbm_query():
