@@ -55,12 +55,18 @@ class ModelSpec:
     spectral support, ``cauchy(t, z)`` the Cauchy transform (None where it
     is not known), ``boundary(t)`` the density curve on the ``AUTO_GRID_N``
     nodes of the auto grid at t, ``polynomials()`` the drift a(x) and noise product (b c)(x).
-    ``euler_increment(x, dt, dw, m, t)`` writes x + a(x) dt + b(x) dw c(x)
-    for one matrix or an (..., N, N) stack into ``m``, with ``t`` as
-    scratch, and returns gbm1's square-root clamp per matrix (else None);
-    see ``rmt._apply_increment``, which symmetrizes it.  ``euler_segment(dt, k)``
-    gives the Euler steps that one increment draw covers, out of the k left
-    before the next snapshot, with the drift time and the noise time that
+
+    The Monte Carlo march carries a state s for each matrix x:
+    ``march_state(x)`` gives it and ``state_matrix(s)`` gives x back.  It is
+    x itself, except for gbm1, whose state is a factor F with x = F F^T.
+    ``euler_increment(s, dt, dw, out, scratch)`` writes the state of
+    x + a(x) dt + b(x) dw c(x) for one state or an (..., N, N) stack into
+    ``out`` (which may be s itself), with ``scratch`` (shape (2,) + s.shape)
+    for temporaries, and returns gbm1's square-root clamp per matrix (else
+    None); a symmetric state comes out exactly symmetric.  See
+    ``rmt._apply_increment``.  ``euler_segment(dt, k)`` gives the Euler
+    steps that one increment draw covers, out of the k left before the next
+    snapshot, with the drift time and the noise time that
     ``euler_increment`` and the draw take for them.
     """
 
@@ -69,6 +75,12 @@ class ModelSpec:
     def euler_segment(self, dt, k):
         """One Euler step per draw: (1, dt, dt)."""
         return 1, dt, dt
+
+    def march_state(self, x):
+        return x
+
+    def state_matrix(self, s):
+        return s
 
     def moment_function(self) -> MomentFunction:
         """Both moment orders as a (j, t) handle for the evolution equations."""
@@ -114,9 +126,9 @@ class OrnsteinUhlenbeck(ModelSpec):
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([self.sigma])
 
-    def euler_increment(self, x, dt, dw, m, t):
-        np.multiply(x, 1.0 + self.theta * dt, out=m)
-        m += np.multiply(dw, self.sigma, out=t)
+    def euler_increment(self, x, dt, dw, out, scratch):
+        np.multiply(x, 1.0 + self.theta * dt, out=out)
+        out += np.multiply(dw, self.sigma, out=scratch[0])
 
     def euler_segment(self, dt, k):
         """All k steps in one draw, by the law of the Euler chain
@@ -131,7 +143,18 @@ class OrnsteinUhlenbeck(ModelSpec):
 
 @dataclass(frozen=True)
 class GeometricBrownian1(ModelSpec):
-    """dX = theta X dt + X^(1/2) dW X^(1/2), X_0 = I."""
+    """dX = theta X dt + X^(1/2) dW X^(1/2), X_0 = I.
+
+    The Monte Carlo march carries a factor F of X = F F^T (the Cholesky
+    factor, lower triangular, while no step clamps).  The Euler step
+    (1 + theta dt) X + F dW F^T is F A F^T with A = (1 + theta dt) I + dW,
+    so its factor is F C with C C^T = A: one Cholesky and one product a
+    step (``psd_factor``; F dW F^T has the law of X^(1/2) dW X^(1/2)).  For
+    a nonsingular F, A is indefinite exactly when the step is (Sylvester's
+    law of inertia); then the clamped root of A stands in for that matrix
+    alone, the step's clamp is A's negative eigenvalue mass, and X stays
+    positive semidefinite.
+    """
     theta: float
 
     tag = "gbm1"
@@ -160,12 +183,18 @@ class GeometricBrownian1(ModelSpec):
     def polynomials(self):
         return Polynomial([0.0, self.theta]), Polynomial([0.0, 1.0])
 
-    def euler_increment(self, x, dt, dw, m, t):
-        factor, clamp = psd_factor(x)
-        np.matmul(factor, dw, out=m)
-        np.matmul(m, factor.swapaxes(-1, -2), out=t)
-        np.multiply(x, 1.0 + self.theta * dt, out=m)
-        m += t
+    def march_state(self, x):
+        return psd_factor(x)[0]
+
+    def state_matrix(self, s):
+        return s @ s.swapaxes(-1, -2)
+
+    def euler_increment(self, f, dt, dw, out, scratch):
+        a, fc = scratch
+        np.copyto(a, dw)
+        np.einsum("...ii->...i", a)[...] += 1.0 + self.theta * dt
+        c, clamp = psd_factor(a)
+        np.copyto(out, np.matmul(f, c, out=fc))
         return clamp
 
 
@@ -188,12 +217,14 @@ class GeometricBrownian2(ModelSpec):
     def polynomials(self):
         raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
 
-    def euler_increment(self, x, dt, dw, m, t):
+    def euler_increment(self, x, dt, dw, out, scratch):
         # x and dw are exactly symmetric, so dw x = (x dw)^T: one product
+        m, t = scratch
         np.matmul(x, dw, out=t)
         np.multiply(x, 1.0 + self.theta * dt, out=m)
         m += t
         m += t.swapaxes(-1, -2)
+        _symmetrize(m, out)
 
 
 @dataclass(frozen=True)
@@ -234,11 +265,19 @@ class Explosive(ModelSpec):
     def polynomials(self):
         return Polynomial([]), Polynomial([0.0, 0.0, self.k])
 
-    def euler_increment(self, x, dt, dw, m, t):
+    def euler_increment(self, x, dt, dw, out, scratch):
+        m, t = scratch
         np.matmul(x, dw, out=m)
         np.matmul(m, x, out=t)
         t *= self.k
         np.add(x, t, out=m)
+        _symmetrize(m, out)
+
+
+def _symmetrize(m: np.ndarray, out: np.ndarray) -> None:
+    """(m + m^T) / 2 into out: a product's rounding leaves m just off symmetric."""
+    np.add(m, m.swapaxes(-1, -2), out=out)
+    out *= 0.5
 
 
 def _margin_grid(sup: SupportInterval, core: np.ndarray, t: float) -> np.ndarray:

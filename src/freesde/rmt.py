@@ -7,11 +7,15 @@ E[trace(dW^2)/N] = dt (1 + 1/N).  The Ornstein-Uhlenbeck model is linear
 with additive noise, so its Euler chain has an exact law at every snapshot:
 it is sampled from one snapshot to the next with one increment draw
 (``ModelSpec.euler_segment``); the other models draw once per Euler step.
+The march carries each model's own state (``ModelSpec.march_state``): the
+matrix itself, except for gbm1, which carries a factor F with X = F F^T.
 Paths own counter-keyed random streams
 (Philox keyed by (seed, path index)) and are stepped in blocks, each block
-as one (Q, N, N) stack; BLAS runs single-threaded while paths run, so each
-path's arithmetic is the same for any pool size and any blocking, and every
-ensemble is bitwise reproducible under any parallel schedule.  Pooled
+as one (Q, N, N) stack; each stream draws the increments of several
+segments in one call, in the order it would draw them one by one.  BLAS
+runs single-threaded while paths run, so each path's arithmetic is the same
+for any pool size, any blocking and any chunking, and every ensemble is
+bitwise reproducible under any parallel schedule.  Pooled
 eigenvalue histograms are compared against analytic densities through the
 Kolmogorov distance.
 """
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +52,7 @@ PICARD_TOL = 1e-8
 PICARD_MAX_ITER = 25
 MAX_N = 4096  # largest matrix dimension: one path's buffers stay under ~0.6 GB
 MAX_PATHS = 10**4  # most paths per ensemble: the list of path blocks stays bounded
+MAX_THREADS = 64  # largest FREESDE_THREADS: the path pool's OS threads stay few
 MAX_STEPS = 10**6  # most Euler steps per path, t_end/dt
 
 
@@ -54,10 +60,13 @@ def _n_workers() -> int:
     env = os.environ.get("FREESDE_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            n = int(env)
         except ValueError:
-            raise InvalidConfig(
-                f"FREESDE_THREADS must be an integer, got {env!r}") from None
+            n = 0
+        if not 1 <= n <= MAX_THREADS:
+            raise InvalidConfig(f"FREESDE_THREADS must be an integer in "
+                                f"[1, {MAX_THREADS}], got {env!r}")
+        return n
     return min(os.cpu_count() or 1, 4)
 
 
@@ -160,7 +169,7 @@ def _wigner_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, diagonal
 
 
-def sample_wigner_increment(N: int, dt: float, rng, out: np.ndarray | None = None,
+def sample_wigner_increment(N: int, dt, rng, out: np.ndarray | None = None,
                             packed: np.ndarray | None = None) -> np.ndarray:
     """Symmetric Gaussian increment matrix with semicircle-normalized entries.
 
@@ -168,22 +177,32 @@ def sample_wigner_increment(N: int, dt: float, rng, out: np.ndarray | None = Non
     variance dt/N and diagonal variance 2 dt/N.  ``rng`` is one Generator,
     giving an (N, N) matrix, or a sequence of Q Generators, giving a
     (Q, N, N) stack whose matrix q is drawn from stream q alone, with the
-    same values that stream would give one matrix at a time.  ``out`` and
-    ``packed`` (shape (..., N(N+1)/2)) are optional reused buffers.
+    same values that stream would give one matrix at a time.  ``dt`` is one
+    noise time, or a sequence of S of them: each stream then draws its S
+    increments in one call, in the order it would draw them one at a time,
+    and the result gains a leading axis of length S.  ``out`` (the result's
+    shape, C-contiguous) and ``packed`` (shape (Q, S, N(N+1)/2), Q = S = 1
+    for one Generator and one dt, each [q] C-contiguous) are optional
+    reused buffers.
     """
-    if dt < 0:
+    chunked = np.ndim(dt) > 0
+    dts = list(dt) if chunked else [dt]
+    if min(dts) < 0:
         raise ValueError("dt must be nonnegative")
     gather, diagonal = _wigner_maps(N)
     single = isinstance(rng, np.random.Generator)
     rngs = (rng,) if single else rng
-    lead = () if single else (len(rngs),)
     if packed is None:
-        packed = np.empty(lead + (N * (N + 1) // 2,))
-    for row, stream in zip(packed.reshape(len(rngs), -1), rngs):
-        stream.standard_normal(out=row)
-    packed *= math.sqrt(dt / N)
+        packed = np.empty((len(rngs), len(dts), N * (N + 1) // 2))
+    for block, stream in zip(packed, rngs):
+        stream.standard_normal(out=block)
+    packed *= np.array([math.sqrt(d / N) for d in dts])[:, None]
     packed[..., diagonal] *= math.sqrt(2.0)
-    return np.take(packed, gather, axis=-1, out=out, mode="clip")
+    stack = (len(dts), len(rngs), N, N)
+    dw = np.take(packed.swapaxes(0, 1), gather, axis=-1, mode="clip",
+                 out=None if out is None else out.reshape(stack))
+    lead = ((len(dts),) if chunked else ()) + (() if single else (len(rngs),))
+    return dw.reshape(lead + (N, N))
 
 
 def sym_sqrt_clamped(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -206,10 +225,10 @@ def psd_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     """Factors F with F F^T = x, plus the clamped mass of each fallback.
 
     x is one matrix or a (..., N, N) stack; the clamps have shape
-    x.shape[:-2].  The Cholesky factor L serves the gbm1 step: L dW L^T has
+    x.shape[:-2].  The Cholesky factor L serves the gbm1 march: L dW L^T has
     the law of x^(1/2) dW x^(1/2) because Q = L^(-1) x^(1/2) is orthogonal
-    and the Wigner increment is orthogonally invariant.  When Euler has lost
-    definiteness, Cholesky fails and the clamped eigenvalue root stands in,
+    and the Wigner increment is orthogonally invariant.  Where x is
+    indefinite, Cholesky fails and the clamped eigenvalue root stands in,
     matrix by matrix, so only the indefinite members of a stack take it.
     """
     try:
@@ -224,9 +243,10 @@ def psd_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
 def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
                      clamp: np.ndarray | None = None, out: np.ndarray | None = None,
                      scratch: np.ndarray | None = None) -> np.ndarray:
-    """One explicit step x + a(x) dt + b(x) dw c(x) (the model's
-    ``euler_increment``), symmetrized; dt is the drift time of the segment
-    that dw drives (see ``ModelSpec.euler_segment``).
+    """One explicit step x + a(x) dt + b(x) dw c(x) of the march state x
+    (the model's ``euler_increment``; a factor for gbm1, see
+    ``ModelSpec.march_state``); dt is the drift time of the segment that dw
+    drives (see ``ModelSpec.euler_segment``).
 
     x and dw are one matrix or matching (..., N, N) stacks; the square-root
     clamp of each matrix (gbm1 only) is added into ``clamp``, a float array
@@ -238,20 +258,21 @@ def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
         scratch = np.empty((2,) + x.shape)
     if out is None:
         out = np.empty_like(x)
-    m, t = scratch
-    c = model.euler_increment(x, dt, dw, m, t)
+    c = model.euler_increment(x, dt, dw, out, scratch)
     if clamp is not None and c is not None:
         clamp += c
-    np.add(m, m.swapaxes(-1, -2), out=out)
-    out *= 0.5
     return out
 
 
 def euler_step(x: np.ndarray, model: ModelSpec, dt: float,
                rng: np.random.Generator) -> np.ndarray:
-    """Sample a driving increment and advance the state one step."""
-    dw = sample_wigner_increment(x.shape[0], dt, rng)
-    return _apply_increment(x, model, dt, dw)
+    """Sample a driving increment and advance the matrix x one step."""
+    return _matrix_step(x, model, dt, sample_wigner_increment(x.shape[0], dt, rng))
+
+
+def _matrix_step(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray) -> np.ndarray:
+    """One step of the matrix x, through the model's march state."""
+    return model.state_matrix(_apply_increment(model.march_state(x), model, dt, dw))
 
 
 @dataclass
@@ -275,8 +296,7 @@ def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
     local contraction, so keep t_end small (about 0.5 or less) or expect
     NoContraction.
     """
-    rng = path_rng(cfg.seed, 0)
-    dws = [sample_wigner_increment(cfg.N, cfg.dt, rng) for _ in range(cfg.n_steps)]
+    dws = sample_wigner_increment(cfg.N, [cfg.dt] * cfg.n_steps, path_rng(cfg.seed, 0))
     x0 = model.x0 * np.eye(cfg.N)
     cur = np.broadcast_to(x0, (cfg.n_steps + 1, cfg.N, cfg.N)).copy()
     diffs: list[float] = []
@@ -285,7 +305,7 @@ def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
         nxt = np.empty_like(cur)
         nxt[0] = x0
         for j in range(cfg.n_steps):
-            inc = _apply_increment(cur[j], model, cfg.dt, dws[j]) - cur[j]
+            inc = _matrix_step(cur[j], model, cfg.dt, dws[j]) - cur[j]
             nxt[j + 1] = nxt[j] + inc
         d = float(np.max(np.linalg.norm(nxt - cur, axis=(1, 2))) / math.sqrt(cfg.N))
         diffs.append(d)
@@ -352,8 +372,9 @@ def _snapshot_steps(cfg: SimConfig, snapshot_times: Sequence[float]) -> list[int
     return steps
 
 
-# Doubles in one (Q, N, N) stack of paths, about the size of an L2 cache:
-# small matrices are stepped many paths at a time, large ones one by one.
+# Doubles in one (Q, N, N) stack of paths, and in one block's chunk of
+# packed increment draws, about the size of an L2 cache: small matrices are
+# stepped many paths and drawn many segments at a time, large ones one by one.
 _STACK_DOUBLES = 2 ** 15
 
 
@@ -371,40 +392,68 @@ def _snapshot_eigvals(x: np.ndarray) -> np.ndarray:
         raise EigenFail(f"snapshot eigenvalues failed: {exc}") from exc
 
 
+def _segments(model: ModelSpec, dt: float, stops: Sequence[int]):
+    """The march's segments in order, each (end step, drift time, noise
+    time): ``ModelSpec.euler_segment`` from each stop to the next."""
+    j = 0
+    for stop in stops:
+        while j < stop:
+            k, drift, noise = model.euler_segment(dt, stop - j)
+            j += k
+            yield j, drift, noise
+
+
+def _increments(model: ModelSpec, cfg: SimConfig, rngs: list, stops: Sequence[int]):
+    """Each segment (end step, drift time, (Q, N, N) increment) of a block of
+    Q paths, the increments drawn up to S segments per call into reused
+    buffers, with S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1)."""
+    Q, N = len(rngs), cfg.N
+    S = max(1, _STACK_DOUBLES // (Q * N * (N + 1) // 2))
+    dw = np.empty((S, Q, N, N))
+    packed = np.empty((Q, S, N * (N + 1) // 2))
+    segments = _segments(model, cfg.dt, stops)
+    while chunk := list(itertools.islice(segments, S)):
+        n = len(chunk)
+        sample_wigner_increment(N, [noise for _, _, noise in chunk], rngs,
+                                dw[:n], packed[:, :n])
+        for (j, drift, _), inc in zip(chunk, dw):
+            yield j, drift, inc
+
+
 def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
                  snap_steps: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """Eigenvalues (Q, N) at each snapshot of a block of Q paths, plus each
     path's square-root clamp mass, shape (Q,).
 
-    The Euler scheme steps the block as one (Q, N, N) stack in reused
-    buffers, one segment (``ModelSpec.euler_segment``) per increment draw,
-    from snapshot to snapshot; it ends at the last one.  Path p draws from
-    its own stream in the same order as it would alone, so every path's
-    values are independent of the blocking.  A state that overflows or turns
-    NaN raises NonFinite at once (the error state is set here because it is
-    local to each pool thread).
+    The Euler scheme steps the block's march states (``ModelSpec.march_state``)
+    as one (Q, N, N) stack in reused buffers, one segment
+    (``ModelSpec.euler_segment``) per increment, from snapshot to snapshot;
+    it ends at the last one.  Path p draws from its own stream in the same
+    order as it would alone, one increment after another (``_increments``),
+    so every path's values are independent of the blocking and the chunking.
+    A state that overflows or turns NaN raises NonFinite at once (the error
+    state is set here because it is local to each pool thread).
     """
     rngs = [path_rng(cfg.seed, p) for p in paths]
     clamp = np.zeros(len(paths))
     x = np.empty((len(paths), cfg.N, cfg.N))
     x[...] = model.x0 * np.eye(cfg.N)
+    x = model.march_state(x)
     out: dict[int, np.ndarray] = {}
-    dw = np.empty_like(x)
     scratch = np.empty((2,) + x.shape)
-    packed = np.empty((len(paths), cfg.N * (cfg.N + 1) // 2))
+    stops = sorted(set(snap_steps))
+    increments = _increments(model, cfg, rngs, stops)
     j = 0
     with np.errstate(over="raise", invalid="raise"):
         try:
-            for stop in sorted(set(snap_steps)):
+            for stop in stops:
                 while j < stop:
-                    k, drift, noise = model.euler_segment(cfg.dt, stop - j)
-                    sample_wigner_increment(cfg.N, noise, rngs, dw, packed)
+                    j, drift, dw = next(increments)
                     _apply_increment(x, model, drift, dw, clamp, x, scratch)
-                    j += k
-                out[stop] = _snapshot_eigvals(x)
+                out[stop] = _snapshot_eigvals(model.state_matrix(x))
         except FloatingPointError as exc:
             raise NonFinite(
-                f"Monte Carlo state not finite at step {j + k}: {exc}") from exc
+                f"Monte Carlo state not finite at step {j}: {exc}") from exc
     return [out[j] for j in snap_steps], clamp
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from freesde import cauchy, cli, rmt
 from freesde import models as md
-from freesde.errors import GridTooCoarse
+from freesde.errors import GridTooCoarse, InvalidConfig
 
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -304,6 +304,26 @@ class TestExitCodes:
         monkeypatch.setenv("FREESDE_THREADS", "two")
         assert cli.main(["compare", "--config", cfgfile]) == 2
         assert "FREESDE_THREADS" in capsys.readouterr().err
+
+    def test_thread_count_past_the_cap_is_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 10^5 pool threads were once asked for; the cap is checked before
+        # any pool exists, so this test starts no thread
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a path pool was built")
+
+        monkeypatch.setattr(rmt, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setenv("FREESDE_THREADS", "100000")
+        cfg = rmt.SimConfig(N=4, dt=1e-2, t_end=0.1, n_paths=rmt.MAX_PATHS)
+        with pytest.raises(InvalidConfig, match="FREESDE_THREADS"):
+            rmt.run_paths(md.OrnsteinUhlenbeck(0.0, 1.0), cfg, [0.1])
+        out = tmp_path / "o"
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+            out_dir=str(out), mc={"N": 10, "dt": 1e-2, "n_paths": 2})
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        err = capsys.readouterr().err
+        assert "FREESDE_THREADS" in err and f"[1, {rmt.MAX_THREADS}]" in err
+        assert not out.exists()
 
     def test_huge_matrix_is_exit_2(self, tmp_path, capsys):
         # N = 1e7 once reached numpy's allocator and ended in a traceback

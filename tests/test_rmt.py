@@ -116,12 +116,30 @@ class TestEulerStep:
     @pytest.mark.parametrize("spec", SPECS,
                              ids=["ou", "gbm1", "gbm2", "explosive"])
     def test_increment_exactly_symmetric(self, spec):
+        # gbm1 marches a factor, which is never symmetrized: it stays
+        # lower triangular with a positive diagonal
         rng = np.random.default_rng(12)
         a = rng.standard_normal((40, 40)) / math.sqrt(40)
         x = np.eye(40) + 0.3 * (a + a.T)
         dw = rmt.sample_wigner_increment(40, 2e-3, rmt.path_rng(12, 0))
-        m = rmt._apply_increment(x, spec, 2e-3, dw)
-        assert np.array_equal(m, m.T)
+        m = rmt._apply_increment(spec.march_state(x), spec, 2e-3, dw)
+        if spec.tag == "gbm1":
+            assert np.array_equal(m, np.tril(m)) and np.all(np.diag(m) > 0)
+        else:
+            assert np.array_equal(m, m.T)
+
+    def test_chunked_draws_match_one_by_one(self):
+        # a sequence of noise times draws each stream's increments in one
+        # call, with the values of one draw after another
+        dts = [1e-2, 3e-3, 0.0, 2e-2]
+        chunk = rmt.sample_wigner_increment(9, dts, [rmt.path_rng(5, p) for p in range(3)])
+        single = rmt.sample_wigner_increment(9, dts, rmt.path_rng(5, 1))
+        assert chunk.shape == (4, 3, 9, 9) and single.shape == (4, 9, 9)
+        for p in range(3):
+            rng = rmt.path_rng(5, p)
+            for s, dt in enumerate(dts):
+                assert np.array_equal(chunk[s, p], rmt.sample_wigner_increment(9, dt, rng))
+        assert np.array_equal(single, chunk[:, 1])
 
 
 class TestPathStack:
@@ -150,22 +168,30 @@ class TestPathStack:
             assert np.array_equal(lam[p], np.linalg.eigvalsh(m[p]))
 
     def test_indefinite_member_alone_takes_fallback(self, monkeypatch):
+        # gbm1's step factors A = (1 + theta dt) I + dW; only member 1's A
+        # is indefinite, so it alone takes the clamped root
         calls = []
         sqrt = rmt.sym_sqrt_clamped
         monkeypatch.setattr(rmt, "sym_sqrt_clamped",
                             lambda x: calls.append(x) or sqrt(x))
-        x = np.stack([np.diag([1.0, 0.5, 2.0, 1.5, 0.8, 1.2]),
-                      np.diag([1.0, -0.5, 2.0, 1.5, 0.8, 1.2]),
-                      np.eye(6)])
+        f = np.sqrt(np.stack([np.diag([1.0, 0.5, 2.0, 1.5, 0.8, 1.2]),
+                              np.diag([1.0, 0.4, 2.0, 1.5, 0.8, 1.2]),
+                              np.eye(6)]))
         dw = rmt.sample_wigner_increment(
             6, 1e-2, [rmt.path_rng(8, p) for p in range(3)])
+        dw[1, 1, 1] -= 1.5
+        a = dw.copy()
+        a[:, range(6), range(6)] += 1.0 + 0.5 * 1e-2
+        lam = np.linalg.eigvalsh(a[1])
         clamp = np.zeros(3)
         spec = md.GeometricBrownian1(0.5)
-        m = rmt._apply_increment(x, spec, 1e-2, dw, clamp)
-        assert len(calls) == 1 and np.array_equal(calls[0], x[1])
-        assert np.array_equal(clamp, [0.0, 0.5, 0.0])
+        m = rmt._apply_increment(f, spec, 1e-2, dw, clamp)
+        assert len(calls) == 1 and np.array_equal(calls[0], a[1])
+        assert clamp[0] == clamp[2] == 0.0
+        assert clamp[1] == pytest.approx(-lam[lam < 0].sum(), rel=1e-12) and clamp[1] > 0.4
         for p in range(3):
-            assert np.array_equal(m[p], rmt._apply_increment(x[p], spec, 1e-2, dw[p]))
+            assert np.array_equal(m[p], rmt._apply_increment(f[p], spec, 1e-2, dw[p]))
+        assert np.min(np.linalg.eigvalsh(spec.state_matrix(m))) > -1e-12
 
 
 class TestGbm1Factor:
@@ -185,17 +211,57 @@ class TestGbm1Factor:
         assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-10
 
     def test_indefinite_state_falls_back_to_clamped_root(self, monkeypatch):
+        # an Euler step F A F^T that loses definiteness has an indefinite A
+        # (Sylvester's law of inertia): its clamped root stands in once, the
+        # clamp is A's negative mass, and the next state F root(A) keeps
+        # F root(A) root(A)^T F^T = F A_+ F^T positive semidefinite
         calls = []
         sqrt = rmt.sym_sqrt_clamped
         monkeypatch.setattr(rmt, "sym_sqrt_clamped",
                             lambda x: calls.append(x) or sqrt(x))
-        x = np.diag([1.0, -0.5, 2.0, 1.5, 0.8, 1.2])
+        spec = md.GeometricBrownian1(0.5)
+        f = spec.march_state(np.diag([1.0, 0.5, 2.0, 1.5, 0.8, 1.2]))
         dw = rmt.sample_wigner_increment(6, 1e-2, rmt.path_rng(8, 0))
+        dw[2, 2] -= 1.5
+        a = dw + (1.0 + 0.5 * 1e-2) * np.eye(6)
         clamp = np.zeros(())
-        m = rmt._apply_increment(x, md.GeometricBrownian1(0.5), 1e-2, dw, clamp)
-        assert len(calls) == 1
-        assert np.array_equal(m, m.T)
-        assert clamp == 0.5
+        m = rmt._apply_increment(f, spec, 1e-2, dw, clamp)
+        assert len(calls) == 1 and np.array_equal(calls[0], a)
+        root, mass = sqrt(a)
+        assert clamp == mass and mass > 0.4
+        assert np.array_equal(m, f @ root)
+        assert np.min(np.linalg.eigvalsh(spec.state_matrix(m))) > -1e-12
+
+    @given(st.integers(2, 40), st.floats(-1.0, 2.0), st.sampled_from([1e-3, 1e-2]),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_factor_chain_holds_to_the_matrix_chain(self, n, theta, dt, seed):
+        # 30 steps on the same increments: the factor chain against the
+        # matrix step it replaced (psd_factor of x, two products, symmetrize)
+        spec = md.GeometricBrownian1(theta)
+        dws = rmt.sample_wigner_increment(n, [dt] * 30, rmt.path_rng(seed, 0))
+        x = np.eye(n)
+        f = spec.march_state(x)
+        clamp = np.zeros(())
+        for dw in dws:
+            x = _matrix_chain_step(x, theta, dt, dw)
+            f = rmt._apply_increment(f, spec, dt, dw, clamp)
+            lam = np.linalg.eigvalsh(x)
+            gap = np.max(np.abs(np.linalg.eigvalsh(spec.state_matrix(f)) - lam))
+            assert gap <= 1e-12 * np.max(np.abs(lam))
+            assert np.array_equal(f, np.tril(f)) and np.all(np.diag(f) > 0)
+        assert clamp == 0.0
+
+
+def _matrix_chain_step(x, theta, dt, dw):
+    """gbm1's step on the matrix x, (1 + theta dt) x + L dW L^T with
+    L = chol(x), symmetrized: the chain that the factor march replaced."""
+    factor, clamp = rmt.psd_factor(x)
+    assert clamp == 0.0
+    t = factor @ dw @ factor.T
+    m = x * (1.0 + theta * dt)
+    m += t
+    return (m + m.T) * 0.5
 
 
 class TestPicard:
@@ -215,6 +281,19 @@ class TestPicard:
         for _ in range(cfg.n_steps):
             x = rmt.euler_step(x, spec, cfg.dt, rng)
         assert np.max(np.abs(res.path[-1] - x)) < 1e-6
+
+    def test_matches_gbm1_explicit_path_on_same_noise(self):
+        # both solvers step the matrix through gbm1's factor each step; the
+        # sweeps stop once one moves the path by less than PICARD_TOL, and
+        # with contraction about 0.1 the end state is within a tenth of that
+        spec = md.GeometricBrownian1(0.5)
+        cfg = rmt.SimConfig(N=40, dt=1e-3, t_end=0.1, n_paths=1, seed=9)
+        res = rmt.picard_solve(spec, cfg)
+        rng = rmt.path_rng(9, 0)
+        x = spec.x0 * np.eye(40)
+        for _ in range(cfg.n_steps):
+            x = rmt.euler_step(x, spec, cfg.dt, rng)
+        assert np.linalg.norm(res.path[-1] - x) / math.sqrt(40) < rmt.PICARD_TOL
 
     def test_contraction_factors_decay(self):
         spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
@@ -315,9 +394,9 @@ class TestEnsemble:
         draws = []
         sample = rmt.sample_wigner_increment
 
-        def spy(N, dt, rngs, *args):
-            draws.append(len(rngs))
-            return sample(N, dt, rngs, *args)
+        def spy(N, dts, rngs, *args):  # one call draws a chunk of increments
+            draws.extend([len(rngs)] * len(dts))
+            return sample(N, dts, rngs, *args)
 
         monkeypatch.setattr(rmt, "sample_wigner_increment", spy)
         monkeypatch.setenv("FREESDE_THREADS", "1")
@@ -348,6 +427,31 @@ class TestEnsemble:
             with pytest.raises(NonFinite, match="step 2"):
                 rmt.run_paths(md.GeometricBrownian2(1e308), cfg, [0.05, 0.5])
         assert steps == [(2, 4, 4)] * 2
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["ou", "gbm1", "gbm2", "explosive"])
+    @pytest.mark.parametrize("N, n_paths, dt, threads", [
+        (24, 16, 2e-3, ("1",)), (40, 5, 1e-2, ("1", "2", "3"))],
+        ids=["N24-16paths", "N40-5paths-threads123"])
+    def test_chunked_draws_are_stream_identical(self, spec, N, n_paths, dt, threads,
+                                                monkeypatch):
+        # against the march as it drew before chunking, one path at a time
+        cfg = rmt.SimConfig(N=N, dt=dt, t_end=0.4, n_paths=n_paths, seed=31)
+        times = [0.1, 0.4]
+        want = _per_draw_paths(spec, cfg, times)
+        for n in threads:
+            monkeypatch.setenv("FREESDE_THREADS", n)
+            pooled, clamp = rmt.run_paths(spec, cfg, times)
+            for a, b in zip(pooled, want[0]):
+                assert np.array_equal(a, b)
+            assert np.array_equal(clamp, want[1])
+
+    @pytest.mark.parametrize("value", ["0", "-2", "65", "100000", "1e3"])
+    def test_thread_count_outside_its_range_is_refused(self, value, monkeypatch):
+        monkeypatch.setenv("FREESDE_THREADS", value)
+        with pytest.raises(InvalidConfig, match=rf"\[1, {rmt.MAX_THREADS}\]"):
+            rmt._n_workers()
+        monkeypatch.setenv("FREESDE_THREADS", str(rmt.MAX_THREADS))
+        assert rmt._n_workers() == rmt.MAX_THREADS
 
     def test_snapshot_must_align_with_grid(self):
         spec = md.OrnsteinUhlenbeck(0.0, 1.0)
@@ -381,6 +485,30 @@ class TestEnsemble:
         assert diff < 3.0 * max(out[2e-3][1], out[1e-3][1])
 
 
+def _per_draw_paths(model, cfg, snapshot_times):
+    """Pooled eigenvalues and clamps of a march that draws each segment's
+    increment on its own, path by path, with BLAS on one thread."""
+    snap_steps = rmt._snapshot_steps(cfg, snapshot_times)
+    pooled, clamps = [[] for _ in snap_steps], []
+    with rmt._single_threaded_blas():
+        for p in range(cfg.n_paths):
+            rng = rmt.path_rng(cfg.seed, p)
+            clamp = np.zeros(())
+            x = model.march_state(model.x0 * np.eye(cfg.N))
+            seen, j = {}, 0
+            for stop in sorted(set(snap_steps)):
+                while j < stop:
+                    k, drift, noise = model.euler_segment(cfg.dt, stop - j)
+                    dw = rmt.sample_wigner_increment(cfg.N, noise, rng)
+                    x = rmt._apply_increment(x, model, drift, dw, clamp)
+                    j += k
+                seen[stop] = np.linalg.eigvalsh(model.state_matrix(x))
+            for out, step in zip(pooled, snap_steps):
+                out.append(seen[step])
+            clamps.append(float(clamp))
+    return [np.concatenate(vals) for vals in pooled], np.array(clamps)
+
+
 class TestOuSegments:
     """ou is sampled snapshot to snapshot by the exact law of its Euler chain."""
 
@@ -388,9 +516,9 @@ class TestOuSegments:
         draws = []
         sample = rmt.sample_wigner_increment
 
-        def spy(N, dt, rngs, *args):
-            draws.append((len(rngs), dt))
-            return sample(N, dt, rngs, *args)
+        def spy(N, dts, rngs, *args):  # one call draws a chunk of increments
+            draws.extend((len(rngs), dt) for dt in dts)
+            return sample(N, dts, rngs, *args)
 
         monkeypatch.setattr(rmt, "sample_wigner_increment", spy)
         spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
