@@ -16,6 +16,7 @@ quasilinear equation dg/dt + P dg/dz = Q whose characteristic curves
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -66,7 +67,7 @@ class Polynomial:
         """The value at x, an array of x's shape and (at least float) dtype."""
         x = np.asarray(x)
         out = np.empty(x.shape, dtype=np.result_type(x.dtype, float))
-        out[...] = _horner(self.coeffs, x)
+        _as_writer(_horner_writer(self.coeffs))(x, None, out, None)
         return out
 
 
@@ -217,35 +218,87 @@ def _is_zero(v) -> bool:
     return isinstance(v, float) and v == 0.0
 
 
-def _mul_add(c, x, y):
-    """c x + y, skipping a zero term and taking a unit factor for free.
-
-    ``c`` and ``y`` are each a float (a constant) or an array; the result
-    may be ``x`` itself, and is a float only when c is zero and y a float.
-    """
-    if isinstance(c, float):
-        if c == 0.0:
-            return y
-        if c == -1.0:
-            return -x if _is_zero(y) else y - x
-        cx = x if c == 1.0 else c * x
-    else:
-        cx = c * x
-    return cx if _is_zero(y) else cx + y
-
-
-def _horner(c, z):
-    """sum_k c_k z^k for coefficients lowest first, skipping zero terms and
-    taking a unit leading factor for free; a float when c is constant."""
+def _horner_writer(c):
+    """sum_k c_k z^k for coefficients lowest first, as a writer
+    ``w(z, g, out, tmp)`` that fills ``out`` by Horner's rule in place,
+    skipping zero terms and taking a unit leading factor as a copy or a
+    negation of z; the float itself when c is constant."""
     if len(c) < 2:
         return c[0] if c else 0.0
-    top = c[-1]
-    acc = z if top == 1.0 else -z if top == -1.0 else top * z
-    for ck in c[-2:0:-1]:
-        if ck:
-            acc = acc + ck
-        acc = acc * z
-    return acc + c[0] if c[0] else acc
+    top, terms, c0 = c[-1], c[-2:0:-1], c[0]
+
+    def write(z, g, out, tmp):
+        if top == 1.0:
+            np.copyto(out, z)
+        elif top == -1.0:
+            np.negative(z, out=out)
+        else:
+            np.multiply(top, z, out=out)
+        for ck in terms:
+            if ck:
+                np.add(out, ck, out=out)
+            np.multiply(out, z, out=out)
+        if c0:
+            np.add(out, c0, out=out)
+    return write
+
+
+def _mul_add_writer(c, y):
+    """c g + y as a writer ``w(z, g, out, tmp)``, for c and y each a float
+    (a constant) or a writer: a zero term is skipped and a unit factor taken
+    as a copy or a negation of g; a float when c is zero and y a float.
+
+    ``c`` is written into ``out`` and may use ``tmp``; ``y`` is written into
+    ``tmp`` after it, so it must need no scratch of its own.
+    """
+    if _is_zero(c):
+        return y
+    if isinstance(c, float) and c == -1.0 and not _is_zero(y):
+        def write(z, g, out, tmp):  # y - g
+            if isinstance(y, float):
+                np.subtract(y, g, out=out)
+            else:
+                y(z, g, out, tmp)
+                np.subtract(out, g, out=out)
+        return write
+
+    def write(z, g, out, tmp):
+        if not isinstance(c, float):
+            c(z, g, out, tmp)
+            np.multiply(out, g, out=out)
+        elif c == 1.0:
+            np.copyto(out, g)
+        elif c == -1.0:
+            np.negative(g, out=out)
+        else:
+            np.multiply(c, g, out=out)
+        if not isinstance(y, float):
+            y(z, g, tmp, None)
+            np.add(out, tmp, out=out)
+        elif y:
+            np.add(out, y, out=out)
+    return write
+
+
+def _as_writer(v):
+    """A writer of v, which is a writer already or a float to fill with."""
+    if isinstance(v, float):
+        return lambda z, g, out, tmp: out.fill(v)
+    return v
+
+
+def _compile_slope(fold: tuple):
+    """The slope ``slope(z, g, P, Q, tmp)`` of one fold (P0, P1, Q0, Q1, Q2):
+    it writes P = P1(z) g + P0(z) into P and Q = (Q2(z) g + Q1(z)) g + Q0(z)
+    into Q, using ``tmp`` (z's shape) as scratch."""
+    P0, P1, Q0, Q1, Q2 = map(_horner_writer, fold)
+    P = _as_writer(_mul_add_writer(P1, P0))
+    Q = _as_writer(_mul_add_writer(_mul_add_writer(Q2, Q1), Q0))
+
+    def slope(z, g, p, q, tmp):
+        P(z, g, p, tmp)
+        Q(z, g, q, tmp)
+    return slope
 
 
 @dataclass(frozen=True)
@@ -262,47 +315,56 @@ class PdeRightHandSide:
 
     The bracketed coefficients are real polynomials in z that depend on t
     only through the moments mu_0..mu_need, need = max(deg a, deg bc) - 1.
-    They are folded once per distinct moment vector (once per march when
-    the moments are constant) and evaluated by Horner.
+    They are folded and compiled into a slope once per distinct moment
+    vector (once per march when the moments are constant), which evaluates
+    them by Horner in place; both ``characteristic`` and the march use it.
     """
 
     drift: Polynomial
     diffusion: Polynomial  # the product b*c as one polynomial in x
     moments: MomentFunction
-    _folded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    need: int = field(init=False, repr=False, compare=False)
+    _slopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "need",
+                           max(self.drift.degree, self.diffusion.degree) - 1)
 
     def __call__(self, t: float, z, g, dg):
         P, Q = self.characteristic(t, z, g)
         return Q - P * dg
 
-    def _coefficients(self, t: float) -> tuple:
-        """(P0, P1, Q0, Q1, Q2) at time t, refolded only when the moments change."""
-        need = max(self.drift.degree, self.diffusion.degree) - 1
-        mu = tuple(self.moments(j, t) for j in range(need + 1))
-        folded = self._folded.get(mu)
-        if folded is None:
-            self._folded.clear()
-            folded = self._folded[mu] = _fold(self.drift, self.diffusion, mu)
-        return folded
+    def slope(self, t: float):
+        """The compiled slope at time t (see ``_compile_slope``), compiled
+        again only when the moments change."""
+        mu = tuple(self.moments(j, t) for j in range(self.need + 1))
+        slope = self._slopes.get(mu)
+        if slope is None:
+            self._slopes.clear()
+            slope = self._slopes[mu] = _compile_slope(
+                _fold(self.drift, self.diffusion, mu))
+        return slope
 
     def characteristic(self, t: float, z, g):
         """(P, Q): dz/dt = P and dg/dt = Q along a characteristic curve.
 
-        Each is an array like z, or a float where it is constant; it may be
-        the argument z or g itself, so callers treat it as read-only.
+        Both are new arrays of the broadcast shape of z and g (at least
+        float), also where P or Q is constant.
         """
-        P0, P1, Q0, Q1, Q2 = self._coefficients(t)
-        P = _mul_add(_horner(P1, z), g, _horner(P0, z))
-        Q = _mul_add(_mul_add(_horner(Q2, z), g, _horner(Q1, z)), g, _horner(Q0, z))
+        z, g = np.asarray(z), np.asarray(g)
+        shape = np.broadcast_shapes(z.shape, g.shape)
+        out = np.empty((2,) + shape, dtype=np.result_type(z, g, 1.0))
+        P, Q = out[0, ...], out[1, ...]
+        self.slope(t)(z, g, P, Q, np.empty(shape, out.dtype))
         return P, Q
 
 
 def build_pde(a: Polynomial, bc: Polynomial, m: MomentFunction) -> PdeRightHandSide:
     """Validate degrees/moment coverage and assemble the evolution right-hand side."""
-    need = max(a.degree, bc.degree) - 1
-    if need > m.jmax:
-        raise MomentsUnavailable(f"need moments up to order {need}, have {m.jmax}")
-    return PdeRightHandSide(drift=a, diffusion=bc, moments=m)
+    rhs = PdeRightHandSide(drift=a, diffusion=bc, moments=m)
+    if rhs.need > m.jmax:
+        raise MomentsUnavailable(f"need moments up to order {rhs.need}, have {m.jmax}")
+    return rhs
 
 
 @dataclass
@@ -322,18 +384,21 @@ class CharacteristicSurface:
 
 
 def _mapped_zeros(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed array in an anonymous memory mapping of its own.
+    """A zeroed array in a private anonymous memory mapping of its own,
+    its pages faulted in when it is mapped where mmap defines MAP_POPULATE.
 
-    The surface arrays are the largest allocations of the package (12.8 MB
-    each for 801 curves over 1000 steps).  Taken from the malloc heap and
-    freed, they leave holes that smaller allocations split, so a process
-    that integrates repeatedly keeps a whole extra array resident in some
-    runs and not in others.  A mapping of its own goes back to the system
-    when the array is freed.
+    The surface is the largest allocation of the package (25.6 MB for 801
+    curves over 1000 steps).  Taken from the malloc heap and freed, it
+    leaves holes that smaller allocations split, so a process that
+    integrates repeatedly keeps a whole extra surface resident in some runs
+    and not in others.  A mapping of its own goes back to the system when
+    the array is freed.  The march writes every page, so faulting them all
+    in at once costs less than one fault per page while it runs.
     """
     dtype = np.dtype(dtype)
     count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1),
+                    flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
@@ -343,60 +408,67 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, labels, t_end: float,
 
     ``init`` maps the ``labels`` array to the initial pair (z(s,0), g(s,0)).
     All labels advance together (curves are independent, so the sweep is
-    vectorized across them), each step written into one time-major row.
-    A curve whose |z| or |g| passes ``BLOWUP_CUTOFF``, or that turns
-    non-finite, is truncated and marked.
+    vectorized across them) as one stacked state (z, g) of shape (2, n_s):
+    each step is written into one row of a time-major (n_t, 2, n_s) surface,
+    whose z and g are views.  Every RK4 stage writes the right-hand side's
+    slope into a reused buffer, and each stage argument and the RK4
+    combination is one operation on the whole state.  A curve whose |z| or
+    |g| passes ``BLOWUP_CUTOFF``, or that turns non-finite, is truncated and
+    marked; one reduction over the state tests for that after each step, and
+    the per-curve test runs only when it fails.
     """
-    if dt <= 0 or t_end < 0:
-        raise ValueError("need dt > 0 and t_end >= 0")
+    if not (0 < dt < math.inf and 0 <= t_end < math.inf):
+        raise ValueError(f"need finite dt > 0 and t_end >= 0, got dt={dt}, t_end={t_end}")
     labels = np.asarray(labels, dtype=float)
     z0, g0 = init(labels)
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     h = t_end / n_steps if n_steps else 0.0
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
     n_s = labels.size
-    Z = _mapped_zeros((n_steps + 1, n_s), complex)
-    G = _mapped_zeros((n_steps + 1, n_s), complex)
-    Z[0], G[0] = z0, g0
+    Y = _mapped_zeros((n_steps + 1, 2, n_s), complex)
+    Y[0, 0], Y[0, 1] = z0, g0
     trunc_index = np.full(n_s, n_steps, dtype=int)
     active = np.ones(n_s, dtype=bool)
-    f = rhs.characteristic
+    k1, k2, k3, k4, arg, acc = np.empty((6, 2, n_s), dtype=complex)
+    tmp = np.empty(n_s, dtype=complex)
+    size = np.empty((2, n_s))
+    fixed = rhs.slope(0.0) if rhs.need < 1 else None  # the fold needs mu_0 alone
 
-    def advance(x, k1, k2, k3, k4, out):
-        # x + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order, into ``out``
-        acc = k2 * 2
-        acc += k1
-        acc += k3 * 2
-        acc += k4
-        acc *= h / 6
-        np.add(x, acc, out=out)
+    def stage(t, y, k):
+        (fixed or rhs.slope(t))(y[0], y[1], k[0], k[1], tmp)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            t = t_grid[n]
-            z, g = Z[n], G[n]
-            k1z, k1g = f(t, z, g)
-            k2z, k2g = f(t + h / 2, z + h / 2 * k1z, g + h / 2 * k1g)
-            k3z, k3g = f(t + h / 2, z + h / 2 * k2z, g + h / 2 * k2g)
-            k4z, k4g = f(t + h, z + h * k3z, g + h * k3g)
-            advance(z, k1z, k2z, k3z, k4z, Z[n + 1])
-            advance(g, k1g, k2g, k3g, k4g, G[n + 1])
-            z, g = Z[n + 1], G[n + 1]
-            if n == 0 and not (np.isfinite(z).all() and np.isfinite(g).all()):
-                raise StepTooLarge("non-finite RK4 stage on the first step; reduce dt")
+            t, y, y_next = t_grid[n], Y[n], Y[n + 1]
+            stage(t, y, k1)
+            np.add(y, np.multiply(h / 2, k1, out=arg), out=arg)
+            stage(t + h / 2, arg, k2)
+            np.add(y, np.multiply(h / 2, k2, out=arg), out=arg)
+            stage(t + h / 2, arg, k3)
+            np.add(y, np.multiply(h, k3, out=arg), out=arg)
+            stage(t + h, arg, k4)
+            # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+            np.multiply(k2, 2, out=acc)
+            acc += k1
+            acc += np.multiply(k3, 2, out=k3)
+            acc += k4
+            acc *= h / 6
+            np.add(y, acc, out=y_next)
             # |.| < cutoff is false for NaN and inf, so it checks finiteness too
-            alive = (np.abs(z) < BLOWUP_CUTOFF) & (np.abs(g) < BLOWUP_CUTOFF)
-            if alive.all():
+            if np.abs(y_next, out=size).max() < BLOWUP_CUTOFF:
                 continue
+            if n == 0 and not np.isfinite(y_next).all():
+                raise StepTooLarge("non-finite RK4 stage on the first step; reduce dt")
+            alive = (size < BLOWUP_CUTOFF).all(axis=0)
             trunc_index[active & ~alive] = n
             active &= alive
             if not active.any():
                 break
     truncated = trunc_index < n_steps
     for i in np.flatnonzero(truncated):
-        Z[trunc_index[i] + 1:, i] = G[trunc_index[i] + 1:, i] = np.nan
-    return CharacteristicSurface(t_grid=t_grid, z=Z.T, g=G.T, truncated=truncated,
-                                 trunc_index=trunc_index)
+        Y[trunc_index[i] + 1:, :, i] = np.nan
+    return CharacteristicSurface(t_grid=t_grid, z=Y[:, 0].T, g=Y[:, 1].T,
+                                 truncated=truncated, trunc_index=trunc_index)
 
 
 def evaluate_on_surface(surf: CharacteristicSurface, t: float, z: complex) -> complex:

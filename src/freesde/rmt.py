@@ -169,8 +169,14 @@ def _wigner_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, diagonal
 
 
+def _gather_wigner(packed: np.ndarray, N: int, out: np.ndarray | None) -> np.ndarray:
+    """The symmetric (..., N, N) matrices of packed draws (..., N(N+1)/2)."""
+    return np.take(packed, _wigner_maps(N)[0], axis=-1, mode="clip", out=out)
+
+
 def sample_wigner_increment(N: int, dt, rng, out: np.ndarray | None = None,
-                            packed: np.ndarray | None = None) -> np.ndarray:
+                            packed: np.ndarray | None = None,
+                            gather: bool = True) -> np.ndarray:
     """Symmetric Gaussian increment matrix with semicircle-normalized entries.
 
     Exactly the N(N+1)/2 independent entries are drawn: above-diagonal
@@ -183,13 +189,15 @@ def sample_wigner_increment(N: int, dt, rng, out: np.ndarray | None = None,
     and the result gains a leading axis of length S.  ``out`` (the result's
     shape, C-contiguous) and ``packed`` (shape (Q, S, N(N+1)/2), Q = S = 1
     for one Generator and one dt, each [q] C-contiguous) are optional
-    reused buffers.
+    reused buffers.  With ``gather`` false no matrix is formed: the scaled
+    draws are returned packed, shape (Q, S, N(N+1)/2) (``packed`` itself
+    when given), for ``_gather_wigner`` to expand one draw at a time.
     """
     chunked = np.ndim(dt) > 0
     dts = list(dt) if chunked else [dt]
     if min(dts) < 0:
         raise ValueError("dt must be nonnegative")
-    gather, diagonal = _wigner_maps(N)
+    diagonal = _wigner_maps(N)[1]
     single = isinstance(rng, np.random.Generator)
     rngs = (rng,) if single else rng
     if packed is None:
@@ -198,9 +206,11 @@ def sample_wigner_increment(N: int, dt, rng, out: np.ndarray | None = None,
         stream.standard_normal(out=block)
     packed *= np.array([math.sqrt(d / N) for d in dts])[:, None]
     packed[..., diagonal] *= math.sqrt(2.0)
+    if not gather:
+        return packed
     stack = (len(dts), len(rngs), N, N)
-    dw = np.take(packed.swapaxes(0, 1), gather, axis=-1, mode="clip",
-                 out=None if out is None else out.reshape(stack))
+    dw = _gather_wigner(packed.swapaxes(0, 1), N,
+                        None if out is None else out.reshape(stack))
     lead = ((len(dts),) if chunked else ()) + (() if single else (len(rngs),))
     return dw.reshape(lead + (N, N))
 
@@ -405,19 +415,20 @@ def _segments(model: ModelSpec, dt: float, stops: Sequence[int]):
 
 def _increments(model: ModelSpec, cfg: SimConfig, rngs: list, stops: Sequence[int]):
     """Each segment (end step, drift time, (Q, N, N) increment) of a block of
-    Q paths, the increments drawn up to S segments per call into reused
-    buffers, with S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1)."""
+    Q paths, the increments drawn up to S segments per call into a reused
+    packed buffer, with S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1).
+    Each increment is gathered from the packed draws when it is consumed,
+    into one reused (Q, N, N) buffer that the next segment overwrites."""
     Q, N = len(rngs), cfg.N
     S = max(1, _STACK_DOUBLES // (Q * N * (N + 1) // 2))
-    dw = np.empty((S, Q, N, N))
     packed = np.empty((Q, S, N * (N + 1) // 2))
+    dw = np.empty((Q, N, N))
     segments = _segments(model, cfg.dt, stops)
     while chunk := list(itertools.islice(segments, S)):
-        n = len(chunk)
-        sample_wigner_increment(N, [noise for _, _, noise in chunk], rngs,
-                                dw[:n], packed[:, :n])
-        for (j, drift, _), inc in zip(chunk, dw):
-            yield j, drift, inc
+        draws = sample_wigner_increment(N, [noise for _, _, noise in chunk], rngs,
+                                        packed=packed[:, :len(chunk)], gather=False)
+        for s, (j, drift, _) in enumerate(chunk):
+            yield j, drift, _gather_wigner(draws[:, s], N, dw)
 
 
 def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,

@@ -272,15 +272,142 @@ class TestFoldedCharacteristic:
             want = two_division_characteristic(rhs, t, z, g)
             for x, y, s in zip(got, want, term_scale(rhs, t, z, g)):
                 assert np.all(np.abs(x - y) <= 1e-12 * s)
+            # and bit for bit what the out-of-place Horner gives
+            for x, y in zip(got, _reference_characteristic(rhs, t, z, g)):
+                assert np.broadcast_to(np.asarray(y, x.dtype), x.shape).tobytes() == x.tobytes()
 
     def test_ou_folds_to_two_terms(self):
-        P0, P1, Q0, Q1, Q2 = ou_rhs()._coefficients(0.3)
+        rhs = ou_rhs()
+        assert rhs.need == 0
+        P0, P1, Q0, Q1, Q2 = ch._fold(rhs.drift, rhs.diffusion, (1.0,))
         assert (P0, P1, Q0, Q1, Q2) == ((0.0, -1.0), (-1.0,), (), (1.0,), ())
+        # a fold of mu_0 alone is compiled once, whatever the time
+        assert rhs.slope(0.3) is rhs.slope(0.0)
+
+    def test_constant_slope_is_an_array(self):
+        # a = 0.7, bc = 0: P = 0.7 and Q = 0 are constants, returned as arrays
+        rhs = ch.build_pde(ch.Polynomial([0.7]), ch.Polynomial([]), ch.MomentFunction.none())
+        z = np.array([1.0 + 1.0j, -2.0 + 0.5j])
+        P, Q = rhs.characteristic(0.0, z, 1.0 / z)
+        assert P.shape == Q.shape == (2,) and P.dtype == complex
+        assert P.tolist() == [0.7, 0.7] and Q.tolist() == [0.0, 0.0]
 
 
 def ou_rhs(theta=-1.0, sigma=1.0):
     return ch.build_pde(ch.Polynomial([0.0, theta]), ch.Polynomial([sigma]),
                         ch.MomentFunction.none())
+
+
+def _horner(c, z):
+    """sum_k c_k z^k out of place, as the march evaluated it before the
+    compiled slope: zero terms skipped, a unit leading factor for free, a
+    float when c is constant."""
+    if len(c) < 2:
+        return c[0] if c else 0.0
+    top = c[-1]
+    acc = z if top == 1.0 else -z if top == -1.0 else top * z
+    for ck in c[-2:0:-1]:
+        if ck:
+            acc = acc + ck
+        acc = acc * z
+    return acc + c[0] if c[0] else acc
+
+
+def _mul_add(c, x, y):
+    """c x + y out of place, skipping a zero term and taking a unit factor
+    for free; c and y are each a float or an array."""
+    if isinstance(c, float):
+        if c == 0.0:
+            return y
+        if c == -1.0:
+            return -x if ch._is_zero(y) else y - x
+        cx = x if c == 1.0 else c * x
+    else:
+        cx = c * x
+    return cx if ch._is_zero(y) else cx + y
+
+
+def _reference_characteristic(rhs, t, z, g):
+    """(P, Q) from the folded coefficients by out-of-place Horner: each a
+    float where constant, and possibly z or g itself."""
+    mu = tuple(rhs.moments(j, t) for j in range(rhs.need + 1))
+    P0, P1, Q0, Q1, Q2 = ch._fold(rhs.drift, rhs.diffusion, mu)
+    P = _mul_add(_horner(P1, z), g, _horner(P0, z))
+    Q = _mul_add(_mul_add(_horner(Q2, z), g, _horner(Q1, z)), g, _horner(Q0, z))
+    return P, Q
+
+
+def _reference_march(rhs, init, labels, t_end, dt):
+    """(z, g, trunc_index, truncated) of the two-array march: z and g in
+    separate time-major arrays, every stage out of place, every curve
+    tested for blow-up at every step."""
+    labels = np.asarray(labels, dtype=float)
+    z0, g0 = init(labels)
+    n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    h = t_end / n_steps if n_steps else 0.0
+    t_grid = np.linspace(0.0, t_end, n_steps + 1)
+    n_s = labels.size
+    Z = np.zeros((n_steps + 1, n_s), complex)
+    G = np.zeros((n_steps + 1, n_s), complex)
+    Z[0], G[0] = z0, g0
+    trunc_index = np.full(n_s, n_steps, dtype=int)
+    active = np.ones(n_s, dtype=bool)
+
+    def f(t, z, g):
+        return _reference_characteristic(rhs, t, z, g)
+
+    def advance(x, k1, k2, k3, k4, out):
+        acc = k2 * 2
+        acc += k1
+        acc += k3 * 2
+        acc += k4
+        acc *= h / 6
+        np.add(x, acc, out=out)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(n_steps):
+            t = t_grid[n]
+            z, g = Z[n], G[n]
+            k1z, k1g = f(t, z, g)
+            k2z, k2g = f(t + h / 2, z + h / 2 * k1z, g + h / 2 * k1g)
+            k3z, k3g = f(t + h / 2, z + h / 2 * k2z, g + h / 2 * k2g)
+            k4z, k4g = f(t + h, z + h * k3z, g + h * k3g)
+            advance(z, k1z, k2z, k3z, k4z, Z[n + 1])
+            advance(g, k1g, k2g, k3g, k4g, G[n + 1])
+            z, g = Z[n + 1], G[n + 1]
+            alive = (np.abs(z) < ch.BLOWUP_CUTOFF) & (np.abs(g) < ch.BLOWUP_CUTOFF)
+            if alive.all():
+                continue
+            trunc_index[active & ~alive] = n
+            active &= alive
+            if not active.any():
+                break
+    truncated = trunc_index < n_steps
+    for i in np.flatnonzero(truncated):
+        Z[trunc_index[i] + 1:, i] = G[trunc_index[i] + 1:, i] = np.nan
+    return Z.T, G.T, trunc_index, truncated
+
+
+def _record_case(spec, t_end):
+    return (ch.build_pde(*spec.polynomials(), spec.moment_function()),
+            lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
+            np.linspace(-2.0, 4.0, 25), t_end, 1e-3)
+
+
+def _march_cases():
+    square = ch.build_pde(ch.Polynomial([0, 0, -1.0]), ch.Polynomial([]),
+                          ch.MomentFunction.from_values([1.0, 0.0]))
+    yield "bench", (ou_rhs(), lambda s: (s + 2.0j, -1.0 / (s + 2.0j)),
+                    np.linspace(-4, 4, 801), 1.0, 1e-3)
+    yield "ou", _record_case(md.OrnsteinUhlenbeck(-1.0, 1.0), 1.0)
+    yield "gbm1", _record_case(md.GeometricBrownian1(0.5), 1.0)
+    yield "explosive", _record_case(md.Explosive(1.0, 1.0), 0.5)
+    yield "31-curve", (square, lambda s: (-s + 0j, np.ones_like(s) + 0j),
+                       np.linspace(0.5, 3.5, 31), 1.0, 1e-2)
+    yield "constant-P", (ch.build_pde(ch.Polynomial([0.7]), ch.Polynomial([]),
+                                      ch.MomentFunction.none()),
+                         lambda s: (np.conj(s + 0j), 1.0 / (s + 1j)), np.linspace(-1, 1, 5), 0.5,
+                         1e-2)
 
 
 class TestIntegrateCharacteristics:
@@ -354,6 +481,59 @@ class TestIntegrateCharacteristics:
                 np.array([0.0]), t_end=0.1, dt=1e-2)
 
 
+    def test_g_alone_blowing_up_truncates(self):
+        # a = -40x, bc = 0: z = (s + i) e^{-40t} shrinks while g = e^{40t}
+        # passes the cutoff at t = ln(1e12)/40 = 0.6908, after step 690
+        rhs = ch.build_pde(ch.Polynomial([0, -40.0]), ch.Polynomial([]),
+                           ch.MomentFunction.none())
+        surf = ch.integrate_characteristics(
+            rhs, lambda s: (s + 1j, np.ones_like(s) + 0j), np.linspace(-1, 1, 5),
+            t_end=1.0, dt=1e-3)
+        assert surf.trunc_index.tolist() == [690] * 5
+        assert surf.truncated.all()
+        assert np.nanmax(np.abs(surf.z)) == abs(1 + 1j)
+        assert np.abs(surf.g[:, 690]).max() < ch.BLOWUP_CUTOFF
+        assert np.isnan(surf.g[:, 691:]).all() and np.isnan(surf.z[:, 691:]).all()
+
+    def test_non_finite_after_the_first_step_truncates(self):
+        # dz/dt = z^8 at dt = 0.01: from z0 = 1.5 the first step reaches
+        # z = 3.64 and the second step's stages overflow to NaN, below the
+        # cutoff all along; z0 = 0 stays put.  From z0 = 3 the first step
+        # overflows already.
+        rhs = ch.build_pde(ch.Polynomial([0.0] * 8 + [1.0]), ch.Polynomial([]),
+                           ch.MomentFunction.from_values([1.0] + [0.0] * 7))
+
+        def init(s):
+            return s + 0j, np.ones_like(s) + 0j
+
+        surf = ch.integrate_characteristics(rhs, init, np.array([0.0, 1.5]),
+                                            t_end=0.05, dt=1e-2)
+        assert surf.trunc_index.tolist() == [5, 1]
+        assert surf.truncated.tolist() == [False, True]
+        assert 3.6 < abs(surf.z[1, 1]) < 3.7
+        assert np.isnan(surf.z[1, 2:]).all() and np.isnan(surf.g[1, 2:]).all()
+        assert np.array_equal(surf.z[0], np.zeros(6)) and np.array_equal(surf.g[0], np.ones(6))
+        # the second step, taken again out of place, is not finite
+        y, h = np.array([surf.z[1, 1], surf.g[1, 1]]), 1e-2
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = np.array(rhs.characteristic(0.0, *y))
+            k2 = np.array(rhs.characteristic(0.0, *(y + h / 2 * k1)))
+            k3 = np.array(rhs.characteristic(0.0, *(y + h / 2 * k2)))
+            k4 = np.array(rhs.characteristic(0.0, *(y + h * k3)))
+            assert not np.isfinite(y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)).any()
+        with pytest.raises(StepTooLarge):
+            ch.integrate_characteristics(rhs, init, np.array([0.0, 3.0]),
+                                         t_end=0.05, dt=1e-2)
+
+    @pytest.mark.parametrize("t_end, dt", [(np.nan, 1e-2), (1.0, np.nan), (np.inf, 1e-2),
+                                           (1.0, np.inf)],
+                             ids=["t_end-nan", "dt-nan", "t_end-inf", "dt-inf"])
+    def test_non_finite_times_are_refused(self, t_end, dt):
+        with pytest.raises(ValueError, match=r"dt.*t_end"):
+            ch.integrate_characteristics(
+                ou_rhs(), lambda s: (s + 1j, 1.0 / (s + 1j)), np.zeros(2),
+                t_end=t_end, dt=dt)
+
     def test_time_major_layout_and_truncation(self):
         # dz/dt = -z^2 from z0 = -s blows up at t = 1/s: 25 of the 31 curves
         # truncate, at 25 different steps
@@ -371,6 +551,21 @@ class TestIntegrateCharacteristics:
             for arr in (surf.z[i], surf.g[i]):
                 assert np.isfinite(arr[:k + 1]).all()
                 assert np.isnan(arr[k + 1:]).all()
+
+
+class TestMarchMatchesTwoArrayMarch:
+    """The stacked in-place march gives every surface bit of the two-array
+    out-of-place march it replaced."""
+
+    @pytest.mark.parametrize("case", [c for _, c in _march_cases()],
+                             ids=[name for name, _ in _march_cases()])
+    def test_bitwise_equal(self, case):
+        surf = ch.integrate_characteristics(*case)
+        z, g, trunc_index, truncated = _reference_march(*case)
+        assert surf.z.tobytes() == z.tobytes()
+        assert surf.g.tobytes() == g.tobytes()
+        assert np.array_equal(surf.trunc_index, trunc_index)
+        assert np.array_equal(surf.truncated, truncated)
 
 
 class TestModelRecordsThroughEngine:

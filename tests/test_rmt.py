@@ -394,9 +394,9 @@ class TestEnsemble:
         draws = []
         sample = rmt.sample_wigner_increment
 
-        def spy(N, dts, rngs, *args):  # one call draws a chunk of increments
+        def spy(N, dts, rngs, *args, **kwargs):  # one call draws a chunk of increments
             draws.extend([len(rngs)] * len(dts))
-            return sample(N, dts, rngs, *args)
+            return sample(N, dts, rngs, *args, **kwargs)
 
         monkeypatch.setattr(rmt, "sample_wigner_increment", spy)
         monkeypatch.setenv("FREESDE_THREADS", "1")
@@ -516,9 +516,9 @@ class TestOuSegments:
         draws = []
         sample = rmt.sample_wigner_increment
 
-        def spy(N, dts, rngs, *args):  # one call draws a chunk of increments
+        def spy(N, dts, rngs, *args, **kwargs):  # one call draws a chunk of increments
             draws.extend((len(rngs), dt) for dt in dts)
-            return sample(N, dts, rngs, *args)
+            return sample(N, dts, rngs, *args, **kwargs)
 
         monkeypatch.setattr(rmt, "sample_wigner_increment", spy)
         spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
