@@ -11,7 +11,8 @@ writes them, after the command returns: a run that exits 2 or 3 writes nothing.
 
 Config rules (each a configuration error): the file can be read, decoded
 and parsed; each config object (the top level, the model fields, ``grid``
-and ``mc``) holds only its own fields, by ``models.config_object``;
+and ``mc``) holds only its own fields, by ``models.config_object``, and
+each ``mc`` field is read by its kind for every command;
 ``times`` strictly increase, and ``density`` and ``compare`` need them
 positive; a ``grid``'s ``n`` nodes from ``lo`` to ``hi`` strictly increase
 in double precision; ``density`` and ``compare`` hold at most
@@ -96,7 +97,9 @@ class RunConfig:
             raise InvalidConfig(f"out_dir must be a string, got {self.out_dir!r}")
         if not self.threshold >= 0:
             raise InvalidConfig(f"threshold must be nonnegative, got {self.threshold}")
-        config_object(self.mc, _MC_KEYS, "mc")
+        self.mc = {k: _flag(v, f"mc {k}") if k == "allow_near_blowup" else
+                   config_number(int if k in ("N", "n_paths") else float, v, f"mc {k}")
+                   for k, v in config_object(self.mc, _MC_KEYS, "mc").items()}
 
 
 def _load_config(args) -> RunConfig:
@@ -243,14 +246,8 @@ def cmd_moments(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     _check_curve_times(cfg)
     tag = cfg.spec.tag
-    mc = cfg.mc
-    sim = rmt.SimConfig(
-        N=config_number(int, mc.get("N", 300), "mc N"),
-        dt=config_number(float, mc.get("dt", 1e-3), "mc dt"),
-        t_end=config_number(float, mc.get("t_end", max(cfg.times)), "mc t_end"),
-        n_paths=config_number(int, mc.get("n_paths", 20), "mc n_paths"), seed=cfg.seed,
-        allow_near_blowup=_flag(mc.get("allow_near_blowup", False),
-                                "mc allow_near_blowup"))
+    sim = rmt.SimConfig(**{"N": 300, "dt": 1e-3, "t_end": max(cfg.times), "n_paths": 20,
+                           **cfg.mc}, seed=cfg.seed)
     # invert first: a curve that fails its mass check costs no MC run
     curves = [_density_curve(cfg, t) if cfg.spec.cauchy is not None else None
               for t in cfg.times]

@@ -134,6 +134,8 @@ class SimConfig:
                                 f"{self.t_end / self.dt:g}")
         if not 1 <= self.n_paths <= MAX_PATHS:
             raise InvalidConfig(f"n_paths must be in [1, {MAX_PATHS}], got {self.n_paths}")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidConfig(f"seed must be in [0, 2**64), got {self.seed}")
         if not _on_grid(self.t_end, self.dt):
             raise InvalidConfig(
                 f"t_end={self.t_end} is not a multiple of dt={self.dt}")
@@ -149,7 +151,7 @@ def _on_grid(t: float, dt: float) -> bool:
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
     """Counter-keyed stream for one path; independent of scheduling order."""
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), path_index]))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, path_index], np.uint64)))
 
 
 @functools.cache
@@ -169,13 +171,12 @@ def _wigner_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, diagonal
 
 
-def _gather_wigner(packed: np.ndarray, N: int, out: np.ndarray | None) -> np.ndarray:
+def _gather_wigner(packed: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
     """The symmetric (..., N, N) matrices of packed draws (..., N(N+1)/2)."""
     return np.take(packed, _wigner_maps(N)[0], axis=-1, mode="clip", out=out)
 
 
-def sample_wigner_increment(N: int, dt, rng, out: np.ndarray | None = None,
-                            packed: np.ndarray | None = None,
+def sample_wigner_increment(N: int, dt, rng, packed: np.ndarray | None = None,
                             gather: bool = True) -> np.ndarray:
     """Symmetric Gaussian increment matrix with semicircle-normalized entries.
 
@@ -186,12 +187,12 @@ def sample_wigner_increment(N: int, dt, rng, out: np.ndarray | None = None,
     same values that stream would give one matrix at a time.  ``dt`` is one
     noise time, or a sequence of S of them: each stream then draws its S
     increments in one call, in the order it would draw them one at a time,
-    and the result gains a leading axis of length S.  ``out`` (the result's
-    shape, C-contiguous) and ``packed`` (shape (Q, S, N(N+1)/2), Q = S = 1
-    for one Generator and one dt, each [q] C-contiguous) are optional
-    reused buffers.  With ``gather`` false no matrix is formed: the scaled
-    draws are returned packed, shape (Q, S, N(N+1)/2) (``packed`` itself
-    when given), for ``_gather_wigner`` to expand one draw at a time.
+    and the result gains a leading axis of length S.  ``packed`` (shape
+    (Q, S, N(N+1)/2), Q = S = 1 for one Generator and one dt, each [q]
+    C-contiguous) is an optional reused buffer.  With ``gather`` false no
+    matrix is formed: the scaled draws are returned packed, shape
+    (Q, S, N(N+1)/2) (``packed`` itself when given), for ``_gather_wigner``
+    to expand one draw at a time.
     """
     chunked = np.ndim(dt) > 0
     dts = list(dt) if chunked else [dt]
@@ -208,11 +209,8 @@ def sample_wigner_increment(N: int, dt, rng, out: np.ndarray | None = None,
     packed[..., diagonal] *= math.sqrt(2.0)
     if not gather:
         return packed
-    stack = (len(dts), len(rngs), N, N)
-    dw = _gather_wigner(packed.swapaxes(0, 1), N,
-                        None if out is None else out.reshape(stack))
     lead = ((len(dts),) if chunked else ()) + (() if single else (len(rngs),))
-    return dw.reshape(lead + (N, N))
+    return _gather_wigner(packed.swapaxes(0, 1), N).reshape(lead + (N, N))
 
 
 def sym_sqrt_clamped(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -335,7 +333,8 @@ def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
 
 @dataclass
 class EigenHistogram:
-    """Pooled eigenvalue samples at one time plus Freedman-Diaconis bins."""
+    """Pooled eigenvalue samples at one time, binned by numpy's
+    Freedman-Diaconis rule (``np.histogram(..., bins="fd")``)."""
 
     time: float
     samples: np.ndarray  # sorted
@@ -347,17 +346,10 @@ class EigenHistogram:
         samples = np.sort(np.asarray(samples, dtype=float).ravel())
         if samples.size == 0:
             raise EmptyHistogram("no eigenvalue samples")
-        if not np.isfinite(samples[-1] - samples[0]):  # NaN sorts last
+        if not math.isfinite(float(samples[-1]) - float(samples[0])):  # NaN sorts last
             raise NonFinite("eigenvalue samples are not finite or their range overflows")
-        q75, q25 = np.percentile(samples, [75, 25])
-        width = 2.0 * (q75 - q25) * samples.size ** (-1.0 / 3.0)
-        span = samples[-1] - samples[0]
-        if width <= 0 or span <= 0:
-            nbins = 1
-        else:
-            nbins = max(1, int(math.ceil(span / width)))
         try:
-            counts, edges = np.histogram(samples, bins=nbins)
+            counts, edges = np.histogram(samples, bins="fd")
         except ValueError as exc:  # one repeated value too large to widen by 0.5
             raise NonFinite(f"no histogram bins for the samples: {exc}") from exc
         return cls(time=time, samples=samples, bin_edges=edges, counts=counts)
@@ -413,55 +405,47 @@ def _segments(model: ModelSpec, dt: float, stops: Sequence[int]):
             yield j, drift, noise
 
 
-def _increments(model: ModelSpec, cfg: SimConfig, rngs: list, stops: Sequence[int]):
-    """Each segment (end step, drift time, (Q, N, N) increment) of a block of
-    Q paths, the increments drawn up to S segments per call into a reused
-    packed buffer, with S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1).
-    Each increment is gathered from the packed draws when it is consumed,
-    into one reused (Q, N, N) buffer that the next segment overwrites."""
-    Q, N = len(rngs), cfg.N
-    S = max(1, _STACK_DOUBLES // (Q * N * (N + 1) // 2))
-    packed = np.empty((Q, S, N * (N + 1) // 2))
-    dw = np.empty((Q, N, N))
-    segments = _segments(model, cfg.dt, stops)
-    while chunk := list(itertools.islice(segments, S)):
-        draws = sample_wigner_increment(N, [noise for _, _, noise in chunk], rngs,
-                                        packed=packed[:, :len(chunk)], gather=False)
-        for s, (j, drift, _) in enumerate(chunk):
-            yield j, drift, _gather_wigner(draws[:, s], N, dw)
-
-
 def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
                  snap_steps: Sequence[int]) -> tuple[list[np.ndarray], np.ndarray]:
     """Eigenvalues (Q, N) at each snapshot of a block of Q paths, plus each
     path's square-root clamp mass, shape (Q,).
 
     The Euler scheme steps the block's march states (``ModelSpec.march_state``)
-    as one (Q, N, N) stack in reused buffers, one segment
-    (``ModelSpec.euler_segment``) per increment, from snapshot to snapshot;
-    it ends at the last one.  Path p draws from its own stream in the same
-    order as it would alone, one increment after another (``_increments``),
-    so every path's values are independent of the blocking and the chunking.
-    A state that overflows or turns NaN raises NonFinite at once (the error
+    as one (Q, N, N) stack in reused buffers, one segment (``_segments``)
+    per increment, from snapshot to snapshot; it ends at the last one.  The
+    increments are drawn up to S segments per call into a reused packed
+    buffer, S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1), and each is
+    gathered into one reused (Q, N, N) buffer when it is consumed.  Path p
+    draws from its own stream in the same order as it would alone, so every
+    path's values are independent of the blocking and the chunking.  A
+    state that overflows or turns NaN raises NonFinite at once (the error
     state is set here because it is local to each pool thread).
     """
     rngs = [path_rng(cfg.seed, p) for p in paths]
-    clamp = np.zeros(len(paths))
-    x = np.empty((len(paths), cfg.N, cfg.N))
-    x[...] = model.x0 * np.eye(cfg.N)
+    Q, N = len(paths), cfg.N
+    S = max(1, _STACK_DOUBLES // (Q * N * (N + 1) // 2))
+    packed = np.empty((Q, S, N * (N + 1) // 2))
+    clamp = np.zeros(Q)
+    x = np.empty((Q, N, N))
+    x[...] = model.x0 * np.eye(N)
     x = model.march_state(x)
+    dw, scratch = np.empty_like(x), np.empty((2,) + x.shape)
+    stops = set(snap_steps)
+    segments = _segments(model, cfg.dt, sorted(stops))
     out: dict[int, np.ndarray] = {}
-    scratch = np.empty((2,) + x.shape)
-    stops = sorted(set(snap_steps))
-    increments = _increments(model, cfg, rngs, stops)
     j = 0
     with np.errstate(over="raise", invalid="raise"):
         try:
-            for stop in stops:
-                while j < stop:
-                    j, drift, dw = next(increments)
-                    _apply_increment(x, model, drift, dw, clamp, x, scratch)
-                out[stop] = _snapshot_eigvals(model.state_matrix(x))
+            if 0 in stops:
+                out[0] = _snapshot_eigvals(model.state_matrix(x))
+            while chunk := list(itertools.islice(segments, S)):
+                draws = sample_wigner_increment(N, [noise for *_, noise in chunk], rngs,
+                                                packed=packed[:, :len(chunk)], gather=False)
+                for s, (j, drift, _) in enumerate(chunk):
+                    _apply_increment(x, model, drift, _gather_wigner(draws[:, s], N, dw),
+                                     clamp, x, scratch)
+                    if j in stops:
+                        out[j] = _snapshot_eigvals(model.state_matrix(x))
         except FloatingPointError as exc:
             raise NonFinite(
                 f"Monte Carlo state not finite at step {j}: {exc}") from exc

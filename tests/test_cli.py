@@ -353,6 +353,32 @@ class TestExitCodes:
         assert cli.main(["compare", "--config", cfgfile]) == 2
         assert "FREESDE_SEED" in capsys.readouterr().err
 
+    # -1 ran seed 0's stream with a cast warning and wrote -1 into the report
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None),
+                                           ([], str(2**64))], ids=["flag-1", "env2^64"])
+    def test_seed_outside_its_range_is_exit_2(self, tmp_path, monkeypatch, capsys, flag, env):
+        cfgfile = write_config(
+            tmp_path, model="ou", theta=0.0, sigma=1.0, times=[0.1],
+            out_dir=str(tmp_path / "o"), mc={"N": 10, "dt": 1e-2, "n_paths": 2})
+        if env is not None:
+            monkeypatch.setenv("FREESDE_SEED", env)
+        assert cli.main(["compare", "--config", cfgfile, *flag]) == 2
+        assert "seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # the analytic commands never read mc, so any value passed
+    @pytest.mark.parametrize("command", ["density", "support", "moments"])
+    @pytest.mark.parametrize("mc", [{"N": "abc"}, {"dt": True}, {"n_paths": math.inf},
+                                    {"t_end": None}, {"allow_near_blowup": 1}],
+                             ids=["N-str", "dt-bool", "n_paths-inf", "t_end-null", "allow-int"])
+    def test_malformed_mc_value_is_exit_2_for_every_command(self, tmp_path, capsys,
+                                                            command, mc):
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.5],
+                               out_dir=str(tmp_path / "o"), mc=mc)
+        assert cli.main([command, "--config", cfgfile]) == 2
+        assert "config error: mc " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_times_flag_is_exit_2(self, tmp_path, capsys):
         argv = ["support", "--model", "ou", "--theta", "0", "--sigma", "1",
                 "--times", "1,x", "--out", str(tmp_path)]

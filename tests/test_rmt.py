@@ -54,6 +54,20 @@ class TestSimConfig:
             rmt.SimConfig(N=10, dt=0.03, t_end=0.1, n_paths=1)
         assert rmt.SimConfig(N=10, dt=0.01, t_end=0.4, n_paths=1).n_steps == 40
 
+    @pytest.mark.parametrize("seed", [-1, -3001, 2**64, 2**64 + 7])
+    def test_rejects_seed_outside_its_range(self, seed):
+        with pytest.raises(InvalidConfig, match=r"\[0, 2\*\*64\)"):
+            rmt.SimConfig(N=10, dt=0.01, t_end=0.4, n_paths=1, seed=seed)
+        rmt.SimConfig(N=10, dt=0.01, t_end=0.4, n_paths=1, seed=2**64 - 1)
+
+    def test_seeds_past_two_to_the_63_draw_their_own_streams(self):
+        # the seed went into the Philox key as a float64 there, so
+        # 2**63 and 2**63 + 1 drew one stream
+        draws = [rmt.path_rng(seed, 0).standard_normal(4)
+                 for seed in (2**63, 2**63 + 1, 2**64 - 1)]
+        assert not np.array_equal(draws[0], draws[1])
+        assert not np.array_equal(draws[1], draws[2])
+
 
 class TestWignerIncrement:
     def test_trace_second_moment_statistics(self):
@@ -436,7 +450,7 @@ class TestEnsemble:
                                                 monkeypatch):
         # against the march as it drew before chunking, one path at a time
         cfg = rmt.SimConfig(N=N, dt=dt, t_end=0.4, n_paths=n_paths, seed=31)
-        times = [0.1, 0.4]
+        times = [0.4, 0.0, 0.1, 0.1]  # out of order, t = 0 and a repeated time
         want = _per_draw_paths(spec, cfg, times)
         for n in threads:
             monkeypatch.setenv("FREESDE_THREADS", n)
@@ -601,6 +615,30 @@ class TestEigenHistogram:
         lines = h.to_csv().strip().split("\n")
         assert lines[0] == "bin_lo,bin_hi,count"
         assert sum(int(ln.split(",")[2]) for ln in lines[1:]) == 4
+
+    @pytest.mark.parametrize("samples", [
+        [1.5], [2.0] * 9, [0.0, 1.0], [0.0, 0.0, 0.0, 1.0],
+        np.random.default_rng(1).normal(size=500),
+        np.random.default_rng(2).standard_cauchy(2000),
+        np.random.default_rng(3).uniform(-2, 2, 4800),
+    ], ids=["one", "constant", "two", "zero-iqr", "normal", "cauchy", "uniform"])
+    def test_bins_follow_freedman_diaconis(self, samples):
+        # the rule written out: width 2 IQR n^(-1/3), ceil(span/width) bins
+        x = np.sort(np.asarray(samples, dtype=float))
+        q75, q25 = np.percentile(x, [75, 25])
+        width = 2.0 * (q75 - q25) * x.size ** (-1.0 / 3.0)
+        span = x[-1] - x[0]
+        nbins = max(1, math.ceil(span / width)) if width > 0 and span > 0 else 1
+        counts, edges = np.histogram(x, bins=nbins)
+        h = rmt.EigenHistogram.from_samples(samples, 0.5)
+        assert np.array_equal(h.bin_edges, edges)
+        assert np.array_equal(h.counts, counts)
+
+    @pytest.mark.parametrize("samples", [[0.0, np.nan], [-1e308, 1e308], [1e300] * 3],
+                             ids=["nan", "range-overflows", "huge-constant"])
+    def test_non_finite_or_unbinnable_samples_are_refused(self, samples):
+        with pytest.raises(NonFinite):
+            rmt.EigenHistogram.from_samples(samples, 0.5)
 
 
 class TestKolmogorovDistance:
