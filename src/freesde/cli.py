@@ -12,23 +12,17 @@ writes them, after the command returns: a run that exits 2 or 3 writes nothing.
 Config rules (each a configuration error): the file can be read, decoded
 and parsed; each config object (the top level, the model fields, ``grid``
 and ``mc``) holds only its own fields, by ``models.config_object``, and
-each ``mc`` field is read by its kind for every command;
-``times`` strictly increase, and ``density`` and ``compare`` need them
-positive; a ``grid``'s ``n`` nodes from ``lo`` to ``hi`` strictly increase
-in double precision; ``density`` and ``compare`` hold at most
-``MAX_GRID_N`` nodes summed over their times (the auto grid counts
-``AUTO_GRID_N`` a time); ``out_dir`` is a string and ``threshold`` is
-nonnegative.  A file name stamps t as ``%g`` where that
+each ``mc`` field is read by its kind for every command; a number is a JSON
+number, not a string (``--times`` and ``FREESDE_SEED`` text is read as
+numbers where it enters); ``times`` is a list that strictly increases, and
+``density`` and ``compare`` need them positive; a ``grid``'s ``n`` nodes
+from ``lo`` to ``hi`` strictly increase in double precision; ``density``
+and ``compare`` hold at most ``MAX_GRID_N`` nodes summed over their times
+(the auto grid counts ``AUTO_GRID_N`` a time); ``out_dir`` is a string and
+``threshold`` is nonnegative.  A file name stamps t as ``%g`` where that
 reads back as t, else as its shortest round-trip repr, with ``.`` as ``p``
 and ``-`` as ``m``: distinct times never share a file.  Terminal lines and
 SVG legends label t by the same rule, with ``.`` and ``-`` kept.
-
-Without a config ``grid`` the model record gives the auto grid and the
-density on it (``ModelSpec.boundary``): ``AUTO_GRID_N`` nodes clustered at
-the support edges, with short uniform tails on 5% margins beside the
-support.  gbm1 reads both from its explicit boundary curve, with no Newton
-solve; its transform's Newton solve serves config grids alone, and does
-not reach as far in t (exit 3 where points do not converge).
 
 Exit codes: 0 success, 2 configuration error (an unwritable ``out_dir`` too),
 3 numerical failure, 4 comparison threshold exceeded.
@@ -51,7 +45,6 @@ from . import cauchy, characteristics, models, moments, rmt
 from .errors import FreeSdeError, InvalidConfig
 from .models import AUTO_GRID_N, MODEL_KEYS, config_number, config_object
 
-_RUN_KEYS = ("times", "grid", "out_dir", "svg", "seed", "mc", "threshold")
 _MC_KEYS = tuple(f.name for f in dataclasses.fields(rmt.SimConfig) if f.name != "seed")
 _GRID_KEYS = ("lo", "hi", "n")
 MAX_GRID_N = 10**6  # most nodes a run's curves hold: one such curve peaks near 200 MB
@@ -67,7 +60,7 @@ def _flag(value, what: str) -> bool:
 @dataclass
 class RunConfig:
     spec: models.ModelSpec
-    times: list[float]
+    times: list[float] | None = None  # required: None is refused
     grid: dict | np.ndarray | None = None  # {"lo","hi","n"} in, its nodes out; None for auto
     out_dir: str = "."
     svg: bool = False
@@ -76,6 +69,9 @@ class RunConfig:
     threshold: float = 0.08
 
     def __post_init__(self):
+        if not isinstance(self.times, list):
+            raise InvalidConfig(f"times needs a list (or --times a,b), got {self.times!r}")
+        self.times = [config_number(float, t, "time") for t in self.times]
         if not self.times:
             raise InvalidConfig("no times given")
         if any(t < 0 for t in self.times):
@@ -95,6 +91,9 @@ class RunConfig:
                                         f"in doubles, got lo={lo}, hi={hi}, n={n}")
         if not isinstance(self.out_dir, str):
             raise InvalidConfig(f"out_dir must be a string, got {self.out_dir!r}")
+        self.svg = _flag(self.svg, "svg")
+        self.seed = config_number(int, self.seed, "seed")
+        self.threshold = config_number(float, self.threshold, "threshold")
         if not self.threshold >= 0:
             raise InvalidConfig(f"threshold must be nonnegative, got {self.threshold}")
         self.mc = {k: _flag(v, f"mc {k}") if k == "allow_near_blowup" else
@@ -102,7 +101,19 @@ class RunConfig:
                    for k, v in config_object(self.mc, _MC_KEYS, "mc").items()}
 
 
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "spec")
+
+
+def _from_text(kind, text: str, what: str):
+    """A number written as flag or environment text; ``RunConfig`` checks it next."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise InvalidConfig(f"{what} must be a finite {kind.__name__}, got {text!r}") from None
+
+
 def _load_config(args) -> RunConfig:
+    """The config file's fields, overridden by the flags, then by ``FREESDE_SEED``."""
     raw: dict = {}
     if args.config:
         try:  # bad UTF-8 and over-long int literals are ValueErrors; deep nesting recurses
@@ -114,22 +125,13 @@ def _load_config(args) -> RunConfig:
         val = getattr(args, key, None)
         if val is not None:
             raw[key] = val
-    spec = models.model_from_json({k: raw[k] for k in MODEL_KEYS if k in raw})
-    times = raw.get("times")
-    if isinstance(times, str):
-        times = [v for v in times.split(",") if v]
-    if not isinstance(times, list):
-        raise InvalidConfig("times needs a list or a comma-separated string "
-                            f"(config file or --times), got {times!r}")
+    if args.times is not None:
+        raw["times"] = [_from_text(float, v, "time") for v in args.times.split(",") if v]
     seed_env = os.environ.get("FREESDE_SEED")
-    seed = (config_number(int, seed_env, "FREESDE_SEED") if seed_env is not None
-            else config_number(int, raw.get("seed", 0), "seed"))
-    return RunConfig(spec=spec, times=[config_number(float, t, "time") for t in times],
-                     grid=raw.get("grid"),
-                     out_dir=raw.get("out_dir", "."),
-                     svg=_flag(raw.get("svg", False), "svg"), seed=seed,
-                     mc=raw.get("mc", {}),
-                     threshold=config_number(float, raw.get("threshold", 0.08), "threshold"))
+    if seed_env is not None:
+        raw["seed"] = _from_text(int, seed_env, "FREESDE_SEED")
+    spec = models.model_from_json({k: raw[k] for k in MODEL_KEYS if k in raw})
+    return RunConfig(spec=spec, **{k: raw[k] for k in _RUN_KEYS if k in raw})
 
 
 def _t_label(t: float) -> str:
@@ -186,24 +188,6 @@ def polyline_svg(curves, title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def _density_curve(cfg: RunConfig, t: float) -> cauchy.DensityCurve:
-    """The normalized density at t from the transform's boundary values.
-
-    Every transform the commands reach extends continuously to the real
-    axis, so p = (1/pi) Im g(t, x) is read on the grid with no offset: an
-    offset eps leaves an O(sqrt(eps)) bias at square-root edges that no
-    extrapolation removes.  Without a config grid the record gives the
-    auto grid and the density on it (``ModelSpec.boundary``); both paths
-    face the mass check.
-    """
-    if cfg.grid is None:
-        curve = cfg.spec.boundary(t)
-    else:
-        curve = cauchy.stieltjes_invert(cfg.spec.cauchy, t, cfg.grid, eps0=0.0)
-    curve.assert_normalized()
-    return curve
-
-
 def _check_curve_times(cfg: RunConfig) -> None:
     """density and compare hold a curve per time until the run ends: every
     time must be positive, and all the curves at most MAX_GRID_N nodes."""
@@ -216,10 +200,9 @@ def _check_curve_times(cfg: RunConfig) -> None:
 
 
 def cmd_density(cfg: RunConfig) -> tuple[int, dict[str, str]]:
-    models.cauchy_evaluator(cfg.spec)  # refuses a model with no transform
     _check_curve_times(cfg)
     tag = cfg.spec.tag
-    curves = [_density_curve(cfg, t) for t in cfg.times]
+    curves = [cfg.spec.density_curve(t, cfg.grid) for t in cfg.times]
     files = {}
     for t, curve in zip(cfg.times, curves):
         print(f"  t={_t_label(t)}: mass={curve.mass:.6f}")
@@ -249,7 +232,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     sim = rmt.SimConfig(**{"N": 300, "dt": 1e-3, "t_end": max(cfg.times), "n_paths": 20,
                            **cfg.mc}, seed=cfg.seed)
     # invert first: a curve that fails its mass check costs no MC run
-    curves = [_density_curve(cfg, t) if cfg.spec.cauchy is not None else None
+    curves = [cfg.spec.density_curve(t, cfg.grid) if cfg.spec.cauchy is not None else None
               for t in cfg.times]
     hists = rmt.run_ensemble(cfg.spec, sim, cfg.times)
     report = {"model": models.model_to_json(cfg.spec), "config": dataclasses.asdict(sim),
@@ -291,8 +274,7 @@ def _selftest_checks():
             assert abs(1e6j * ev(t, 1e6j) + 1) < 1e-4
 
     def inversion():
-        spec = models.Explosive(1.0, 1.0)
-        curve = _density_curve(RunConfig(spec=spec, times=[0.9]), 0.9)
+        curve = models.Explosive(1.0, 1.0).density_curve(0.9)
         ref = models.explosive_density(1.0, 1.0, 0.9, curve.xs)
         err = np.max(np.abs(curve.ps - ref))
         assert err < 1e-6, err

@@ -39,10 +39,13 @@ BLOWUP_GUARD = 1e-9
 NEWTON_MAX_ITER = 100
 NEWTON_MAX_HALVINGS = 30
 
-# Nodes of the auto grid, and its uniform nodes on each 5% margin beside
-# the support.
+# Nodes of the auto grid, its uniform nodes on each 5% margin beside the
+# support, and the map of the rest: phi at equal steps over [0, pi] (cos phi
+# in ``ModelSpec.boundary``, sin phi in ``gbm_boundary``).
 AUTO_GRID_N = 1024
 AUTO_TAIL = 12
+AUTO_PHI = np.linspace(0.0, math.pi, AUTO_GRID_N - 2 * AUTO_TAIL)
+AUTO_PHI.flags.writeable = False
 
 
 class ModelSpec:
@@ -54,7 +57,8 @@ class ModelSpec:
     ``moments(t)`` gives the mean and second moment, ``support(t)`` the
     spectral support, ``cauchy(t, z)`` the Cauchy transform (None where it
     is not known), ``boundary(t)`` the density curve on the ``AUTO_GRID_N``
-    nodes of the auto grid at t, ``polynomials()`` the drift a(x) and noise product (b c)(x).
+    nodes of the auto grid at t, ``density_curve(t, grid)`` the normalized
+    curve the CLI writes, ``polynomials()`` the drift a(x) and noise product (b c)(x).
 
     The Monte Carlo march carries a state s for each matrix x:
     ``march_state(x)`` gives it and ``state_matrix(s)`` gives x back.  It is
@@ -91,9 +95,24 @@ class ModelSpec:
         near-blow-up spikes live, inside ``_margin_grid``'s tails; the density
         (1/pi) Im g(t, x) on it is read by ``stieltjes_invert`` at eps = 0."""
         sup = self.support(t)
-        phi = np.linspace(0.0, math.pi, AUTO_GRID_N - 2 * AUTO_TAIL)
-        core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(phi)
+        core = 0.5 * (sup.lo + sup.hi) - 0.5 * sup.width * np.cos(AUTO_PHI)
         return stieltjes_invert(self.cauchy, t, _margin_grid(sup, core, t), eps0=0.0)
+
+    def density_curve(self, t, grid=None) -> DensityCurve:
+        """The density at t, p = (1/pi) Im g(t, x), on ``grid``, or without
+        one on the auto grid: ``boundary``'s ``AUTO_GRID_N`` nodes clustered
+        at the support edges, with short uniform tails on 5% margins beside
+        it.  gbm1 reads that grid and density from its explicit boundary
+        curve; its Newton solve serves a given grid alone, and does not
+        reach as far in t (``NewtonDiverged``).  p is read with no offset,
+        as every transform extends continuously to the axis: an offset eps
+        leaves an O(sqrt(eps)) bias at square-root edges that no
+        extrapolation removes.  A record with no transform is a config
+        error, and every curve faces the mass check (``NotNormalized``)."""
+        g = cauchy_evaluator(self)
+        curve = self.boundary(t) if grid is None else stieltjes_invert(g, t, grid, eps0=0.0)
+        curve.assert_normalized()
+        return curve
 
 
 @dataclass(frozen=True)
@@ -303,11 +322,12 @@ MODEL_KEYS = ("model",) + tuple(dict.fromkeys(
 
 
 def config_number(kind, value, what: str):
-    """kind(value) for a config or flag value; a boolean, a fractional value
-    for an int, or a malformed or non-finite value is a config error."""
+    """kind(value) for a config or flag value; a boolean, a string (the CLI
+    reads flag and environment text first), a fractional value for an int,
+    or a malformed or non-finite value is a config error."""
     try:
         number = kind(value)
-        ok = (not isinstance(value, bool) and math.isfinite(number)
+        ok = (not isinstance(value, (bool, str)) and math.isfinite(number)
               and (number == value or not isinstance(value, float)))
     except (TypeError, ValueError, OverflowError):
         ok = False
@@ -450,7 +470,7 @@ def gbm_boundary(theta: float, t: float):
             lo = a
         else:
             hi = a
-    phi = np.linspace(0.0, math.pi, AUTO_GRID_N - 2 * AUTO_TAIL)[1:-1]
+    phi = AUTO_PHI[1:-1]
     a = lo * np.sin(phi)
     y = a / t
     with np.errstate(all="ignore"):

@@ -60,7 +60,7 @@ class TestDividedDifference:
 
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=9),
            st.floats(-2, 2), st.floats(0.1, 2))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_reconstruction_identity(self, coeffs, zr, zi):
         f = ch.Polynomial(coeffs)
         if f.degree < 1:
@@ -124,7 +124,7 @@ class TestReduceResolventExpectation:
                 ch.MomentFunction.from_values([1.0, 0.5]), 0.0)
 
     @given(st.integers(1, 6), st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_discrete_measure_equivalence(self, degree, seed):
         rng = np.random.default_rng(seed)
         atoms = rng.uniform(-2, 2, 3)
@@ -199,7 +199,7 @@ class TestBuildPde:
                          ch.MomentFunction.from_values([1.0, 0.0]))
 
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 10 ** 6))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_discrete_measure_equivalence(self, deg_a, deg_bc, seed):
         # -E(aG^2) + E(bcG) E(bcG^2), each expectation taken on the atoms
         rng = np.random.default_rng(seed)

@@ -540,6 +540,21 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # a JSON string went through float() or int(): "theta": "-1" ran theta = -1
+    @pytest.mark.parametrize("key, value, what", [
+        ("theta", "-1", "ou theta"), ("seed", "3", "seed"), ("threshold", "1.0", "threshold"),
+        ("mc", {"N": "24"}, "mc N"), ("mc", {"t_end": "0.1"}, "mc t_end"),
+        ("grid", {"lo": -3.0, "hi": 3.0, "n": "40"}, "grid n"),
+        ("times", ["0.1"], "time"), ("times", "0.1", "times needs a list"),
+    ], ids=["theta", "seed", "threshold", "mc.N", "mc.t_end", "grid.n", "times-element",
+            "times-string"])
+    def test_json_string_is_not_a_number(self, tmp_path, capsys, key, value, what):
+        cfg = dict(self.NUMBER_RULE_BASE, out_dir=str(tmp_path / "o"))
+        cfg[key] = {**cfg[key], **value} if key == "mc" else value
+        assert cli.main(["compare", "--config", write_config(tmp_path, **cfg)]) == 2
+        assert f"config error: {what}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_integral_float_count_is_accepted(self, tmp_path):
         cfg = dict(self.NUMBER_RULE_BASE, out_dir=str(tmp_path))
         cfg["mc"] = dict(cfg["mc"], N=24.0)
@@ -576,7 +591,7 @@ class TestExitCodes:
     def test_oversized_grid_is_exit_2(self, tmp_path, capsys, monkeypatch):
         def spy(*args, **kwargs):
             raise AssertionError("a grid was built for a refused config")
-        monkeypatch.setattr(cli, "_density_curve", spy)
+        monkeypatch.setattr(md.ModelSpec, "density_curve", spy)
         cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[1.0],
                                grid={"lo": -3.0, "hi": 3.0, "n": cli.MAX_GRID_N + 1},
                                out_dir=str(tmp_path / "o"))
@@ -638,7 +653,7 @@ class TestExitCodes:
     def test_total_grid_nodes_bounded(self, tmp_path, capsys, monkeypatch, command, grid):
         def spy(*args, **kwargs):
             raise GridTooCoarse("the spy stands in for the inversion")
-        monkeypatch.setattr(cli, "_density_curve", spy)
+        monkeypatch.setattr(md.ModelSpec, "density_curve", spy)
         n = cli.AUTO_GRID_N if grid is None else grid["n"]
         most = cli.MAX_GRID_N // n
         for n_times, code in ((most, 3), (most + 1, 2)):
@@ -863,8 +878,7 @@ class TestParser:
         assert (tmp_path / "a" / "density_ou.svg").exists()
         assert cli.main(["density", "--config", cfgfile]) == 0
         assert not (tmp_path / "b" / "density_ou.svg").exists()
-        expected = cli._density_curve(
-            cli.RunConfig(spec=md.OrnsteinUhlenbeck(-1.0, 1.0), times=[1.0]), 1.0)
+        expected = md.OrnsteinUhlenbeck(-1.0, 1.0).density_curve(1.0)
         assert (tmp_path / "b" / "density_ou_t1.csv").read_text() == expected.to_csv()
         assert (tmp_path / "a" / "density_ou_t1.csv").read_text() != expected.to_csv()
 

@@ -15,6 +15,7 @@ from freesde import rmt
 from freesde.moments import model_moments
 from freesde.errors import (
     InvalidConfig,
+    NotNormalized,
     PastBlowup,
 )
 
@@ -524,6 +525,31 @@ class TestExplosive:
         f11 = md.explosive_density(1.0, 1.0, 0.25, xi)
         f2h = md.explosive_density(0.5, 2.0, 0.25, 2.0 * xi) * 2.0
         assert np.max(np.abs(f11 - f2h)) < 1e-10
+
+
+class TestDensityCurve:
+    # one uniform grid over the three supports below
+    GRID = np.linspace(-1.5, 12.5, 4096)
+
+    @pytest.mark.parametrize("spec, t, error, match", [
+        (md.OrnsteinUhlenbeck(-1.0, 1.0), 1.0, None, None),
+        (md.GeometricBrownian1(0.5), 1.0, None, None),
+        (md.Explosive(1.0, 1.0), 0.5, None, None),
+        (md.GeometricBrownian2(0.0), 1.0, InvalidConfig, "no transform"),
+        # README's reach is 0.95 of the blow-up time; at 0.99 the grid loses mass
+        (md.Explosive(1.0, 1.0), 0.99, NotNormalized, "curve mass"),
+    ], ids=["ou", "gbm1", "explosive", "gbm2", "explosive-near-blowup"])
+    @pytest.mark.parametrize("uniform", [False, True], ids=["auto", "uniform"])
+    def test_is_the_records_normalized_curve(self, spec, t, error, match, uniform):
+        xs = self.GRID if uniform else None
+        if error is not None:
+            with pytest.raises(error, match=match):
+                spec.density_curve(t, xs)
+            return
+        curve = spec.density_curve(t, xs)
+        ref = ca.stieltjes_invert(spec.cauchy, t, xs, eps0=0.0) if uniform else spec.boundary(t)
+        assert np.array_equal(curve.xs, ref.xs) and np.array_equal(curve.ps, ref.ps)
+        assert abs(curve.mass - 1.0) <= ca.MASS_TOL
 
 
 class TestEvaluatorDispatch:

@@ -161,7 +161,7 @@ class TestPathStack:
 
     @given(st.sampled_from(SPECS), st.integers(2, 40), st.integers(1, 6),
            st.integers(0, 10 ** 6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, derandomize=True)
     def test_stack_matches_slices(self, spec, n, q, seed):
         dt = 1e-2
         stacked = rmt.sample_wigner_increment(
@@ -210,7 +210,7 @@ class TestPathStack:
 
 class TestGbm1Factor:
     @given(st.integers(2, 12), st.integers(0, 10 ** 6))
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50, deadline=None, derandomize=True)
     def test_cholesky_differs_from_root_by_rotation(self, n, seed):
         # L^-1 x^(1/2) is orthogonal, so L dW L^T has the law of the
         # symmetric-root step
