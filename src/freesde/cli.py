@@ -126,7 +126,7 @@ def _load_config(args) -> RunConfig:
         if val is not None:
             raw[key] = val
     if args.times is not None:
-        raw["times"] = [_from_text(float, v, "time") for v in args.times.split(",") if v]
+        raw["times"] = [_from_text(float, v, "time") for v in args.times.split(",")]
     seed_env = os.environ.get("FREESDE_SEED")
     if seed_env is not None:
         raw["seed"] = _from_text(int, seed_env, "FREESDE_SEED")

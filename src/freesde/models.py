@@ -590,10 +590,12 @@ def gbm2_moments(theta: float, t: float) -> tuple[float, float]:
 # -- Explosive model ---------------------------------------------------------
 
 def blowup_time(k: float, a: float) -> float:
-    """Finite horizon (a k)^(-2) at which the support's upper edge diverges."""
+    """Finite horizon (a k)^(-2) at which the support's upper edge diverges:
+    inf where (a k)^2 underflows a double, 0 where it overflows."""
     if k <= 0 or a <= 0:
         raise ValueError("k and a must be positive")
-    return 1.0 / (a * k) ** 2
+    ak2 = (a * k) * (a * k)
+    return 1.0 / ak2 if ak2 > 0 else math.inf
 
 
 def _check_blowup(k: float, a: float, t: float) -> None:

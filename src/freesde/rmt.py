@@ -58,7 +58,7 @@ MAX_STEPS = 10**6  # most Euler steps per path, t_end/dt
 
 def _n_workers() -> int:
     env = os.environ.get("FREESDE_THREADS")
-    if env:
+    if env is not None:
         try:
             n = int(env)
         except ValueError:

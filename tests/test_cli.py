@@ -677,7 +677,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, fields", [
         ("support", {"model": "gbm1", "theta": 1e308, "times": [1.0]}),
-        ("support", {"model": "explosive", "k": 1e-200, "a": 1e-200, "times": [1.0]}),
+        ("support", {"model": "gbm1", "theta": 0.0, "times": [1e300]}),
         ("density", {"model": "ou", "theta": 1e308, "sigma": 0.0, "times": [0.05]}),
         ("density", {"model": "gbm1", "theta": 0.0, "times": [1e-30]}),
         ("compare", {"model": "gbm2", "theta": 1e308, "times": [0.05, 0.1]}),
@@ -837,6 +837,13 @@ class TestFileStamps:
         assert "strictly increasing" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_empty_time_is_exit_2(self, tmp_path, capsys):
+        argv = ["density", "--model", "ou", "--theta", "-1", "--sigma", "1",
+                "--times", "1,,2", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "time must be a finite float, got ''" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("t", [0.2, 0.4, 0.01, 0.002, 0.25, 0.5, 1.0, 3.0, 1e-5, 1e6])
     def test_stamp_is_g_where_g_is_exact(self, t):
         assert cli._fmt_t(t) == ("%g" % t).replace(".", "p").replace("-", "m")
@@ -858,6 +865,20 @@ class TestRuntimeDependencies:
         proc = run_fresh(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['numpy']"
+
+    def test_package_binds_no_public_name_and_loads_no_module(self):
+        code = ("import sys, freesde; "
+                "print([n for n in vars(freesde) if not n.startswith('_')], "
+                "sorted(m for m in sys.modules if m.startswith('freesde.')))")
+        proc = run_fresh(code, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[] []"
+
+    @pytest.mark.parametrize("module", ["cauchy", "characteristics", "models", "moments",
+                                        "rmt", "cli", "errors"])
+    def test_each_module_imports_alone(self, module):
+        proc = run_fresh(f"import freesde.{module}", timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_declared_dependencies_are_numpy_alone(self):
         tomllib = pytest.importorskip("tomllib")

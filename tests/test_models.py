@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from freesde import cauchy as ca
+from freesde import cli
 from freesde import models as md
 from freesde import rmt
 from freesde.moments import model_moments
@@ -510,6 +511,24 @@ class TestExplosive:
         ts = [md.blowup_time(k, 1.0) for k in (1.0, 2.0, 10.0, 100.0)]
         assert all(a > b for a, b in zip(ts, ts[1:]))
         assert ts[-1] < 1e-3
+
+    def test_blowup_time_beyond_a_double(self, tmp_path):
+        # (a k)^2 past either end of the double range
+        assert md.blowup_time(1e-200, 1.0) == math.inf
+        assert md.blowup_time(1.0, 1e-170) == math.inf
+        assert md.blowup_time(1e200, 1.0) == 0.0
+        for k, a in ((1e-200, 1.0), (1.0, 1e-170)):
+            argv = ["--model", "explosive", "--k", str(k), "--a", str(a), "--times", "1",
+                    "--out", str(tmp_path)]
+            for command in ("support", "moments"):
+                assert cli.main([command, *argv]) == 0
+                rows = (tmp_path / f"{command}_explosive.csv").read_text().split()
+                assert rows[1].startswith("1,")
+                assert all(math.isfinite(float(v)) for v in rows[1].split(","))
+        spec = md.Explosive(1e-200, 1.0)
+        sup = spec.support(1.0)
+        assert (sup.lo, sup.hi) == (1.0, 1.0)
+        assert spec.moments(1.0) == (1.0, 1.0)
 
     def test_past_blowup_refused(self):
         with pytest.raises(PastBlowup):

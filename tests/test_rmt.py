@@ -459,7 +459,7 @@ class TestEnsemble:
                 assert np.array_equal(a, b)
             assert np.array_equal(clamp, want[1])
 
-    @pytest.mark.parametrize("value", ["0", "-2", "65", "100000", "1e3"])
+    @pytest.mark.parametrize("value", ["0", "-2", "65", "100000", "1e3", ""])
     def test_thread_count_outside_its_range_is_refused(self, value, monkeypatch):
         monkeypatch.setenv("FREESDE_THREADS", value)
         with pytest.raises(InvalidConfig, match=rf"\[1, {rmt.MAX_THREADS}\]"):
