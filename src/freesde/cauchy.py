@@ -33,7 +33,8 @@ from .errors import (
     OrderTooHigh,
 )
 
-# Densities below this height are treated as vanished when detecting support.
+# Nodes where the density is below this fraction of the curve's peak count
+# as off the support in the principal-value grid check.
 SUPPORT_FLOOR = 1e-6
 
 # Trapezoid mass of a curve claiming to be a full probability density must
@@ -61,10 +62,6 @@ class SupportInterval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def widened(self, rel: float) -> "SupportInterval":
-        pad = rel * max(self.width, 1e-12)
-        return SupportInterval(self.lo - pad, self.hi + pad)
-
 
 def csv_table(header: str, rows) -> str:
     """The header row, then each row (a tuple of numbers, one per header
@@ -80,12 +77,12 @@ class DensityCurve:
     ``mass`` is the trapezoid integral of ``ps`` over ``xs``; a curve only
     *claims* to be a full probability density when the caller checks
     ``assert_normalized``.  ``clamped_points``/``clamped_mass`` record how
-    much negative density an inversion zeroed out.
+    much negative density an inversion zeroed out.  A curve carries no
+    support: each law's support is its model record's ``support(t)``.
     """
 
     xs: np.ndarray
     ps: np.ndarray
-    support: SupportInterval
     mass: float
     t: float | None = None
     clamped_points: int = 0
@@ -105,12 +102,7 @@ class DensityCurve:
         if np.any(ps < 0):
             raise ValueError("density samples must be nonnegative")
         mass = float(np.trapezoid(ps, xs))
-        alive = np.nonzero(ps >= SUPPORT_FLOOR)[0]
-        if alive.size:
-            support = SupportInterval(float(xs[alive[0]]), float(xs[alive[-1]]))
-        else:
-            support = SupportInterval(float(xs[0]), float(xs[0]))
-        return cls(xs=xs, ps=ps, support=support, mass=mass, t=t,
+        return cls(xs=xs, ps=ps, mass=mass, t=t,
                    clamped_points=clamped_points, clamped_mass=clamped_mass)
 
     # -- contracts ---------------------------------------------------------
@@ -193,10 +185,10 @@ def _pair_weights(K: int) -> np.ndarray:
 def _check_pv_grid(p: DensityCurve) -> None:
     if not p.is_uniform():
         raise ValueError("principal-value scheme needs a uniform grid")
-    if np.max(p.ps) < SUPPORT_FLOOR:
+    peak = np.max(p.ps)
+    if peak == 0.0:
         return  # vanished curve transforms to exactly zero
-    inside = np.count_nonzero(
-        (p.xs >= p.support.lo) & (p.xs <= p.support.hi))
+    inside = np.count_nonzero(p.ps >= SUPPORT_FLOOR * peak)
     if inside < 16:
         raise GridTooCoarse(f"only {inside} grid points inside the support")
 
@@ -252,12 +244,12 @@ def fokker_planck_residual(p_prev: DensityCurve, p_mid: DensityCurve,
     """Residual of dp/dt + d/dx [ p (Hp + a) ] on the interior grid nodes.
 
     ``drift`` is a(x), callable on the grid array.  The three curves must
-    share one uniform grid and be equally spaced in time; time and space
-    derivatives are central differences, so the returned array has two
-    fewer entries than the grid (endpoints excluded).
+    share one uniform grid, node for node, and be equally spaced in time;
+    time and space derivatives are central differences, so the returned
+    array has two fewer entries than the grid (endpoints excluded).
     """
     for q in (p_prev, p_next):
-        if q.xs.shape != p_mid.xs.shape or not np.allclose(q.xs, p_mid.xs, rtol=0, atol=1e-12):
+        if not np.array_equal(q.xs, p_mid.xs):
             raise GridMismatch("density curves are not on a common grid")
     ts = [p_prev.t, p_mid.t, p_next.t]
     if any(v is None for v in ts):

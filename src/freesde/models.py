@@ -301,12 +301,14 @@ def _symmetrize(m: np.ndarray, out: np.ndarray) -> None:
 
 def _margin_grid(sup: SupportInterval, core: np.ndarray, t: float) -> np.ndarray:
     """The ``core`` nodes on ``sup``, with ``AUTO_TAIL`` uniform nodes on
-    each 5% margin beside it, so vanishing outside the support stays
-    visible.  Nodes that collapse, overflow or underflow raise GridTooCoarse."""
-    wide = sup.widened(0.05)
+    each margin of 5% of its width beside it, so vanishing outside the
+    support stays visible and the grid scales with the support.  Nodes that
+    collapse (a zero-width support among them), overflow or underflow raise
+    GridTooCoarse."""
+    pad = 0.05 * sup.width
     with np.errstate(all="ignore"):
-        left = np.linspace(wide.lo, sup.lo, AUTO_TAIL, endpoint=False)
-        right = np.linspace(wide.hi, sup.hi, AUTO_TAIL, endpoint=False)[::-1]
+        left = np.linspace(sup.lo - pad, sup.lo, AUTO_TAIL, endpoint=False)
+        right = np.linspace(sup.hi + pad, sup.hi, AUTO_TAIL, endpoint=False)[::-1]
         xs = np.concatenate([left, core, right])
         if not (np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)):
             raise GridTooCoarse(
@@ -430,16 +432,20 @@ def ou_cauchy(theta: float, sigma: float, t: float, z):
 def gbm_support(theta: float, t: float) -> SupportInterval:
     """Support endpoints from the branch points of the transform.
 
-    The products r = z*g at the branch points solve t r^2 + t r - 1 = 0;
-    plugging each root into z = r/(1+r) * e^((theta-1-r) t) gives the
-    endpoints.  The lower one stays strictly positive for all t > 0.
+    The products r = z*g at the branch points solve t r^2 + t r - 1 = 0,
+    whose roots q = (2/t)/(1 + sqrt(1 + 4/t)) and -1 - q do not cancel at
+    large t.  In z = r/(1+r) e^((theta-1-r) t) they give the ends
+    lo = q/(1+q) e^((theta-1-q) t) and hi = (1+q)/q e^((theta+q) t), which
+    grows like e t e^(theta t).  lo underflows to 0 for theta < 1 at large t
+    (past t = 737.5 at theta = 0); hi past a double raises OverflowError.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    s = math.sqrt(1.0 + 4.0 / t)
-    ends = [r / (1.0 + r) * math.exp((theta - 1.0 - r) * t)
-            for r in ((-1.0 + s) / 2.0, (-1.0 - s) / 2.0)]
-    return SupportInterval(min(ends), max(ends))
+    q = 2.0 / t / (1.0 + math.sqrt(1.0 + 4.0 / t))
+    hi = (1.0 + q) / q * math.exp((theta + q) * t)
+    if math.isinf(hi):
+        raise OverflowError(f"gbm1 support end overflows a double at t={t:g}")
+    return SupportInterval(q / (1.0 + q) * math.exp((theta - 1.0 - q) * t), hi)
 
 
 def gbm_boundary(theta: float, t: float):
@@ -449,24 +455,25 @@ def gbm_boundary(theta: float, t: float):
 
     On the support r = x g = u + i y has y > 0, and the inverse map
     x = r/(1+r) e^((theta-1-r) t) is real where arg(r/(1+r)) = t y, which is
-    the curve u^2 + u + y^2 = y cot(t y).  Its roots u = (-1 +- sqrt(D))/2,
-    D = 1 - 4y^2 + 4y cot(t y), trace the lower (+) and upper (-) sides of
-    the support for y in (0, y*): D falls strictly on (0, pi/t), and y* is
-    its one root there, found by bisection.  The nodes are y = y* sin(phi)
-    at equal steps of phi over [0, pi], the + root for phi < pi/2, so
-    x - x_edge ~ phi^2 at both edges, as for a cosine map, and the sides
-    join smoothly at y*.  Then x = |r/(1+r)| e^((theta-1-u) t) and
-    p = Im g / pi = y/(pi x); the end nodes are ``gbm_support``'s ends,
-    with p = 0.  Nodes that underflow or collapse are left for the caller's
-    grid check.
+    the curve u^2 + u = c, c = y (cot(t y) - y).  Its roots u = q and
+    u = -1 - q, q = 2c/(1 + sqrt(D)), D = 1 + 4c, trace the lower and
+    upper sides of the support for y in (0, y*): D falls strictly on
+    (0, pi/t), and y* is its one root there, found by bisection.  The nodes
+    are y = y* sin(phi) at equal steps of phi over [0, pi], the lower side
+    for phi < pi/2, so x - x_edge ~ phi^2 at both edges, as for a cosine
+    map, and the sides join smoothly at y*.  With rho = |q + iy|/|1 + q + iy|,
+    x = rho e^((theta-1-q) t) on the lower side and e^((theta+q) t)/rho on
+    the upper, and p = Im g / pi = y/(pi x); the end nodes are
+    ``gbm_support``'s ends, with p = 0.  Nodes that underflow or collapse
+    are left for the caller's grid check.
     """
-    def disc(y, cot):
-        return 1.0 + 4.0 * y * (cot - y)
+    def c_of(y, cot):  # the curve's right side c; D = 1 + 4c
+        return y * (cot - y)
 
     sup = gbm_support(theta, t)
     lo, hi = 0.0, math.pi  # bisection on a = t y, where D > 0 at lo
     while (a := 0.5 * (lo + hi)) not in (lo, hi):
-        if disc(a / t, 1.0 / math.tan(a)) > 0:
+        if 1.0 + 4.0 * c_of(a / t, 1.0 / math.tan(a)) > 0:
             lo = a
         else:
             hi = a
@@ -474,9 +481,11 @@ def gbm_boundary(theta: float, t: float):
     a = lo * np.sin(phi)
     y = a / t
     with np.errstate(all="ignore"):
-        root = np.sqrt(np.maximum(disc(y, 1.0 / np.tan(a)), 0.0))
-        u = 0.5 * (np.where(phi < 0.5 * math.pi, root, -root) - 1.0)
-        x = np.hypot(u, y) / np.hypot(1.0 + u, y) * np.exp((theta - 1.0 - u) * t)
+        c = c_of(y, 1.0 / np.tan(a))
+        q = 2.0 * c / (1.0 + np.sqrt(np.maximum(1.0 + 4.0 * c, 0.0)))
+        rho = np.hypot(q, y) / np.hypot(1.0 + q, y)
+        x = np.where(phi < 0.5 * math.pi, rho * np.exp((theta - 1.0 - q) * t),
+                     np.exp((theta + q) * t) / rho)
         p = y / (math.pi * x)
     return (np.concatenate([[sup.lo], x, [sup.hi]]),
             np.concatenate([[0.0], p, [0.0]]))

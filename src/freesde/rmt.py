@@ -146,7 +146,7 @@ class SimConfig:
 
 
 def _on_grid(t: float, dt: float) -> bool:
-    return abs(round(t / dt) * dt - t) <= 1e-9 * max(1.0, abs(t))
+    return abs(round(t / dt) * dt - t) <= 1e-9 * max(dt, abs(t))
 
 
 def path_rng(seed: int, path_index: int) -> np.random.Generator:
@@ -366,11 +366,12 @@ class EigenHistogram:
 def _snapshot_steps(cfg: SimConfig, snapshot_times: Sequence[float]) -> list[int]:
     steps = []
     for ts in snapshot_times:
-        if ts < 0 or ts > cfg.t_end + 1e-12:
+        # the march stops at t_end's step; the first bound keeps ts/dt finite
+        if ts < 0 or ts > cfg.t_end + cfg.dt or round(ts / cfg.dt) > cfg.n_steps:
             raise InvalidConfig(f"snapshot time {ts} outside [0, {cfg.t_end}]")
         if not _on_grid(ts, cfg.dt):
             raise InvalidConfig(f"snapshot time {ts} is not a multiple of dt={cfg.dt}")
-        steps.append(int(round(ts / cfg.dt)))
+        steps.append(round(ts / cfg.dt))
     return steps
 
 

@@ -29,17 +29,19 @@ def semicircle_curve(variance=1.0, n=1024, width=1.1, t=None):
 
 class TestDensityCurve:
     def test_construction_and_support(self):
+        # the semicircle of variance 1 lives on [-2, 2]
         curve = semicircle_curve()
         assert abs(curve.mass - 1.0) < 1e-3
-        assert abs(curve.support.lo + 2.0) < 5e-3
-        assert abs(curve.support.hi - 2.0) < 5e-3
         curve.assert_normalized()
+        assert np.all(curve.ps[np.abs(curve.xs) < 2.0] > 0.0)
 
     def test_vanishes_outside_support(self):
-        curve = semicircle_curve()
-        step = curve.step
-        outside = (curve.xs < curve.support.lo - step) | (curve.xs > curve.support.hi + step)
-        assert np.all(curve.ps[outside] <= 1e-6)
+        # boundary values of the transform are real off the cut [-2, 2]
+        xs = semicircle_curve().xs
+        curve = ca.stieltjes_invert(semicircle_evaluator(), 0.0, xs, eps0=0.0)
+        curve.assert_normalized()
+        assert np.all(curve.ps[np.abs(xs) > 2.0] == 0.0)
+        assert np.all(curve.ps[np.abs(xs) < 2.0] > 0.0)
 
     def test_rejects_negative_density(self):
         with pytest.raises(ValueError):
@@ -140,6 +142,10 @@ class TestHilbertTransform:
     def test_grid_too_coarse(self):
         xs = np.linspace(-2.5, 2.5, 18)
         curve = ca.DensityCurve.from_samples(xs, ca.semicircle_density(xs, 1.0))
+        with pytest.raises(GridTooCoarse):
+            ca.hilbert_transform(curve, 0.0)
+        # inversion off the axis leaves p > 0 on all 18 nodes, 14 above the floor
+        curve = ca.stieltjes_invert(semicircle_evaluator(), 0.0, xs, eps0=1e-3)
         with pytest.raises(GridTooCoarse):
             ca.hilbert_transform(curve, 0.0)
 

@@ -253,6 +253,7 @@ class TestFoldedCharacteristic:
     @example([1.0, -1.0, 0.5], [-1.0], [0.5, -1.0, 1.5], 0.5, 1)
     @example([0.0, 0.5], [0.0, 1.0], [1.0, 1.0, 1.0], 0.5, 2)  # gbm1
     @example([], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0], 0.5, 3)     # explosive
+    @example([0.7], [1.0], [0.5, -1.0, 1.5], 0.5, 4)           # P = 0.7 - g
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_matches_two_division_form(self, a, bc, atoms, t2, seed):
         # moments of three atoms that move with t, so every mu_j changes in time

@@ -54,6 +54,18 @@ class TestDensityCommand:
             xs, ps = read_density(tmp_path / "out" / f"density_explosive_t{t}.csv")
             assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
 
+    # X scales by c when a -> c a and k -> k/c, which keeps tau = (a k)^2 t:
+    # margins from an absolute width floor of 1e-12 once put mass 1e14 here.
+    @pytest.mark.parametrize("k", [1e40, 1e100])
+    def test_explosive_at_any_scale(self, tmp_path, k):
+        a = 1.0 / k
+        assert cli.main(["density", "--model", "explosive", "--k", repr(k), "--a", repr(a),
+                         "--times", "0.5", "--out", str(tmp_path)]) == 0
+        xs, ps = read_density(tmp_path / "density_explosive_t0p5.csv")
+        assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
+        want = md.explosive_density(k, a, 0.5, xs)
+        assert np.max(np.abs(ps - want)) <= 1e-12 * np.max(want)
+
     # An inversion off the axis biases the mass by O(sqrt(eps)) at square-root
     # edges; these runs failed the mass check with it.
     @pytest.mark.parametrize("t", [3.0, 4.0, 6.0])
@@ -179,6 +191,14 @@ class TestSupportCommand:
         assert cli.main(["support", "--config", cfgfile]) == 0
         row = (tmp_path / "support_explosive.csv").read_text().strip().split("\n")[1]
         assert [float(v) for v in row.split(",")] == [0.0, 2.0, 2.0]
+
+    def test_gbm1_at_large_t(self, tmp_path):
+        # hi ~ e t: the branch-point root once cancelled to a division by zero
+        assert cli.main(["support", "--model", "gbm1", "--theta", "0", "--times", "1e17",
+                         "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "support_gbm1.csv").read_text().strip().split("\n")[1]
+        t, lo, hi = map(float, row.split(","))
+        assert (t, lo) == (1e17, 0.0) and hi == pytest.approx(math.e * 1e17, rel=1e-15)
 
 
 class TestMomentsCommand:
@@ -344,6 +364,15 @@ class TestExitCodes:
                                out_dir=str(tmp_path / "o"), mc=mc)
         assert cli.main(["compare", "--config", cfgfile]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_t_end_off_a_fine_grid_is_exit_2(self, tmp_path, capsys):
+        # 3 steps of 3e-13 once ran to 9e-13 and were written as t = 1e-12
+        cfgfile = write_config(tmp_path, model="ou", theta=0.0, sigma=1.0, times=[1e-12],
+                               out_dir=str(tmp_path / "o"),
+                               mc={"N": 4, "dt": 3e-13, "t_end": 1e-12, "n_paths": 1})
+        assert cli.main(["compare", "--config", cfgfile]) == 2
+        assert "not a multiple" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_seed_env_is_exit_2(self, tmp_path, monkeypatch, capsys):
         cfgfile = write_config(
@@ -677,14 +706,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, fields", [
         ("support", {"model": "gbm1", "theta": 1e308, "times": [1.0]}),
-        ("support", {"model": "gbm1", "theta": 0.0, "times": [1e300]}),
+        # no closed form divides by zero on a valid input: a record method that
+        # does, which the test patches in
+        ("support", {"model": "gbm1", "theta": 0.0, "times": [1.0],
+                     "support": lambda self, t: t / 0.0}),
         ("density", {"model": "ou", "theta": 1e308, "sigma": 0.0, "times": [0.05]}),
         ("density", {"model": "gbm1", "theta": 0.0, "times": [1e-30]}),
         ("compare", {"model": "gbm2", "theta": 1e308, "times": [0.05, 0.1]}),
         ("compare", {"model": "gbm1", "theta": 1e100, "times": [0.05]}),
     ], ids=["overflow", "zero_division", "nan_support", "collapsed_grid",
             "mc_eigenvalues", "mc_histogram"])
-    def test_numerical_breakdown_is_exit_3(self, tmp_path, capsys, command, fields):
+    def test_numerical_breakdown_is_exit_3(self, tmp_path, capsys, monkeypatch,
+                                           command, fields):
+        fields = dict(fields)
+        if "support" in fields:
+            monkeypatch.setattr(md.GeometricBrownian1, "support", fields.pop("support"))
         cfgfile = write_config(tmp_path, out_dir=str(tmp_path / "o"),
                                mc={"N": 4, "dt": 0.05, "n_paths": 2}, **fields)
         assert cli.main([command, "--config", cfgfile]) == 3

@@ -64,6 +64,13 @@ class TestOrnsteinUhlenbeck:
         assert np.array_equal(md.ou_cauchy(-1.0, 1.0, 0.0, z), -1.0 / z)
         assert md.ou_cauchy(0.7, 1.0, 0.0, 0.5 + 1j) == -1.0 / (0.5 + 1j)
 
+    def test_auto_grid_margins_scale_with_the_support(self):
+        # an absolute width floor of 1e-12 once padded this support ~1e86-fold
+        spec = md.OrnsteinUhlenbeck(-1.0, 1e-100)
+        sup, curve = spec.support(1.0), spec.density_curve(1.0)
+        pad = 0.05 * sup.width
+        assert (curve.xs[0], curve.xs[-1]) == (sup.lo - pad, sup.hi + pad)
+
     def test_stationary_value_off_support(self):
         got = md.ou_cauchy(-1.0, 1.0, 30.0, 3.0)
         assert abs(got - (-3.0 + math.sqrt(7.0))) < 1e-10
@@ -248,6 +255,20 @@ class TestGeometricBrownian1:
         hi_ref = math.e * t * math.exp(theta * t)
         assert 0.9 < sup.lo / lo_ref < 1.1
         assert 0.9 < sup.hi / hi_ref < 1.1
+
+    @pytest.mark.parametrize("t", [1e10, 1e15, 1e17, 1e300])
+    def test_support_upper_end_at_large_t(self, t):
+        # hi = r/(1+r) e^((theta-1-r) t) at r = -(1 + sqrt(1 + 4/t))/2, theta = 0,
+        # in enough digits that 1 + 4/t keeps all of 4/t: no cancellation left
+        with localcontext() as ctx:
+            ctx.prec = 400
+            r = -(1 + (1 + 4 / Decimal(t)).sqrt()) / 2
+            want = r / (1 + r) * ((-1 - r) * Decimal(t)).exp()
+            assert abs(Decimal(md.gbm_support(0.0, t).hi) - want) <= Decimal("1e-14") * want
+
+    def test_support_end_past_a_double_is_refused(self):
+        with pytest.raises(OverflowError):
+            md.gbm_support(0.0, 1e308)
 
     def test_support_positive(self):
         for theta in (-2.0, 0.0, 1.0, 3.0):

@@ -49,10 +49,13 @@ class TestSimConfig:
         assert cfg.n_steps == rmt.MAX_STEPS
 
     def test_rejects_t_end_off_grid(self):
-        # round(0.1 / 0.03) = 3 steps would silently stop at 0.09
-        with pytest.raises(InvalidConfig):
-            rmt.SimConfig(N=10, dt=0.03, t_end=0.1, n_paths=1)
+        # round(0.1 / 0.03) = 3 steps would silently stop at 0.09; an absolute
+        # slack of 1e-9 took 3 steps of 3e-13, to 9e-13, as t_end = 1e-12
+        for dt, t_end in ((0.03, 0.1), (3e-13, 1e-12)):
+            with pytest.raises(InvalidConfig):
+                rmt.SimConfig(N=10, dt=dt, t_end=t_end, n_paths=1)
         assert rmt.SimConfig(N=10, dt=0.01, t_end=0.4, n_paths=1).n_steps == 40
+        assert rmt.SimConfig(N=10, dt=0.1, t_end=0.3, n_paths=1).n_steps == 3
 
     @pytest.mark.parametrize("seed", [-1, -3001, 2**64, 2**64 + 7])
     def test_rejects_seed_outside_its_range(self, seed):
@@ -474,6 +477,15 @@ class TestEnsemble:
             rmt.run_ensemble(spec, cfg, [0.123])
         with pytest.raises(InvalidConfig):
             rmt.run_ensemble(spec, cfg, [0.7])
+
+    def test_snapshot_past_t_end_is_refused(self):
+        # an absolute 1e-12 slack marched 50 steps, 5x past t_end, to 5e-13
+        spec = md.OrnsteinUhlenbeck(0.0, 1.0)
+        cfg = rmt.SimConfig(N=4, dt=1e-14, t_end=1e-13, n_paths=1, seed=0)
+        with pytest.raises(InvalidConfig, match="outside"):
+            rmt.run_ensemble(spec, cfg, [5e-13])
+        cfg = rmt.SimConfig(N=4, dt=0.1, t_end=0.3, n_paths=1, seed=0)
+        assert rmt._snapshot_steps(cfg, [0.1 + 0.2]) == [3]
 
     def test_explosive_horizon_guard(self):
         spec = md.Explosive(1.0, 1.0)
