@@ -165,7 +165,7 @@ def stieltjes_invert(g: Callable, t: float, xs, eps0: float = 1e-3) -> DensityCu
     if clamped_mass > CLAMP_MASS_TOL:
         raise ClampExceeded(
             f"clamped density mass {clamped_mass:.3e} exceeds {CLAMP_MASS_TOL:.1e}")
-    p = np.where(neg, 0.0, p)
+    p = np.where(p <= 0.0, 0.0, p)  # +0.0 for -0.0 too; NaN goes on to NonFinite
     return DensityCurve.from_samples(xs, p, t=t, clamped_points=clamped_points,
                                      clamped_mass=clamped_mass)
 
@@ -274,19 +274,24 @@ def semicircle_density(x, variance: float):
 
 
 def semicircle_cauchy(z, variance: float):
-    """Herglotz branch of the semicircle Cauchy transform.
+    """Herglotz branch of the semicircle Cauchy transform of the given
+    variance: ``semicircle_cauchy_radius`` at r = 2*sqrt(variance)."""
+    return semicircle_cauchy_radius(z, 2.0 * math.sqrt(max(float(variance), 0.0)))
+
+
+def semicircle_cauchy_radius(z, r: float):
+    """Herglotz branch of the Cauchy transform of the semicircle on [-r, r];
+    -1/z, the point mass at the origin, for r = 0.
 
     The two principal square roots make the product w behave like +z at
     infinity off the cut [-r, r], selecting the branch with Im g > 0 on the
-    upper half plane.  The root (-z + w)/(2v) is rewritten as -2/(z + w),
-    which avoids the large-|z| cancellation and keeps the g ~ -1/z decay
-    accurate to roundoff.
+    upper half plane.  The root (w - z)/(2v), v = (r/2)^2, is rewritten as
+    -2/(z + w), which never squares r and avoids the large-|z| cancellation,
+    so the g ~ -1/z decay is accurate to roundoff at every scale of r.
     """
-    v = float(variance)
     z = np.asarray(z, dtype=complex)
-    if v <= 0.0:
+    if r <= 0.0:
         return -1.0 / z
-    r = 2.0 * math.sqrt(v)
     w = np.sqrt(z - r) * np.sqrt(z + r)
     return -2.0 / (z + w)
 

@@ -92,8 +92,6 @@ def divided_difference_expand(f: Polynomial, z):
     """
     if f.is_zero:
         raise ZeroPolynomial("difference quotient of the zero polynomial")
-    if f.degree == 0:
-        return []
     q, _ = _synthetic_divide(f.coeffs, np.asarray(z, dtype=complex))
     return q
 
@@ -189,23 +187,21 @@ def _pderiv(p) -> tuple:
     return tuple(i * c for i, c in enumerate(p))[1:]
 
 
-def _moment_sums(c, mu):
-    """Coefficients in z of S1 = sum_j e_j(z) mu_j and S2 = sum_j d_j(z) mu_j
-    for f = sum_i c_i x^i: the z^p coefficient of S1 is sum_i c_i mu_{i-1-p}
-    and that of S2 is (p+1) sum_i c_i mu_{i-2-p}."""
+def _moment_sum(c, mu, d):
+    """Coefficients in z of the moment sum S_d of the d-th division of
+    f = sum_i c_i x^i by (X - z): the z^p coefficient is
+    C(p+d-1, p) sum_i c_i mu_{i-d-p}, which reads mu up to deg f - d."""
     k = len(c)
-    S1 = [sum(c[i] * mu[i - 1 - p] for i in range(p + 1, k)) for p in range(k - 1)]
-    S2 = [(p + 1) * sum(c[i] * mu[i - 2 - p] for i in range(p + 2, k))
-          for p in range(k - 2)]
-    return S1, S2
+    return [math.comb(p + d - 1, p) * sum(c[i] * mu[i - d - p] for i in range(p + d, k))
+            for p in range(k - d)]
 
 
 def _fold(a: Polynomial, bc: Polynomial, mu) -> tuple:
     """(P0, P1, Q0, Q1, Q2) with P = P0 + P1 g and Q = Q0 + Q1 g + Q2 g^2,
     each a real polynomial in z, for the moments mu = (mu_0, .., mu_need)."""
     a, bc = a.coeffs, bc.coeffs
-    _, S2_a = _moment_sums(a, mu)
-    S1_bc, S2_bc = _moment_sums(bc, mu)
+    S2_a = _moment_sum(a, mu, 2)
+    S1_bc, S2_bc = _moment_sum(bc, mu, 1), _moment_sum(bc, mu, 2)
     dbc = _pderiv(bc)
     return (_padd(a, _pneg(_pmul(bc, S1_bc))),
             _padd(_pneg(_pmul(bc, bc))),
@@ -314,7 +310,8 @@ class PdeRightHandSide:
           = [-S2_a + S1_bc S2_bc] + [-a' + bc S2_bc + S1_bc bc'] g + [bc bc'] g^2.
 
     The bracketed coefficients are real polynomials in z that depend on t
-    only through the moments mu_0..mu_need, need = max(deg a, deg bc) - 1.
+    only through the moments mu_0..mu_need that S2_a, S1_bc and S2_bc read,
+    need = max(0, deg a - 2, deg bc - 1).
     They are folded and compiled into a slope once per distinct moment
     vector (once per march when the moments are constant), which evaluates
     them by Horner in place; both ``characteristic`` and the march use it.
@@ -328,7 +325,7 @@ class PdeRightHandSide:
 
     def __post_init__(self):
         object.__setattr__(self, "need",
-                           max(self.drift.degree, self.diffusion.degree) - 1)
+                           max(0, self.drift.degree - 2, self.diffusion.degree - 1))
 
     def __call__(self, t: float, z, g, dg):
         P, Q = self.characteristic(t, z, g)

@@ -19,7 +19,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .cauchy import DensityCurve, SupportInterval, semicircle_cauchy, stieltjes_invert
+from .cauchy import DensityCurve, SupportInterval, semicircle_cauchy_radius, stieltjes_invert
 from .characteristics import MomentFunction, Polynomial
 from .errors import (
     BranchViolation,
@@ -371,12 +371,17 @@ def model_to_json(spec: ModelSpec) -> dict:
 # -- Ornstein-Uhlenbeck ------------------------------------------------------
 
 def ou_variance(theta: float, sigma: float, t: float) -> float:
-    """Variance sigma^2 (e^(2 theta t) - 1) / (2 theta), with the theta->0 limit."""
+    """Variance sigma (sigma v_1), with v_1 = (e^(2 theta t) - 1) / (2 theta)
+    the variance at sigma = 1 and its theta -> 0 limit t where |theta t| is
+    below 2^-60 (as in ``ou_euler_law``; expm1 is exact to an ulp above it).
+    A variance past a double raises OverflowError."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if abs(theta * t) < 1e-8:
-        return sigma * sigma * t
-    return sigma * sigma * math.expm1(2.0 * theta * t) / (2.0 * theta)
+    v1 = t if abs(theta * t) < 2.0 ** -60 else math.expm1(2.0 * theta * t) / (2.0 * theta)
+    v = sigma * (sigma * v1)
+    if not math.isfinite(v):
+        raise OverflowError(f"ou variance overflows a double at t={t:g}")
+    return v
 
 
 def ou_euler_law(theta: float, dt: float, k: int) -> tuple[float, float]:
@@ -407,11 +412,15 @@ def ou_euler_law(theta: float, dt: float, k: int) -> tuple[float, float]:
 
 
 def ou_support(theta: float, sigma: float, t: float) -> SupportInterval:
-    """Semicircle support [-r, r] with r = 2 sqrt(variance): the cut of
-    ``ou_cauchy``, growing like e^(theta t) for theta > 0, like sqrt(t) for
-    theta = 0, and saturating at sigma * sqrt(2/|theta|) for theta < 0.
+    """Semicircle support [-r, r] with r = 2 sigma sqrt(v_1) (see
+    ``ou_variance``): the cut of ``ou_cauchy``, growing like e^(theta t) for
+    theta > 0, like sqrt(t) for theta = 0, and saturating at
+    sigma * sqrt(2/|theta|) for theta < 0.  An end past a double raises
+    OverflowError.
     """
-    r = 2.0 * math.sqrt(ou_variance(theta, sigma, t))
+    r = 2.0 * (sigma * math.sqrt(ou_variance(theta, 1.0, t)))
+    if math.isinf(r):
+        raise OverflowError(f"ou support end overflows a double at t={t:g}")
     return SupportInterval(0.0 - r, r)  # +0.0, not -0.0, when r = 0
 
 
@@ -421,9 +430,12 @@ def ou_cauchy(theta: float, sigma: float, t: float, z):
     Solves v g^2 + z g + 1 = 0 on the Herglotz branch, where v is the
     variance at time t; the degenerate v = 0 start returns -1/z (point mass
     at the origin).  Real z inside the support gets the boundary value with
-    Im g > 0, so Im g / pi is the semicircle density there.
+    Im g > 0, so Im g / pi is the semicircle density there.  The transform
+    is taken on ``ou_support``'s radius, in which sigma is a pure scale
+    (g(z) = g_1(z/sigma)/sigma, g_1 the sigma = 1 transform), so the cut
+    ends exactly at the support's ends and no sigma^2 is formed.
     """
-    out = semicircle_cauchy(z, ou_variance(theta, sigma, t))
+    out = semicircle_cauchy_radius(z, ou_support(theta, sigma, t).hi)
     return out if np.ndim(z) else complex(out)
 
 

@@ -27,6 +27,15 @@ def semicircle_curve(variance=1.0, n=1024, width=1.1, t=None):
     return ca.DensityCurve.from_samples(xs, ca.semicircle_density(xs, variance), t=t)
 
 
+class TestSupportInterval:
+    def test_nan_end_is_non_finite(self):
+        # ou at theta = 1e308, the CLI input that once reached this check,
+        # now fails earlier as an overflow of its variance
+        for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(NonFinite):
+                ca.SupportInterval(lo, hi)
+
+
 class TestDensityCurve:
     def test_construction_and_support(self):
         # the semicircle of variance 1 lives on [-2, 2]
@@ -95,6 +104,14 @@ class TestStieltjesInvert:
         away = np.minimum(np.abs(xs - 2.0), np.abs(xs + 2.0)) > 2 * h
         assert np.max(np.abs(curve.ps - ref)[away]) < 1e-4
         curve.assert_normalized()
+
+    def test_clamp_gives_positive_zero(self):
+        # Im g = -0.0 is not negative: the clamp once kept it, and the CSV read "-0"
+        xs = np.linspace(-1.0, 1.0, 32)
+        curve = ca.stieltjes_invert(
+            lambda t, z: np.where(z.real < 0, complex(0.0, -0.0), 0.5j), 0.0, xs, eps0=0.0)
+        assert curve.clamped_points == 0 and not np.signbit(curve.ps).any()
+        assert "-0" not in curve.to_csv().replace("\n", ",").split(",")
 
     def test_nonfinite_error(self):
         with pytest.raises(NonFinite):

@@ -194,9 +194,40 @@ class TestBuildPde:
         assert np.max(np.abs(full - want)) < 1e-13
 
     def test_moment_coverage_checked(self):
+        # the drift enters through S2 alone, which reads mu up to deg a - 2:
+        # a quartic drift needs mu_2, a cubic one mu_1
+        mu01 = ch.MomentFunction.from_values([1.0, 0.0])
         with pytest.raises(MomentsUnavailable):
-            ch.build_pde(ch.Polynomial([0, 0, 0, 1]), ch.Polynomial([1.0]),
-                         ch.MomentFunction.from_values([1.0, 0.0]))
+            ch.build_pde(ch.Polynomial([0, 0, 0, 0, 1]), ch.Polynomial([1.0]), mu01)
+        assert ch.build_pde(ch.Polynomial([0, 0, 0, 1]), ch.Polynomial([1.0]), mu01).need == 1
+
+    @pytest.mark.parametrize("a, bc, need", [
+        md.OrnsteinUhlenbeck(-1.0, 1.0).polynomials() + (0,),
+        md.GeometricBrownian1(0.5).polynomials() + (0,),
+        md.Explosive(1.0, 1.0).polynomials() + (1,),
+        (ch.Polynomial([0, 0, -1.0]), ch.Polynomial([]), 0),
+        (ch.Polynomial([0, 0, 0, 0, 1.0]), ch.Polynomial([1.0]), 2),
+        (ch.Polynomial([]), ch.Polynomial([]), 0),
+    ], ids=["ou", "gbm1", "explosive", "quadratic-drift", "quartic-drift", "zero"])
+    def test_need_is_the_highest_order_the_fold_reads(self, a, bc, need):
+        # S2 of the drift reads mu up to deg a - 2, S1 and S2 of the noise
+        # product up to deg bc - 1
+        assert ch.PdeRightHandSide(a, bc, ch.MomentFunction.none()).need == need
+
+    def test_cubic_drift_marches_on_the_mean_alone(self):
+        # a = -(x + x^3)/2, bc = 1: the fold reads mu_0 and mu_1 only, so the
+        # march with mu_1 alone is bit for bit the march with any mu_2
+        a, bc = ch.Polynomial([0.0, -0.5, 0.0, -0.5]), ch.Polynomial([1.0])
+
+        def march(values):
+            rhs = ch.build_pde(a, bc, ch.MomentFunction.from_values(values))
+            surf = ch.integrate_characteristics(
+                rhs, lambda s: (s + 2.0j, -1.0 / (s + 2.0j)), np.linspace(-2, 2, 41),
+                t_end=0.5, dt=1e-2)
+            return surf.z.tobytes() + surf.g.tobytes()
+
+        alone = march([1.0, 0.0])
+        assert alone == march([1.0, 0.0, 0.7]) == march([1.0, 0.0, 1e6])
 
     @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None, derandomize=True)

@@ -66,6 +66,14 @@ class TestDensityCommand:
         want = md.explosive_density(k, a, 0.5, xs)
         assert np.max(np.abs(ps - want)) <= 1e-12 * np.max(want)
 
+    # sigma^2 under- or overflows a double: a support of [0, 0] or [-inf, inf]
+    @pytest.mark.parametrize("sigma", [1e-170, 1e160])
+    def test_ou_at_any_scale(self, tmp_path, sigma):
+        assert cli.main(["density", "--model", "ou", "--theta", "-1", "--sigma", repr(sigma),
+                         "--times", "1", "--out", str(tmp_path)]) == 0
+        xs, ps = read_density(tmp_path / "density_ou_t1.csv")
+        assert abs(np.trapezoid(ps, xs) - 1.0) < 1e-3
+
     # An inversion off the axis biases the mass by O(sqrt(eps)) at square-root
     # edges; these runs failed the mass check with it.
     @pytest.mark.parametrize("t", [3.0, 4.0, 6.0])
@@ -199,6 +207,15 @@ class TestSupportCommand:
         row = (tmp_path / "support_gbm1.csv").read_text().strip().split("\n")[1]
         t, lo, hi = map(float, row.split(","))
         assert (t, lo) == (1e17, 0.0) and hi == pytest.approx(math.e * 1e17, rel=1e-15)
+
+
+    def test_ou_at_large_sigma(self, tmp_path):
+        # sigma^2 = 1e320 once made this row "1,-inf,inf"
+        assert cli.main(["support", "--model", "ou", "--theta", "-1", "--sigma", "1e160",
+                         "--times", "1", "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "support_ou.csv").read_text().strip().split("\n")[1]
+        r = 1e160 * md.ou_support(-1.0, 1.0, 1.0).hi
+        assert [float(v) for v in row.split(",")] == pytest.approx([1.0, -r, r], rel=1e-15)
 
 
 class TestMomentsCommand:
@@ -696,6 +713,15 @@ class TestExitCodes:
             assert ("spy" in err) if code == 3 else (str(cli.MAX_GRID_N) in err)
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, theta, sigma", [("moments", -1.0, 1e300),
+                                                       ("support", 0.0, 1e308)])
+    def test_ou_overflow_is_exit_3(self, tmp_path, capsys, command, theta, sigma):
+        # a variance or a support end past a double was once written as inf
+        assert cli.main([command, "--model", "ou", "--theta", repr(theta), "--sigma",
+                         repr(sigma), "--times", "1", "--out", str(tmp_path / "o")]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_point_mass_has_no_grid(self, tmp_path, capsys):
         # sigma = 0 keeps ou at its initial atom: a zero-width support
         cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=0.0, times=[1.0],
@@ -990,6 +1016,20 @@ class TestCsvContract:
         assert (tmp_path / f"moments_{spec.tag}.csv").read_text() == expected
         if spec.tag == "ou":
             assert expected.endswith(",nan\n") and expected.count(",nan\n") == 4
+
+
+    @pytest.mark.parametrize("fields, times", [
+        ({"model": "ou", "theta": -1.0, "sigma": 1.0}, [0.25, 0.5, 1.0, 2.0, 4.0]),
+        ({"model": "explosive", "k": 1.0, "a": 1.0}, [0.2, 0.4, 0.6, 0.7, 0.8]),
+    ], ids=["ou", "explosive"])
+    def test_density_has_no_negative_zero(self, tmp_path, fields, times):
+        # the clamp of negative density once kept -0.0, written as "-0"
+        cfgfile = write_config(tmp_path, **fields, times=times, out_dir=str(tmp_path))
+        assert cli.main(["density", "--config", cfgfile]) == 0
+        paths = sorted(tmp_path.glob("density_*.csv"))
+        assert len(paths) == len(times)
+        for path in paths:
+            assert "-0" not in re.split("[,\n]", path.read_text())
 
 
 class TestSvgWriter:

@@ -123,6 +123,28 @@ class TestOrnsteinUhlenbeck:
         ref = ca.semicircle_density(xs, (sup.hi / 2.0) ** 2)
         assert np.max(np.abs(curve.ps - ref)) < 1e-4
 
+    @pytest.mark.parametrize("theta", [9e-9, -9e-9, 1e-12, -1e-12])
+    def test_variance_near_theta_zero(self, theta):
+        # a theta -> 0 cutoff at |theta t| < 1e-8 once returned t itself,
+        # off by up to 9e-9 relative
+        with localcontext() as ctx:
+            ctx.prec = 60
+            x = 2 * Decimal(theta)
+            want = float((x.exp() - 1) / x)
+        assert math.isclose(md.ou_variance(theta, 1.0, 1.0), want, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-170, 1e160, 1e300])
+    def test_sigma_is_a_pure_scale(self, sigma):
+        # sigma^2 under- or overflows a double at every one of these scales
+        spec, unit = md.OrnsteinUhlenbeck(-1.0, sigma), md.OrnsteinUhlenbeck(-1.0, 1.0)
+        sup, unit_sup = spec.support(1.0), unit.support(1.0)
+        for end, unit_end in ((sup.lo, unit_sup.lo), (sup.hi, unit_sup.hi)):
+            assert math.isclose(end, sigma * unit_end, rel_tol=1e-15)
+        curve, unit_curve = spec.density_curve(1.0), unit.density_curve(1.0)
+        assert np.max(np.abs(curve.xs / sigma - unit_curve.xs)) <= \
+            1e-13 * np.max(np.abs(unit_curve.xs))
+        assert np.max(np.abs(curve.ps * sigma - unit_curve.ps)) <= 1e-13 * np.max(unit_curve.ps)
+
     def test_variance_against_support_radius(self):
         for theta, sigma, t in ((-1.3, 0.8, 0.7), (0.9, 1.1, 1.4), (0.0, 1.0, 3.0)):
             v = md.ou_variance(theta, sigma, t)
