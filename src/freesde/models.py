@@ -237,13 +237,13 @@ class GeometricBrownian2(ModelSpec):
         raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
 
     def euler_increment(self, x, dt, dw, out, scratch):
-        # x and dw are exactly symmetric, so dw x = (x dw)^T: one product
+        # x and dw are exactly symmetric, so dw x = (x dw)^T: one product,
+        # and t + t^T is exactly symmetric, so the step is too
         m, t = scratch
         np.matmul(x, dw, out=t)
-        np.multiply(x, 1.0 + self.theta * dt, out=m)
-        m += t
-        m += t.swapaxes(-1, -2)
-        _symmetrize(m, out)
+        np.add(t, t.swapaxes(-1, -2), out=m)
+        np.multiply(x, 1.0 + self.theta * dt, out=out)
+        out += m
 
 
 @dataclass(frozen=True)
@@ -285,18 +285,13 @@ class Explosive(ModelSpec):
         return Polynomial([]), Polynomial([0.0, 0.0, self.k])
 
     def euler_increment(self, x, dt, dw, out, scratch):
+        # rounding leaves t = x dw x just off symmetric; t + t^T is exactly so
         m, t = scratch
         np.matmul(x, dw, out=m)
         np.matmul(m, x, out=t)
-        t *= self.k
-        np.add(x, t, out=m)
-        _symmetrize(m, out)
-
-
-def _symmetrize(m: np.ndarray, out: np.ndarray) -> None:
-    """(m + m^T) / 2 into out: a product's rounding leaves m just off symmetric."""
-    np.add(m, m.swapaxes(-1, -2), out=out)
-    out *= 0.5
+        np.add(t, t.swapaxes(-1, -2), out=m)
+        m *= 0.5 * self.k
+        np.add(x, m, out=out)
 
 
 def _margin_grid(sup: SupportInterval, core: np.ndarray, t: float) -> np.ndarray:

@@ -64,12 +64,36 @@ class TestSimConfig:
         rmt.SimConfig(N=10, dt=0.01, t_end=0.4, n_paths=1, seed=2**64 - 1)
 
     def test_seeds_past_two_to_the_63_draw_their_own_streams(self):
-        # the seed went into the Philox key as a float64 there, so
-        # 2**63 and 2**63 + 1 drew one stream
+        # the whole integer seeds the stream: a float64 key rounds
+        # 2**63 + 1 to 2**63, and those two seeds drew one stream
         draws = [rmt.path_rng(seed, 0).standard_normal(4)
                  for seed in (2**63, 2**63 + 1, 2**64 - 1)]
         assert not np.array_equal(draws[0], draws[1])
         assert not np.array_equal(draws[1], draws[2])
+
+
+class TestPathStreams:
+    def test_index_is_a_spawn_key_not_entropy(self):
+        # an unpadded entropy list [seed, path] makes (5, 1) and
+        # (5 + 2**32, 0) the same words, hence the same stream
+        a = rmt.path_rng(5, 1).standard_normal(8)
+        b = rmt.path_rng(5 + 2**32, 0).standard_normal(8)
+        assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,p", [(0, 0), (5, 1), (77, 4), (2**64 - 1, 9)])
+    def test_stream_is_the_spawned_child(self, seed, p):
+        child = np.random.SeedSequence(seed).spawn(p + 1)[p]
+        want = np.random.Generator(np.random.SFC64(child)).standard_normal(64)
+        assert np.array_equal(rmt.path_rng(seed, p).standard_normal(64), want)
+
+    @pytest.mark.parametrize("a,b", [((7, 0), (7, 1)), ((7, 0), (8, 0)),
+                                     ((2**63, 3), (2**63 + 1, 3)),
+                                     ((2**64 - 1, 0), (2**64 - 1, 1))],
+                             ids=["paths", "seeds", "seeds-past-2^63", "paths-at-2^64-1"])
+    def test_neighbouring_streams_are_uncorrelated(self, a, b):
+        n = 2**16
+        x, y = (rmt.path_rng(*key).standard_normal(n) for key in (a, b))
+        assert abs(np.corrcoef(x, y)[0, 1]) < 5.0 / math.sqrt(n)
 
 
 class TestWignerIncrement:
@@ -129,6 +153,27 @@ class TestEulerStep:
         out = rmt.euler_step(x, spec, 1e-2, rmt.path_rng(6, 0))
         dw = rmt.sample_wigner_increment(12, 1e-2, rmt.path_rng(6, 0))
         assert np.max(np.abs(out - (x + x @ dw + dw @ x))) < 1e-14
+
+    @pytest.mark.parametrize("Q", [None, 3], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("spec,step", [
+        (md.GeometricBrownian2(0.5),
+         lambda x, dw: (1.0 + 0.5 * 2e-3) * x + x @ dw + dw @ x),
+        (md.Explosive(1.3, 1.0), lambda x, dw: x + 1.3 * x @ dw @ x),
+    ], ids=["gbm2", "explosive"])
+    def test_step_off_the_identity(self, spec, step, Q):
+        # at a random symmetric state x and dw do not commute
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((Q or 1, 40, 40)) / math.sqrt(40)
+        x = np.eye(40) + 0.3 * (a + a.swapaxes(-1, -2))
+        dw = rmt.sample_wigner_increment(
+            40, 2e-3, [rmt.path_rng(12, p) for p in range(Q or 1)])
+        if Q is None:
+            x, dw = x[0], dw[0]
+        m = rmt._apply_increment(x, spec, 2e-3, dw)
+        assert np.array_equal(m, m.swapaxes(-1, -2))
+        scale = np.linalg.norm(x, axis=(-2, -1)) ** 2
+        err = np.max(np.abs(m - step(x, dw)), axis=(-2, -1))
+        assert np.all(err <= 1e-13 * scale)
 
     @pytest.mark.parametrize("spec", SPECS,
                              ids=["ou", "gbm1", "gbm2", "explosive"])
@@ -469,6 +514,18 @@ class TestEnsemble:
             rmt._n_workers()
         monkeypatch.setenv("FREESDE_THREADS", str(rmt.MAX_THREADS))
         assert rmt._n_workers() == rmt.MAX_THREADS
+
+    def test_default_pool_fits_the_cpus_this_process_may_use(self, monkeypatch):
+        # os.cpu_count() counts the machine's CPUs: under taskset -c 0 the
+        # pool ran two threads on one CPU
+        monkeypatch.delenv("FREESDE_THREADS", raising=False)
+        monkeypatch.setattr(rmt.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(rmt.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert rmt._n_workers() == 1
+        monkeypatch.setattr(rmt.os, "sched_getaffinity", lambda pid: set(range(6)))
+        assert rmt._n_workers() == 4
+        monkeypatch.delattr(rmt.os, "sched_getaffinity")
+        assert rmt._n_workers() == 4
 
     def test_snapshot_must_align_with_grid(self):
         spec = md.OrnsteinUhlenbeck(0.0, 1.0)
