@@ -193,33 +193,16 @@ def _check_pv_grid(p: DensityCurve) -> None:
         raise GridTooCoarse(f"only {inside} grid points inside the support")
 
 
-def hilbert_transform(p: DensityCurve, x: float) -> float:
-    """Principal value of integral p(y)/(x - y) dy by symmetric-pair quadrature.
-
-    Pairing y = x +/- k*h cancels the singular cell; samples beyond the grid
-    count as zero, so the grid must cover the support.  Accuracy is O(h^2)
-    away from the support edges and degrades (but stays finite) at them.
-    """
-    _check_pv_grid(p)
-    if not (p.xs[0] <= x <= p.xs[-1]):
-        raise ValueError(f"x={x} outside the grid range")
-    h = p.step
-    span = p.xs[-1] - p.xs[0]
-    K = int(math.ceil(span / h)) + 1
-    k = np.arange(1, K + 1)
-    right = np.interp(x + k * h, p.xs, p.ps, left=0.0, right=0.0)
-    left = np.interp(x - k * h, p.xs, p.ps, left=0.0, right=0.0)
-    return float(-np.dot(_pair_weights(K), right - left))
-
-
 def hilbert_transform_grid(p: DensityCurve) -> np.ndarray:
-    """hilbert_transform evaluated at every grid node, samples beyond the
-    grid counting as zero: one convolution with the antisymmetric pair kernel.
-
-    The convolution is linear, not circular, though computed by FFT: the n
-    samples and the 2n + 1 kernel taps are zero-padded to the first power of
-    two at or above 3n, the length of their full convolution, so no term
-    wraps around.  It agrees with the direct O(n^2) sum to roundoff.
+    """Principal value of integral p(y)/(x - y) dy at each grid node x by
+    symmetric-pair quadrature: pairing y = x +/- k*h cancels the singular
+    cell.  Samples beyond the grid count as zero, so the grid must cover
+    the support; accuracy is O(h^2) away from the support edges and stays
+    finite at them.  The pair sums are one linear convolution with the
+    antisymmetric kernel, computed by FFT: the n samples and 2n + 1 taps
+    are zero-padded to the first power of two at or above 3n, their full
+    convolution's length, so no term wraps around.  It agrees with the
+    direct O(n^2) sum to roundoff.
     """
     _check_pv_grid(p)
     n = p.ps.size

@@ -74,10 +74,6 @@ class EigenFail(FreeSdeError):
     """Dense symmetric eigensolver did not converge."""
 
 
-class NoContraction(FreeSdeError):
-    """Successive-approximation differences grew; horizon too large."""
-
-
 class InvalidConfig(FreeSdeError):
     """Malformed model or simulation configuration."""
 

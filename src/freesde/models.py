@@ -368,11 +368,12 @@ def model_to_json(spec: ModelSpec) -> dict:
 def ou_variance(theta: float, sigma: float, t: float) -> float:
     """Variance sigma (sigma v_1), with v_1 = (e^(2 theta t) - 1) / (2 theta)
     the variance at sigma = 1 and its theta -> 0 limit t where |theta t| is
-    below 2^-60 (as in ``ou_euler_law``; expm1 is exact to an ulp above it).
+    below 2^-60 (as in ``ou_euler_law``; expm1 is exact to an ulp above it),
+    formed as 2 (theta t), never 2 theta, which overflows for |theta| >= 2^1023.
     A variance past a double raises OverflowError."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    v1 = t if abs(theta * t) < 2.0 ** -60 else math.expm1(2.0 * theta * t) / (2.0 * theta)
+    v1 = t if abs(theta * t) < 2.0 ** -60 else math.expm1(2.0 * (theta * t)) / theta / 2.0
     v = sigma * (sigma * v1)
     if not math.isfinite(v):
         raise OverflowError(f"ou variance overflows a double at t={t:g}")

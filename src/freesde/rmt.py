@@ -29,7 +29,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -40,7 +40,6 @@ from .errors import (
     EigenFail,
     EmptyHistogram,
     InvalidConfig,
-    NoContraction,
     NonFinite,
     PastBlowup,
 )
@@ -48,8 +47,6 @@ from .errors import (
 if TYPE_CHECKING:
     from .models import ModelSpec
 
-PICARD_TOL = 1e-8
-PICARD_MAX_ITER = 25
 MAX_N = 4096  # largest matrix dimension: one path's buffers stay under ~0.6 GB
 MAX_PATHS = 10**4  # most paths per ensemble: the list of path blocks stays bounded
 MAX_THREADS = 64  # largest FREESDE_THREADS: the path pool's OS threads stay few
@@ -277,65 +274,6 @@ def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
     if clamp is not None and c is not None:
         clamp += c
     return out
-
-
-def euler_step(x: np.ndarray, model: ModelSpec, dt: float,
-               rng: np.random.Generator) -> np.ndarray:
-    """Sample a driving increment and advance the matrix x one step."""
-    return _matrix_step(x, model, dt, sample_wigner_increment(x.shape[0], dt, rng))
-
-
-def _matrix_step(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray) -> np.ndarray:
-    """One step of the matrix x, through the model's march state."""
-    return model.state_matrix(_apply_increment(model.march_state(x), model, dt, dw))
-
-
-@dataclass
-class PicardResult:
-    path: np.ndarray  # (n_steps + 1, N, N)
-    contraction: list[float] = field(default_factory=list)
-    iterations: int = 0
-
-
-def _ratios(diffs: list[float]) -> list[float]:
-    return [diffs[i + 1] / diffs[i] for i in range(len(diffs) - 1) if diffs[i] > 0]
-
-
-def picard_solve(model: ModelSpec, cfg: SimConfig) -> PicardResult:
-    """Successive approximations of the integral equation on a fixed grid.
-
-    Iterates x^(m+1)(t) = x0 + sum a(x^(m)) dt + sum b(x^(m)) dW c(x^(m))
-    against the same driving increments (the stream of path index 0) every
-    sweep; the fixed point of the discrete map coincides with the explicit
-    one-step scheme on that grid.  Meant for short horizons: the scheme is a
-    local contraction, so keep t_end small (about 0.5 or less) or expect
-    NoContraction.
-    """
-    dws = sample_wigner_increment(cfg.N, [cfg.dt] * cfg.n_steps, path_rng(cfg.seed, 0))
-    x0 = model.x0 * np.eye(cfg.N)
-    cur = np.broadcast_to(x0, (cfg.n_steps + 1, cfg.N, cfg.N)).copy()
-    diffs: list[float] = []
-    grow = 0
-    for it in range(1, PICARD_MAX_ITER + 1):
-        nxt = np.empty_like(cur)
-        nxt[0] = x0
-        for j in range(cfg.n_steps):
-            inc = _matrix_step(cur[j], model, cfg.dt, dws[j]) - cur[j]
-            nxt[j + 1] = nxt[j] + inc
-        d = float(np.max(np.linalg.norm(nxt - cur, axis=(1, 2))) / math.sqrt(cfg.N))
-        diffs.append(d)
-        cur = nxt
-        if d < PICARD_TOL:
-            return PicardResult(path=cur, contraction=_ratios(diffs), iterations=it)
-        if len(diffs) >= 2 and diffs[-1] > diffs[-2]:
-            grow += 1
-            if grow >= 3:
-                raise NoContraction(
-                    "successive-approximation differences grew three times in a row; "
-                    "shrink t_end")
-        else:
-            grow = 0
-    return PicardResult(path=cur, contraction=_ratios(diffs), iterations=PICARD_MAX_ITER)
 
 
 @dataclass

@@ -138,21 +138,44 @@ def brute_force_pv(curve: ca.DensityCurve, x: float, refine: int = 4) -> float:
     return float(body - 2.0 * delta * slope)
 
 
+def pair_sum(curve: ca.DensityCurve, x: float) -> float:
+    """The symmetric-pair principal-value sum at one point x, term by term:
+    pairs y = x +/- k*h, k = 1..K, with trapezoid weights 1/k, 1.5/k on the
+    first pair and 0.5/k on the last, samples beyond the grid counting as
+    zero."""
+    h = curve.step
+    K = int(math.ceil((curve.xs[-1] - curve.xs[0]) / h)) + 1
+    k = np.arange(1, K + 1)
+    w = np.ones(K)
+    w[0], w[-1] = 1.5, 0.5
+    right = np.interp(x + k * h, curve.xs, curve.ps, left=0.0, right=0.0)
+    left = np.interp(x - k * h, curve.xs, curve.ps, left=0.0, right=0.0)
+    return float(-np.dot(w / k, right - left))
+
+
+def at_node(curve: ca.DensityCurve, x: float) -> float:
+    """The grid transform at the node x, which must be a node of the grid."""
+    i = int(np.argmin(np.abs(curve.xs - x)))
+    assert abs(curve.xs[i] - x) <= 1e-15
+    return float(ca.hilbert_transform_grid(curve)[i])
+
+
 class TestHilbertTransform:
     def test_semicircle_interior_vs_analytic_and_oracle(self):
         # for the radius-2 semicircle the transform is x/2 inside the support
         curve = semicircle_curve(n=1024)
-        got = ca.hilbert_transform(curve, 1.0)
+        got = at_node(curve, 1.0)
         assert abs(got - 0.5) < 2e-3
         assert abs(got - brute_force_pv(curve, 1.0)) < 2e-3
 
     def test_odd_symmetry_cancels_exactly(self):
         curve = semicircle_curve(n=513)
-        assert abs(ca.hilbert_transform(curve, 0.0)) < 1e-14
+        assert abs(at_node(curve, 0.0)) < 1e-14
 
     def test_edge_is_finite(self):
-        curve = semicircle_curve(n=1024)
-        val = ca.hilbert_transform(curve, 2.0)
+        # 2.0 is a node of the n = 1057 grid (h = 1/240), not of n = 1024
+        curve = semicircle_curve(n=1057)
+        val = at_node(curve, 2.0)
         assert np.isfinite(val)
         assert abs(val - brute_force_pv(curve, 2.0)) < 0.05
 
@@ -160,29 +183,30 @@ class TestHilbertTransform:
         xs = np.linspace(-2.5, 2.5, 18)
         curve = ca.DensityCurve.from_samples(xs, ca.semicircle_density(xs, 1.0))
         with pytest.raises(GridTooCoarse):
-            ca.hilbert_transform(curve, 0.0)
+            ca.hilbert_transform_grid(curve)
         # inversion off the axis leaves p > 0 on all 18 nodes, 14 above the floor
         curve = ca.stieltjes_invert(semicircle_evaluator(), 0.0, xs, eps0=1e-3)
         with pytest.raises(GridTooCoarse):
-            ca.hilbert_transform(curve, 0.0)
+            ca.hilbert_transform_grid(curve)
 
     def test_needs_uniform_grid(self):
         xs = np.concatenate([np.linspace(-2, 0, 50), np.linspace(0.1, 2, 80)])
         curve = ca.DensityCurve.from_samples(xs, ca.semicircle_density(xs, 1.0))
         with pytest.raises(ValueError):
-            ca.hilbert_transform(curve, 0.5)
+            ca.hilbert_transform_grid(curve)
 
     def test_oracle_agreement_across_points(self):
-        curve = semicircle_curve(n=1024)
+        # every probe is a node of the n = 1057 grid (h = 1/240), not of n = 1024
+        curve = semicircle_curve(n=1057)
         for x in (-1.5, -0.7, 0.3, 1.2, 1.8):
-            assert abs(ca.hilbert_transform(curve, x) - brute_force_pv(curve, x)) < 2e-3
+            assert abs(at_node(curve, x) - brute_force_pv(curve, x)) < 2e-3
 
     @pytest.mark.parametrize("n", [257, 513, 1024, 1025, 4097])
     def test_grid_matches_pointwise(self, n):
-        # the one-convolution form is the pair sum of hilbert_transform at each node
+        # the one-convolution form is the direct pair sum at each node
         curve = semicircle_curve(n=n)
         grid = ca.hilbert_transform_grid(curve)
-        point = np.array([ca.hilbert_transform(curve, x) for x in curve.xs])
+        point = np.array([pair_sum(curve, x) for x in curve.xs])
         assert np.max(np.abs(grid - point)) <= 1e-13 * np.max(np.abs(point))
 
 

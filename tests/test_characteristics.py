@@ -426,6 +426,17 @@ def _record_case(spec, t_end):
             np.linspace(-2.0, 4.0, 25), t_end, 1e-3)
 
 
+def _signed_start(z, g):
+    """Labels to the one start (z, g), each a (real, imaginary) pair, built
+    through .real and .imag: s + 0j would turn an imaginary -0 into +0."""
+    def init(labels):
+        zs, gs = np.empty((2, labels.size), complex)
+        zs.real, zs.imag = z
+        gs.real, gs.imag = g
+        return zs, gs
+    return init
+
+
 def _march_cases():
     square = ch.build_pde(ch.Polynomial([0, 0, -1.0]), ch.Polynomial([]),
                           ch.MomentFunction.from_values([1.0, 0.0]))
@@ -440,6 +451,13 @@ def _march_cases():
                                       ch.MomentFunction.none()),
                          lambda s: (np.conj(s + 0j), 1.0 / (s + 1j)), np.linspace(-1, 1, 5), 0.5,
                          1e-2)
+    # signed zeros that a multiply on the real view would keep but the
+    # complex multiply by a real scalar drops: in a stage argument ...
+    yield "signed-zero-stage", (ou_rhs(theta=1.0), _signed_start((-1.0, -0.0), (-1.0, 0.0)),
+                                np.zeros(1), 0.3, 0.1)
+    # ... and in the h/6 scaling of the RK4 combination
+    yield "signed-zero-scale", (ou_rhs(theta=0.0), _signed_start((0.0, -0.0), (0.0, 0.0)),
+                                np.zeros(1), 0.3, 0.1)
 
 
 class TestIntegrateCharacteristics:

@@ -217,6 +217,14 @@ class TestSupportCommand:
         r = 1e160 * md.ou_support(-1.0, 1.0, 1.0).hi
         assert [float(v) for v in row.split(",")] == pytest.approx([1.0, -r, r], rel=1e-15)
 
+    def test_ou_at_theta_past_two_to_the_1023(self, tmp_path):
+        # 2 theta overflowed to -inf, and this row read "0.5,0,0"
+        assert cli.main(["support", "--model", "ou", "--theta", "-1e308", "--sigma", "1",
+                         "--times", "0.5", "--out", str(tmp_path)]) == 0
+        row = (tmp_path / "support_ou.csv").read_text().strip().split("\n")[1]
+        r = math.sqrt(2e-308)
+        assert [float(v) for v in row.split(",")] == pytest.approx([0.5, -r, r], rel=1e-12, abs=0)
+
 
 class TestMomentsCommand:
     def test_gbm1_ratio_is_sqrt_t(self, tmp_path):

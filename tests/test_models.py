@@ -151,6 +151,18 @@ class TestOrnsteinUhlenbeck:
             r = md.ou_support(theta, sigma, t).hi
             assert abs(v - (r / 2.0) ** 2) <= 1e-12 * max(1.0, v)
 
+    def test_theta_past_two_to_the_1023(self):
+        # 2 theta overflowed to -inf: variance 0 and support [0, 0], which
+        # the CLI wrote with exit 0; 2 (theta t) at t = 1e-310 is -0.02, so
+        # v_1 = (1 - e^-0.02) / 2e308, not the saturated 1 / 2e308
+        assert math.isclose(md.ou_variance(-1e308, 1.0, 0.5), 5e-309, rel_tol=1e-12)
+        sup = md.ou_support(-1e308, 1.0, 0.5)
+        assert math.isclose(sup.hi, math.sqrt(2e-308), rel_tol=1e-12) and sup.lo == -sup.hi
+        with localcontext() as ctx:
+            ctx.prec = 60
+            want = float((1 - Decimal(-0.02).exp()) / (2 * Decimal(1e308)))
+        assert math.isclose(md.ou_variance(-1e308, 1.0, 1e-310), want, rel_tol=1e-9)
+
 
 def _composed_euler_law(theta, dt, k):
     """(decay, noise time) of k Euler steps x <- rho x + sigma dW, rho = 1 +

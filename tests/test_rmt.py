@@ -1,4 +1,4 @@
-"""Monte Carlo oracle checks: increments, steps, Picard, ensembles, distances."""
+"""Monte Carlo oracle checks: increments, steps, ensembles, distances."""
 
 import math
 import warnings
@@ -14,7 +14,6 @@ from freesde import rmt
 from freesde.errors import (
     EmptyHistogram,
     InvalidConfig,
-    NoContraction,
     NonFinite,
     PastBlowup,
 )
@@ -109,6 +108,21 @@ class TestWignerIncrement:
         se = vals.std(ddof=1) / math.sqrt(reps)
         assert abs(vals.mean() - target) < 3.0 * se
 
+    @pytest.mark.parametrize("Q", [None, 3], ids=["stream", "stack"])
+    def test_entrywise_law(self, Q):
+        # tr(dW^2) mixes the diagonal and off-diagonal variances; here each
+        # of the N(N+1)/2 entries is held to mean 0 and its own variance,
+        # dt/N off the diagonal and 2 dt/N on it, within 4 SE
+        N, dt, S = 5, 0.25, 20000
+        rng = rmt.path_rng(32, 0) if Q is None else [rmt.path_rng(32, p) for p in range(Q)]
+        w = rmt.sample_wigner_increment(N, [dt] * S, rng).reshape(-1, N, N)
+        i, j = np.triu_indices(N)
+        entries, n = w[:, i, j], w.shape[0]
+        assert np.all(np.abs(entries.mean(axis=0)) < 4 * entries.std(axis=0) / math.sqrt(n))
+        sq = entries * entries
+        want = np.where(i == j, 2 * dt / N, dt / N)
+        assert np.all(np.abs(sq.mean(axis=0) - want) < 4 * sq.std(axis=0) / math.sqrt(n))
+
     def test_zero_dt_gives_zero_matrix(self):
         rng = rmt.path_rng(0, 0)
         assert np.all(rmt.sample_wigner_increment(8, 0.0, rng) == 0.0)
@@ -124,11 +138,17 @@ class TestWignerIncrement:
         assert np.array_equal(w1, w2)
 
 
+def explicit_step(x, spec, dt, rng):
+    """One explicit step of the matrix x, through the model's march state."""
+    dw = rmt.sample_wigner_increment(x.shape[0], dt, rng)
+    return spec.state_matrix(rmt._apply_increment(spec.march_state(x), spec, dt, dw))
+
+
 class TestEulerStep:
     def test_ou_from_zero_is_pure_noise(self):
         spec = md.OrnsteinUhlenbeck(-2.0, 1.5)
         x = np.zeros((20, 20))
-        out = rmt.euler_step(x, spec, 1e-2, rmt.path_rng(3, 0))
+        out = explicit_step(x, spec, 1e-2, rmt.path_rng(3, 0))
         dw = rmt.sample_wigner_increment(20, 1e-2, rmt.path_rng(3, 0))
         assert np.allclose(out, 1.5 * dw, rtol=0, atol=1e-15)
 
@@ -136,21 +156,21 @@ class TestEulerStep:
         # sqrt(I) = I, so the step is I + theta I dt + dW
         spec = md.GeometricBrownian1(0.7)
         x = np.eye(16)
-        out = rmt.euler_step(x, spec, 1e-2, rmt.path_rng(4, 0))
+        out = explicit_step(x, spec, 1e-2, rmt.path_rng(4, 0))
         dw = rmt.sample_wigner_increment(16, 1e-2, rmt.path_rng(4, 0))
         assert np.max(np.abs(out - (x + 0.7 * 1e-2 * x + dw))) < 1e-12
 
     def test_explosive_at_identity(self):
         spec = md.Explosive(1.0, 1.0)
         x = np.eye(16)
-        out = rmt.euler_step(x, spec, 1e-2, rmt.path_rng(5, 0))
+        out = explicit_step(x, spec, 1e-2, rmt.path_rng(5, 0))
         dw = rmt.sample_wigner_increment(16, 1e-2, rmt.path_rng(5, 0))
         assert np.max(np.abs(out - (x + dw))) < 1e-14
 
     def test_gbm2_step_shape(self):
         spec = md.GeometricBrownian2(0.0)
         x = np.eye(12) * 2.0
-        out = rmt.euler_step(x, spec, 1e-2, rmt.path_rng(6, 0))
+        out = explicit_step(x, spec, 1e-2, rmt.path_rng(6, 0))
         dw = rmt.sample_wigner_increment(12, 1e-2, rmt.path_rng(6, 0))
         assert np.max(np.abs(out - (x + x @ dw + dw @ x))) < 1e-14
 
@@ -324,50 +344,6 @@ def _matrix_chain_step(x, theta, dt, dw):
     m = x * (1.0 + theta * dt)
     m += t
     return (m + m.T) * 0.5
-
-
-class TestPicard:
-    def test_null_dynamics_converges_first_sweep(self):
-        spec = md.OrnsteinUhlenbeck(0.0, 0.0)
-        cfg = rmt.SimConfig(N=8, dt=1e-2, t_end=0.1, n_paths=1, seed=0)
-        res = rmt.picard_solve(spec, cfg)
-        assert res.iterations == 1
-        assert np.all(res.path == 0.0)
-
-    def test_matches_explicit_path_on_same_noise(self):
-        spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
-        cfg = rmt.SimConfig(N=40, dt=1e-3, t_end=0.1, n_paths=1, seed=9)
-        res = rmt.picard_solve(spec, cfg)
-        rng = rmt.path_rng(9, 0)
-        x = spec.x0 * np.eye(40)
-        for _ in range(cfg.n_steps):
-            x = rmt.euler_step(x, spec, cfg.dt, rng)
-        assert np.max(np.abs(res.path[-1] - x)) < 1e-6
-
-    def test_matches_gbm1_explicit_path_on_same_noise(self):
-        # both solvers step the matrix through gbm1's factor each step; the
-        # sweeps stop once one moves the path by less than PICARD_TOL, and
-        # with contraction about 0.1 the end state is within a tenth of that
-        spec = md.GeometricBrownian1(0.5)
-        cfg = rmt.SimConfig(N=40, dt=1e-3, t_end=0.1, n_paths=1, seed=9)
-        res = rmt.picard_solve(spec, cfg)
-        rng = rmt.path_rng(9, 0)
-        x = spec.x0 * np.eye(40)
-        for _ in range(cfg.n_steps):
-            x = rmt.euler_step(x, spec, cfg.dt, rng)
-        assert np.linalg.norm(res.path[-1] - x) / math.sqrt(40) < rmt.PICARD_TOL
-
-    def test_contraction_factors_decay(self):
-        spec = md.OrnsteinUhlenbeck(-1.0, 1.0)
-        cfg = rmt.SimConfig(N=40, dt=1e-3, t_end=0.1, n_paths=1, seed=9)
-        res = rmt.picard_solve(spec, cfg)
-        assert all(r < 0.9 for r in res.contraction[1:])
-
-    def test_no_contraction_for_stiff_horizon(self):
-        spec = md.OrnsteinUhlenbeck(40.0, 1.0)
-        cfg = rmt.SimConfig(N=16, dt=5e-3, t_end=0.5, n_paths=1, seed=1)
-        with pytest.raises(NoContraction):
-            rmt.picard_solve(spec, cfg)
 
 
 class TestEnsemble:
