@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cauchy, characteristics, models, moments, rmt
-from .errors import FreeSdeError, InvalidConfig
+from .errors import FreeSdeError, InvalidConfig, NonFinite
 from .models import AUTO_GRID_N, MODEL_KEYS, config_number, config_object
 
 _MC_KEYS = tuple(f.name for f in dataclasses.fields(rmt.SimConfig) if f.name != "seed")
@@ -241,9 +241,9 @@ def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     worst = 0.0  # stays 0 with no transform, so gbm2 never exceeds the threshold
     for t, h, curve in zip(cfg.times, hists, curves):
         ms = moments.model_moments(cfg.spec, t)
-        entry = {"t": t, "n_samples": h.n_samples,
-                 "mean_gap": abs(float(np.mean(h.samples)) - ms.mean),
-                 "second_moment_gap": abs(float(np.mean(h.samples ** 2)) - ms.second_moment)}
+        m1, m2 = h.moments()
+        entry = {"t": t, "n_samples": h.n_samples, "mean_gap": abs(m1 - ms.mean),
+                 "second_moment_gap": abs(m2 - ms.second_moment)}
         line = f"  t={_t_label(t)}: "
         if curve is not None:
             entry["kolmogorov"] = ks = rmt.kolmogorov_distance(h, curve)
@@ -252,7 +252,11 @@ def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
         print(line + f"mean_gap={entry['mean_gap']:.4f}")
         report["snapshots"].append(entry)
         files[f"hist_{tag}_t{_fmt_t(t)}.csv"] = h.to_csv()
-    files[f"compare_{tag}.json"] = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        files[f"compare_{tag}.json"] = json.dumps(report, indent=2, sort_keys=True,
+                                                  allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFinite(f"compare report is not finite: {exc}") from exc
     if worst > cfg.threshold:
         print(f"FAIL: worst Kolmogorov distance {worst:.4f} > {cfg.threshold}")
         return 4, files

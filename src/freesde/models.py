@@ -67,10 +67,10 @@ class ModelSpec:
     x + a(x) dt + b(x) dw c(x) for one state or an (..., N, N) stack into
     ``out`` (which may be s itself), with ``scratch`` (shape (2,) + s.shape)
     for temporaries, and returns gbm1's square-root clamp per matrix (else
-    None); a symmetric state comes out exactly symmetric.  See
-    ``rmt._apply_increment``.  ``euler_segment(dt, k)`` gives the Euler
-    steps that one increment draw covers, out of the k left before the next
-    snapshot, with the drift time and the noise time that
+    None); a symmetric state comes out exactly symmetric.
+    ``rmt._evolve_path`` calls it in place.  ``euler_segment(dt, k)`` gives
+    the Euler steps that one increment draw covers, out of the k left
+    before the next snapshot, with the drift time and the noise time that
     ``euler_increment`` and the draw take for them.
     """
 

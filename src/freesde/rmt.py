@@ -13,11 +13,12 @@ Each path owns an SFC64 stream whose SeedSequence spawn key is its index
 (``path_rng``): SFC64 draws a normal in 10 ns against Philox's 15, and
 the draw is the small-matrix march's largest cost.  Paths are stepped in
 blocks, each block as one (Q, N, N) stack; each stream draws the increments
-of several segments in one call, in the order it would draw them one by
-one.  BLAS runs single-threaded while paths run, so each path's arithmetic
-is the same for any pool size, blocking and chunking, and every ensemble is
-bitwise reproducible under any parallel schedule.  Pooled eigenvalue
-histograms are compared against analytic densities by Kolmogorov distance.
+of S segments in one call, in the order it would draw them one by one, and
+one gather forms the block's (Q, S, N, N) chunk.  BLAS runs single-threaded
+while paths run, so each path's arithmetic is the same for any pool size,
+blocking and chunking, and every ensemble is bitwise reproducible under
+any parallel schedule.  Pooled eigenvalue histograms are compared against
+analytic densities by Kolmogorov distance.
 """
 
 from __future__ import annotations
@@ -160,12 +161,9 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 @functools.cache
 def _wigner_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather map (N, N) from packed upper-triangle values, and the diagonal.
-
-    The packed order is that of np.triu_indices(N); entry (i, j) and entry
-    (j, i) read the same packed value, so the gathered matrix is exactly
-    symmetric.
-    """
+    """Gather map (N, N) from packed upper-triangle values, in the order of
+    np.triu_indices(N), and the diagonal.  Entries (i, j) and (j, i) read the
+    same packed value, so each gathered matrix is exactly symmetric."""
     iu = np.triu_indices(N)
     gather = np.empty((N, N), dtype=np.intp)
     gather[iu] = np.arange(iu[0].size)
@@ -175,46 +173,22 @@ def _wigner_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, diagonal
 
 
-def _gather_wigner(packed: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The symmetric (..., N, N) matrices of packed draws (..., N(N+1)/2)."""
-    return np.take(packed, _wigner_maps(N)[0], axis=-1, mode="clip", out=out)
-
-
-def sample_wigner_increment(N: int, dt, rng, packed: np.ndarray | None = None,
-                            gather: bool = True) -> np.ndarray:
-    """Symmetric Gaussian increment matrix with semicircle-normalized entries.
-
-    Exactly the N(N+1)/2 independent entries are drawn: above-diagonal
-    variance dt/N and diagonal variance 2 dt/N.  ``rng`` is one Generator,
-    giving an (N, N) matrix, or a sequence of Q Generators, giving a
-    (Q, N, N) stack whose matrix q is drawn from stream q alone, with the
-    same values that stream would give one matrix at a time.  ``dt`` is one
-    noise time, or a sequence of S of them: each stream then draws its S
-    increments in one call, in the order it would draw them one at a time,
-    and the result gains a leading axis of length S.  ``packed`` (shape
-    (Q, S, N(N+1)/2), Q = S = 1 for one Generator and one dt, each [q]
-    C-contiguous) is an optional reused buffer.  With ``gather`` false no
-    matrix is formed: the scaled draws are returned packed, shape
-    (Q, S, N(N+1)/2) (``packed`` itself when given), for ``_gather_wigner``
-    to expand one draw at a time.
-    """
-    chunked = np.ndim(dt) > 0
-    dts = list(dt) if chunked else [dt]
+def sample_wigner_increment(N: int, dts: Sequence[float], rngs, out=None) -> np.ndarray:
+    """Stream q's semicircle-normalized symmetric Gaussian increment over
+    noise time dts[s] as matrix [q, s] of a (Q, S, N, N) stack (``out`` if
+    given): its N(N+1)/2 independent entries have variance dt/N above the
+    diagonal and 2 dt/N on it.  Each stream draws its S increments in one
+    call, in the order it would draw them one at a time; one gather forms
+    every matrix."""
     if min(dts) < 0:
         raise ValueError("dt must be nonnegative")
-    diagonal = _wigner_maps(N)[1]
-    single = isinstance(rng, np.random.Generator)
-    rngs = (rng,) if single else rng
-    if packed is None:
-        packed = np.empty((len(rngs), len(dts), N * (N + 1) // 2))
+    gather, diagonal = _wigner_maps(N)
+    packed = np.empty((len(rngs), len(dts), N * (N + 1) // 2))
     for block, stream in zip(packed, rngs):
         stream.standard_normal(out=block)
     packed *= np.array([math.sqrt(d / N) for d in dts])[:, None]
     packed[..., diagonal] *= math.sqrt(2.0)
-    if not gather:
-        return packed
-    lead = ((len(dts),) if chunked else ()) + (() if single else (len(rngs),))
-    return _gather_wigner(packed.swapaxes(0, 1), N).reshape(lead + (N, N))
+    return np.take(packed, gather, axis=-1, mode="clip", out=out)
 
 
 def sym_sqrt_clamped(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -252,30 +226,6 @@ def psd_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     return np.stack([f for f, _ in pairs]), np.array([c for _, c in pairs])
 
 
-def _apply_increment(x: np.ndarray, model: ModelSpec, dt: float, dw: np.ndarray,
-                     clamp: np.ndarray | None = None, out: np.ndarray | None = None,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
-    """One explicit step x + a(x) dt + b(x) dw c(x) of the march state x
-    (the model's ``euler_increment``; a factor for gbm1, see
-    ``ModelSpec.march_state``); dt is the drift time of the segment that dw
-    drives (see ``ModelSpec.euler_segment``).
-
-    x and dw are one matrix or matching (..., N, N) stacks; the square-root
-    clamp of each matrix (gbm1 only) is added into ``clamp``, a float array
-    of shape x.shape[:-2].  ``out`` (which may be x itself) receives the new
-    state and ``scratch`` (shape (2,) + x.shape) holds the temporaries; both
-    are allocated when not given.
-    """
-    if scratch is None:
-        scratch = np.empty((2,) + x.shape)
-    if out is None:
-        out = np.empty_like(x)
-    c = model.euler_increment(x, dt, dw, out, scratch)
-    if clamp is not None and c is not None:
-        clamp += c
-    return out
-
-
 @dataclass
 class EigenHistogram:
     """Pooled eigenvalue samples at one time, binned by numpy's
@@ -302,6 +252,13 @@ class EigenHistogram:
     @property
     def n_samples(self) -> int:
         return int(self.samples.size)
+
+    def moments(self) -> tuple[float, float]:
+        """Sample mean and second moment, on the samples scaled (exactly) by a
+        power of two, so neither overflows where it is finite."""
+        scale = math.ldexp(1.0, math.frexp(max(-self.samples[0], self.samples[-1]))[1] - 1)
+        u = self.samples / scale
+        return scale * float(np.mean(u)), scale * (scale * float(np.mean(u * u)))
 
     def to_csv(self) -> str:
         edges = self.bin_edges.tolist()
@@ -357,25 +314,23 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     path's square-root clamp mass, shape (Q,).
 
     The Euler scheme steps the block's march states (``ModelSpec.march_state``)
-    as one (Q, N, N) stack in reused buffers, one segment (``_segments``)
-    per increment, from snapshot to snapshot; it ends at the last one.  The
-    increments are drawn up to S segments per call into a reused packed
-    buffer, S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1), and each is
-    gathered into one reused (Q, N, N) buffer when it is consumed.  Path p
-    draws from its own stream in the same order as it would alone, so every
-    path's values are independent of the blocking and the chunking.  A
+    as one (Q, N, N) stack in place, by the model's ``euler_increment``, one
+    segment (``_segments``) per increment, up to the last snapshot.  The
+    increments are drawn up to S segments per call into one reused
+    (Q, S, N, N) buffer, S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1).
+    Path p draws from its own stream in the same order as it would alone,
+    so its values are independent of the blocking and the chunking.  A
     state that overflows or turns NaN raises NonFinite at once (the error
     state is set here because it is local to each pool thread).
     """
     rngs = [path_rng(cfg.seed, p) for p in paths]
     Q, N = len(paths), cfg.N
     S = max(1, _STACK_DOUBLES // (Q * N * (N + 1) // 2))
-    packed = np.empty((Q, S, N * (N + 1) // 2))
     clamp = np.zeros(Q)
     x = np.empty((Q, N, N))
     x[...] = model.x0 * np.eye(N)
     x = model.march_state(x)
-    dw, scratch = np.empty_like(x), np.empty((2,) + x.shape)
+    dw, scratch = np.empty((Q, S, N, N)), np.empty((2,) + x.shape)
     stops = set(snap_steps)
     segments = _segments(model, cfg.dt, sorted(stops))
     out: dict[int, np.ndarray] = {}
@@ -385,11 +340,12 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
             if 0 in stops:
                 out[0] = _snapshot_eigvals(model.state_matrix(x))
             while chunk := list(itertools.islice(segments, S)):
-                draws = sample_wigner_increment(N, [noise for *_, noise in chunk], rngs,
-                                                packed=packed[:, :len(chunk)], gather=False)
+                sample_wigner_increment(N, [noise for *_, noise in chunk], rngs,
+                                        out=dw[:, :len(chunk)])
                 for s, (j, drift, _) in enumerate(chunk):
-                    _apply_increment(x, model, drift, _gather_wigner(draws[:, s], N, dw),
-                                     clamp, x, scratch)
+                    c = model.euler_increment(x, drift, dw[:, s], x, scratch)
+                    if c is not None:
+                        clamp += c
                     if j in stops:
                         out[j] = _snapshot_eigvals(model.state_matrix(x))
         except FloatingPointError as exc:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import freesde.cli  # noqa: F401 - loads every module the spans name
-from freesde import models
+from freesde import models, rmt
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -67,6 +67,31 @@ def test_mc_compare_warmup_op_passes_its_check(tmp_path, monkeypatch):
     runner.check(op, res)
     assert not res.failed, (op.name, res.exit_code, res.error, res.problems)
     assert res.digest and "m2_relgap_max" in res.accuracy
+
+
+def test_mc_compare_warmup_op_passes_under_tracing(tmp_path, monkeypatch):
+    # the tracer wraps the increment draw and the march; the op must still
+    # pass its check through the wrappers, and the originals come back
+    workload = ops.WORKLOADS["mc_small_serial"]
+    for key, value in workload.threads.items():
+        if value is None:
+            monkeypatch.delenv(key, raising=False)
+        else:
+            monkeypatch.setenv(key, value)
+    runner = ops.Runner(workload, tmp_path, 0, time.perf_counter)
+    (op,) = [op for op in workload.warmup if op.name == "compare gbm1"]
+    draw, march = rmt.sample_wigner_increment, rmt._evolve_path
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        res = runner.run(op)
+    finally:
+        tracer.uninstall()
+    runner.check(op, res)
+    assert not res.failed, (op.name, res.exit_code, res.error, res.problems)
+    names = {span[1] for span in tracer.spans}
+    assert {"rmt.run_paths", "rmt.evolve_path", "rmt.wigner", "rmt.eigvalsh"} <= names
+    assert rmt.sample_wigner_increment is draw and rmt._evolve_path is march
 
 
 def test_compare_file_stamps_match_the_bench_check():

@@ -322,6 +322,35 @@ class TestCompareCommand:
         assert "mass" in capsys.readouterr().err
 
 
+    # the mean of the squared samples overflowed where the closed form is
+    # finite, and compare exited 0 with "second_moment_gap": Infinity, which
+    # is not JSON
+    @pytest.mark.parametrize("fields, t", [
+        ({"model": "ou", "theta": -1.0, "sigma": 1e154}, 0.5),
+        ({"model": "explosive", "k": 1e-154, "a": 1e154}, 0.1)], ids=["ou", "explosive"])
+    def test_moment_gaps_of_huge_samples_are_finite(self, tmp_path, fields, t):
+        cfgfile = write_config(tmp_path, **fields, times=[t], out_dir=str(tmp_path), seed=0,
+                               mc={"N": 24})
+        assert cli.main(["compare", "--config", cfgfile]) == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} in the report")
+
+        text = (tmp_path / f"compare_{fields['model']}.json").read_text()
+        snap = json.loads(text, parse_constant=refuse)["snapshots"][0]
+        m2 = md.model_from_json(fields).moments(t)[1]
+        assert math.isfinite(m2) and m2 > 1e307
+        assert snap["second_moment_gap"] < 0.1 * m2
+
+    def test_non_finite_report_is_exit_3_and_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(rmt.EigenHistogram, "moments", lambda self: (math.nan, 0.0))
+        out = tmp_path / "o"
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.1],
+                               out_dir=str(out), seed=2, mc={"N": 8, "dt": 0.05, "n_paths": 2})
+        assert cli.main(["compare", "--config", cfgfile]) == 3
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_gbm1_unreachable_time_is_fast_exit_3(self, tmp_path):
         # a Newton continuation in time once ran ceil(t/0.05) steps, unbounded
@@ -935,6 +964,20 @@ class TestRuntimeDependencies:
         proc = run_fresh(code, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['numpy']"
+
+    def test_commands_load_no_test_dependency(self, tmp_path):
+        # numpy is the one runtime dependency: selftest and a compare run
+        # load nothing from the test extra
+        cfgfile = write_config(tmp_path, model="ou", theta=-1.0, sigma=1.0, times=[0.1],
+                               out_dir=str(tmp_path / "out"), seed=2, threshold=1.0,
+                               mc={"N": 8, "dt": 0.05, "n_paths": 2})
+        code = ("import sys; from freesde.cli import main; "
+                "codes = [main(['selftest']), main(['compare', '--config', sys.argv[1]])]; "
+                "print(codes, sorted({m.partition('.')[0] for m in sys.modules}"
+                " & {'scipy', 'hypothesis', 'pytest'}))")
+        proc = run_fresh(code, cfgfile, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
     def test_package_binds_no_public_name_and_loads_no_module(self):
         code = ("import sys, freesde; "

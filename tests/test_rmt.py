@@ -23,6 +23,21 @@ SPECS = [md.OrnsteinUhlenbeck(-1.0, 1.0), md.GeometricBrownian1(0.5),
          md.GeometricBrownian2(0.5), md.Explosive(1.0, 1.0)]
 
 
+def draw(N, dt, rng):
+    """One increment of one stream: the [0, 0] matrix of a one-by-one stack."""
+    return rmt.sample_wigner_increment(N, [dt], [rng])[0, 0]
+
+
+def advance(x, spec, dt, dw, clamp=None):
+    """The model's explicit step of the march state x (one matrix or a
+    stack) into a new array; gbm1's square-root clamp is added into ``clamp``."""
+    out = np.empty_like(x)
+    c = spec.euler_increment(x, dt, dw, out, np.empty((2,) + x.shape))
+    if clamp is not None and c is not None:
+        clamp += c
+    return out
+
+
 class TestSimConfig:
     def test_rejects_zero_paths(self):
         with pytest.raises(InvalidConfig):
@@ -102,7 +117,7 @@ class TestWignerIncrement:
         rng = rmt.path_rng(31, 0)
         vals = np.empty(reps)
         for i in range(reps):
-            w = rmt.sample_wigner_increment(N, dt, rng)
+            w = draw(N, dt, rng)
             vals[i] = np.trace(w @ w) / N
         target = dt * (1.0 + 1.0 / N)
         se = vals.std(ddof=1) / math.sqrt(reps)
@@ -114,8 +129,8 @@ class TestWignerIncrement:
         # of the N(N+1)/2 entries is held to mean 0 and its own variance,
         # dt/N off the diagonal and 2 dt/N on it, within 4 SE
         N, dt, S = 5, 0.25, 20000
-        rng = rmt.path_rng(32, 0) if Q is None else [rmt.path_rng(32, p) for p in range(Q)]
-        w = rmt.sample_wigner_increment(N, [dt] * S, rng).reshape(-1, N, N)
+        rngs = [rmt.path_rng(32, p) for p in range(Q or 1)]
+        w = rmt.sample_wigner_increment(N, [dt] * S, rngs).reshape(-1, N, N)
         i, j = np.triu_indices(N)
         entries, n = w[:, i, j], w.shape[0]
         assert np.all(np.abs(entries.mean(axis=0)) < 4 * entries.std(axis=0) / math.sqrt(n))
@@ -125,23 +140,23 @@ class TestWignerIncrement:
 
     def test_zero_dt_gives_zero_matrix(self):
         rng = rmt.path_rng(0, 0)
-        assert np.all(rmt.sample_wigner_increment(8, 0.0, rng) == 0.0)
+        assert np.all(rmt.sample_wigner_increment(8, [0.0], [rng]) == 0.0)
 
     def test_symmetry(self):
         rng = rmt.path_rng(1, 2)
-        w = rmt.sample_wigner_increment(50, 0.3, rng)
+        w = draw(50, 0.3, rng)
         assert np.array_equal(w, w.T)
 
     def test_deterministic_for_fixed_key(self):
-        w1 = rmt.sample_wigner_increment(30, 0.5, rmt.path_rng(77, 4))
-        w2 = rmt.sample_wigner_increment(30, 0.5, rmt.path_rng(77, 4))
+        w1 = draw(30, 0.5, rmt.path_rng(77, 4))
+        w2 = draw(30, 0.5, rmt.path_rng(77, 4))
         assert np.array_equal(w1, w2)
 
 
 def explicit_step(x, spec, dt, rng):
     """One explicit step of the matrix x, through the model's march state."""
-    dw = rmt.sample_wigner_increment(x.shape[0], dt, rng)
-    return spec.state_matrix(rmt._apply_increment(spec.march_state(x), spec, dt, dw))
+    dw = draw(x.shape[0], dt, rng)
+    return spec.state_matrix(advance(spec.march_state(x), spec, dt, dw))
 
 
 class TestEulerStep:
@@ -149,7 +164,7 @@ class TestEulerStep:
         spec = md.OrnsteinUhlenbeck(-2.0, 1.5)
         x = np.zeros((20, 20))
         out = explicit_step(x, spec, 1e-2, rmt.path_rng(3, 0))
-        dw = rmt.sample_wigner_increment(20, 1e-2, rmt.path_rng(3, 0))
+        dw = draw(20, 1e-2, rmt.path_rng(3, 0))
         assert np.allclose(out, 1.5 * dw, rtol=0, atol=1e-15)
 
     def test_gbm1_at_identity(self):
@@ -157,21 +172,21 @@ class TestEulerStep:
         spec = md.GeometricBrownian1(0.7)
         x = np.eye(16)
         out = explicit_step(x, spec, 1e-2, rmt.path_rng(4, 0))
-        dw = rmt.sample_wigner_increment(16, 1e-2, rmt.path_rng(4, 0))
+        dw = draw(16, 1e-2, rmt.path_rng(4, 0))
         assert np.max(np.abs(out - (x + 0.7 * 1e-2 * x + dw))) < 1e-12
 
     def test_explosive_at_identity(self):
         spec = md.Explosive(1.0, 1.0)
         x = np.eye(16)
         out = explicit_step(x, spec, 1e-2, rmt.path_rng(5, 0))
-        dw = rmt.sample_wigner_increment(16, 1e-2, rmt.path_rng(5, 0))
+        dw = draw(16, 1e-2, rmt.path_rng(5, 0))
         assert np.max(np.abs(out - (x + dw))) < 1e-14
 
     def test_gbm2_step_shape(self):
         spec = md.GeometricBrownian2(0.0)
         x = np.eye(12) * 2.0
         out = explicit_step(x, spec, 1e-2, rmt.path_rng(6, 0))
-        dw = rmt.sample_wigner_increment(12, 1e-2, rmt.path_rng(6, 0))
+        dw = draw(12, 1e-2, rmt.path_rng(6, 0))
         assert np.max(np.abs(out - (x + x @ dw + dw @ x))) < 1e-14
 
     @pytest.mark.parametrize("Q", [None, 3], ids=["matrix", "stack"])
@@ -186,10 +201,10 @@ class TestEulerStep:
         a = rng.standard_normal((Q or 1, 40, 40)) / math.sqrt(40)
         x = np.eye(40) + 0.3 * (a + a.swapaxes(-1, -2))
         dw = rmt.sample_wigner_increment(
-            40, 2e-3, [rmt.path_rng(12, p) for p in range(Q or 1)])
+            40, [2e-3], [rmt.path_rng(12, p) for p in range(Q or 1)])[:, 0]
         if Q is None:
             x, dw = x[0], dw[0]
-        m = rmt._apply_increment(x, spec, 2e-3, dw)
+        m = advance(x, spec, 2e-3, dw)
         assert np.array_equal(m, m.swapaxes(-1, -2))
         scale = np.linalg.norm(x, axis=(-2, -1)) ** 2
         err = np.max(np.abs(m - step(x, dw)), axis=(-2, -1))
@@ -203,8 +218,8 @@ class TestEulerStep:
         rng = np.random.default_rng(12)
         a = rng.standard_normal((40, 40)) / math.sqrt(40)
         x = np.eye(40) + 0.3 * (a + a.T)
-        dw = rmt.sample_wigner_increment(40, 2e-3, rmt.path_rng(12, 0))
-        m = rmt._apply_increment(spec.march_state(x), spec, 2e-3, dw)
+        dw = draw(40, 2e-3, rmt.path_rng(12, 0))
+        m = advance(spec.march_state(x), spec, 2e-3, dw)
         if spec.tag == "gbm1":
             assert np.array_equal(m, np.tril(m)) and np.all(np.diag(m) > 0)
         else:
@@ -215,13 +230,13 @@ class TestEulerStep:
         # call, with the values of one draw after another
         dts = [1e-2, 3e-3, 0.0, 2e-2]
         chunk = rmt.sample_wigner_increment(9, dts, [rmt.path_rng(5, p) for p in range(3)])
-        single = rmt.sample_wigner_increment(9, dts, rmt.path_rng(5, 1))
-        assert chunk.shape == (4, 3, 9, 9) and single.shape == (4, 9, 9)
+        single = rmt.sample_wigner_increment(9, dts, [rmt.path_rng(5, 1)])
+        assert chunk.shape == (3, 4, 9, 9) and single.shape == (1, 4, 9, 9)
         for p in range(3):
             rng = rmt.path_rng(5, p)
             for s, dt in enumerate(dts):
-                assert np.array_equal(chunk[s, p], rmt.sample_wigner_increment(9, dt, rng))
-        assert np.array_equal(single, chunk[:, 1])
+                assert np.array_equal(chunk[p, s], draw(9, dt, rng))
+        assert np.array_equal(single[0], chunk[1])
 
 
 class TestPathStack:
@@ -233,17 +248,17 @@ class TestPathStack:
     def test_stack_matches_slices(self, spec, n, q, seed):
         dt = 1e-2
         stacked = rmt.sample_wigner_increment(
-            n, dt, [rmt.path_rng(seed, p) for p in range(q)])
+            n, [dt], [rmt.path_rng(seed, p) for p in range(q)])[:, 0]
         assert stacked.shape == (q, n, n)
         for p in range(q):
-            one = rmt.sample_wigner_increment(n, dt, rmt.path_rng(seed, p))
+            one = draw(n, dt, rmt.path_rng(seed, p))
             assert np.array_equal(stacked[p], one)
         a = np.random.default_rng(seed).uniform(-1, 1, (q, n, n))
         x = a @ a.swapaxes(-1, -2) / n + np.eye(n)
         clamp = np.zeros(q)
-        m = rmt._apply_increment(x, spec, dt, stacked, clamp)
+        m = advance(x, spec, dt, stacked, clamp)
         for p in range(q):
-            assert np.array_equal(m[p], rmt._apply_increment(x[p], spec, dt, stacked[p]))
+            assert np.array_equal(m[p], advance(x[p], spec, dt, stacked[p]))
         assert np.array_equal(clamp, np.zeros(q))
         lam = np.linalg.eigvalsh(m)
         for p in range(q):
@@ -260,19 +275,19 @@ class TestPathStack:
                               np.diag([1.0, 0.4, 2.0, 1.5, 0.8, 1.2]),
                               np.eye(6)]))
         dw = rmt.sample_wigner_increment(
-            6, 1e-2, [rmt.path_rng(8, p) for p in range(3)])
+            6, [1e-2], [rmt.path_rng(8, p) for p in range(3)])[:, 0]
         dw[1, 1, 1] -= 1.5
         a = dw.copy()
         a[:, range(6), range(6)] += 1.0 + 0.5 * 1e-2
         lam = np.linalg.eigvalsh(a[1])
         clamp = np.zeros(3)
         spec = md.GeometricBrownian1(0.5)
-        m = rmt._apply_increment(f, spec, 1e-2, dw, clamp)
+        m = advance(f, spec, 1e-2, dw, clamp)
         assert len(calls) == 1 and np.array_equal(calls[0], a[1])
         assert clamp[0] == clamp[2] == 0.0
         assert clamp[1] == pytest.approx(-lam[lam < 0].sum(), rel=1e-12) and clamp[1] > 0.4
         for p in range(3):
-            assert np.array_equal(m[p], rmt._apply_increment(f[p], spec, 1e-2, dw[p]))
+            assert np.array_equal(m[p], advance(f[p], spec, 1e-2, dw[p]))
         assert np.min(np.linalg.eigvalsh(spec.state_matrix(m))) > -1e-12
 
 
@@ -303,11 +318,11 @@ class TestGbm1Factor:
                             lambda x: calls.append(x) or sqrt(x))
         spec = md.GeometricBrownian1(0.5)
         f = spec.march_state(np.diag([1.0, 0.5, 2.0, 1.5, 0.8, 1.2]))
-        dw = rmt.sample_wigner_increment(6, 1e-2, rmt.path_rng(8, 0))
+        dw = draw(6, 1e-2, rmt.path_rng(8, 0))
         dw[2, 2] -= 1.5
         a = dw + (1.0 + 0.5 * 1e-2) * np.eye(6)
         clamp = np.zeros(())
-        m = rmt._apply_increment(f, spec, 1e-2, dw, clamp)
+        m = advance(f, spec, 1e-2, dw, clamp)
         assert len(calls) == 1 and np.array_equal(calls[0], a)
         root, mass = sqrt(a)
         assert clamp == mass and mass > 0.4
@@ -321,13 +336,13 @@ class TestGbm1Factor:
         # 30 steps on the same increments: the factor chain against the
         # matrix step it replaced (psd_factor of x, two products, symmetrize)
         spec = md.GeometricBrownian1(theta)
-        dws = rmt.sample_wigner_increment(n, [dt] * 30, rmt.path_rng(seed, 0))
+        dws = rmt.sample_wigner_increment(n, [dt] * 30, [rmt.path_rng(seed, 0)])[0]
         x = np.eye(n)
         f = spec.march_state(x)
         clamp = np.zeros(())
         for dw in dws:
             x = _matrix_chain_step(x, theta, dt, dw)
-            f = rmt._apply_increment(f, spec, dt, dw, clamp)
+            f = advance(f, spec, dt, dw, clamp)
             lam = np.linalg.eigvalsh(x)
             gap = np.max(np.abs(np.linalg.eigvalsh(spec.state_matrix(f)) - lam))
             assert gap <= 1e-12 * np.max(np.abs(lam))
@@ -405,15 +420,15 @@ class TestEnsemble:
         put(2)
         try:
             seen = []
-            step = rmt._apply_increment
+            increment = md.GeometricBrownian1.euler_increment
 
-            def spy(x, *args):
+            def spy(self, *args):
                 seen.append(get())
                 if len(seen) >= 7:  # every later step fails, on any thread
                     raise RuntimeError("path failure")
-                return step(x, *args)
+                return increment(self, *args)
 
-            monkeypatch.setattr(rmt, "_apply_increment", spy)
+            monkeypatch.setattr(md.GeometricBrownian1, "euler_increment", spy)
             monkeypatch.setenv("FREESDE_THREADS", "2")
             spec = md.GeometricBrownian1(0.5)
             cfg = rmt.SimConfig(N=20, dt=1e-2, t_end=0.05, n_paths=2, seed=1)
@@ -421,7 +436,7 @@ class TestEnsemble:
                 rmt.run_paths(spec, cfg, [0.05])
             assert get() == 2
             assert seen and set(seen) == {1}
-            monkeypatch.setattr(rmt, "_apply_increment", step)
+            monkeypatch.setattr(md.GeometricBrownian1, "euler_increment", increment)
             rmt.run_paths(spec, cfg, [0.05])
             assert get() == 2
         finally:
@@ -451,13 +466,13 @@ class TestEnsemble:
     def test_overflow_stops_the_march(self, monkeypatch):
         # theta dt = 5e306: step 1 is finite, step 2 overflows and is the last
         steps = []
-        step = rmt._apply_increment
+        increment = md.GeometricBrownian2.euler_increment
 
-        def spy(x, *args):
+        def spy(self, x, *args):
             steps.append(x.shape)
-            return step(x, *args)
+            return increment(self, x, *args)
 
-        monkeypatch.setattr(rmt, "_apply_increment", spy)
+        monkeypatch.setattr(md.GeometricBrownian2, "euler_increment", spy)
         monkeypatch.setenv("FREESDE_THREADS", "1")
         cfg = rmt.SimConfig(N=4, dt=0.05, t_end=0.5, n_paths=2, seed=0)
         with warnings.catch_warnings():
@@ -558,8 +573,7 @@ def _per_draw_paths(model, cfg, snapshot_times):
             for stop in sorted(set(snap_steps)):
                 while j < stop:
                     k, drift, noise = model.euler_segment(cfg.dt, stop - j)
-                    dw = rmt.sample_wigner_increment(cfg.N, noise, rng)
-                    x = rmt._apply_increment(x, model, drift, dw, clamp)
+                    x = advance(x, model, drift, draw(cfg.N, noise, rng), clamp)
                     j += k
                 seen[stop] = np.linalg.eigvalsh(model.state_matrix(x))
             for out, step in zip(pooled, snap_steps):
@@ -609,8 +623,8 @@ class TestOuSegments:
         x = np.zeros((P, N, N))
         chain = {}
         for j in range(1, steps[-1] + 1):
-            dw = rmt.sample_wigner_increment(N, dt, rngs)
-            x = rmt._apply_increment(x, spec, dt, dw)
+            dw = rmt.sample_wigner_increment(N, [dt], rngs)[:, 0]
+            x = advance(x, spec, dt, dw)
             if j in steps:
                 chain[j] = np.einsum("pij,pij->p", x, x) / N
         for lam, k in zip(pooled, steps):
@@ -678,6 +692,23 @@ class TestEigenHistogram:
         h = rmt.EigenHistogram.from_samples(samples, 0.5)
         assert np.array_equal(h.bin_edges, edges)
         assert np.array_equal(h.counts, counts)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7e-90, 5.1e100])
+    def test_moments_are_the_plain_means(self, scale):
+        # the power-of-two scaling is exact: bitwise the plain means
+        h = rmt.EigenHistogram.from_samples(
+            scale * np.random.default_rng(4).normal(1.0, 2.0, 999), 0.5)
+        assert h.moments() == (np.mean(h.samples), np.mean(h.samples ** 2))
+
+    def test_moments_of_huge_or_zero_samples(self):
+        # the squares sum past the largest double, their mean does not
+        x = np.random.default_rng(5).normal(size=999)
+        with np.errstate(over="ignore"):
+            assert np.mean((1e153 * x) ** 2) == np.inf
+        m1, m2 = rmt.EigenHistogram.from_samples(1e153 * x, 0.5).moments()
+        assert m1 / 1e153 == pytest.approx(np.mean(x), rel=1e-14)
+        assert m2 / 1e153 / 1e153 == pytest.approx(np.mean(x * x), rel=1e-14)
+        assert rmt.EigenHistogram.from_samples(np.zeros(4), 0.5).moments() == (0.0, 0.0)
 
     @pytest.mark.parametrize("samples", [[0.0, np.nan], [-1e308, 1e308], [1e300] * 3],
                              ids=["nan", "range-overflows", "huge-constant"])
