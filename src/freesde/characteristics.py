@@ -1,14 +1,16 @@
 """Reduction of polynomial-coefficient evolution equations and their
 integration by the method of characteristics.
 
-For a self-adjoint process with polynomial drift a(x) and polynomial noise
-product (bc)(x), the time derivative of the Cauchy transform is
+For a self-adjoint process dX = a(X) dt + sum_i b_i(X) dW c_i(X), with
+polynomial drift a and noise pairs (b_i, c_i), the free Ito rule gives the
+time derivative of the Cauchy transform as
 
-    dg/dt = -E(a(X) G^2) + E(bc(X) G) * E(bc(X) G^2),      G = (X - z)^(-1).
+    dg/dt = -E(a(X) G^2) + sum_ij E(f_ij(X) G) * E(h_ij(X) G^2),   G = (X - z)^(-1),
 
-Each expectation reduces to closed form in (g, dg/dz) plus moments E(X^j):
-dividing f(X) - f(z) by (X - z) (synthetic division, exact per monomial)
-gives E(f(X)G) = f(z) g + sum_j e_j(z) E(X^j), and a second division gives
+with the products f_ij = c_i b_j and h_ij = b_i c_j.  Each expectation
+reduces to closed form in (g, dg/dz) plus moments E(X^j): dividing
+f(X) - f(z) by (X - z) (synthetic division, exact per monomial) gives
+E(f(X)G) = f(z) g + sum_j e_j(z) E(X^j), and a second division gives
 E(f(X)G^2) = f(z) dg + f'(z) g + sum_j d_j(z) E(X^j).  The result is a
 quasilinear equation dg/dt + P dg/dz = Q whose characteristic curves
 (dz/dt = P, dg/dt = Q) are integrated here with classical RK4.
@@ -69,6 +71,9 @@ class Polynomial:
         out = np.empty(x.shape, dtype=np.result_type(x.dtype, float))
         _as_writer(_horner_writer(self.coeffs))(x, None, out, None)
         return out
+
+
+ONE = Polynomial([1.0])  # the noise factor 1: a product bc stands for the pair (bc, ONE)
 
 
 def _synthetic_divide(coeffs: Sequence, z):
@@ -164,7 +169,7 @@ def reduce_resolvent_expectation(f: Polynomial, g, dg, z, m: MomentFunction, t: 
 
 def _padd(*ps) -> tuple:
     """Sum of coefficient sequences (lowest degree first), trailing zeros trimmed."""
-    out = [0.0] * max(map(len, ps))
+    out = [0.0] * max(map(len, ps), default=0)
     for p in ps:
         for i, c in enumerate(p):
             out[i] += c
@@ -196,18 +201,27 @@ def _moment_sum(c, mu, d):
             for p in range(k - d)]
 
 
-def _fold(a: Polynomial, bc: Polynomial, mu) -> tuple:
+def _products(pairs) -> list:
+    """(f, h) = (c_i b_j, b_i c_j) for every ordered couple of noise pairs
+    (b_i, c_i), (b_j, c_j), i major, as trimmed coefficient tuples."""
+    return [(_trim(_pmul(ci.coeffs, bj.coeffs)), _trim(_pmul(bi.coeffs, cj.coeffs)))
+            for bi, ci in pairs for bj, cj in pairs]
+
+
+def _fold(a: Polynomial, pairs, mu) -> tuple:
     """(P0, P1, Q0, Q1, Q2) with P = P0 + P1 g and Q = Q0 + Q1 g + Q2 g^2,
-    each a real polynomial in z, for the moments mu = (mu_0, .., mu_need)."""
-    a, bc = a.coeffs, bc.coeffs
-    S2_a = _moment_sum(a, mu, 2)
-    S1_bc, S2_bc = _moment_sum(bc, mu, 1), _moment_sum(bc, mu, 2)
-    dbc = _pderiv(bc)
-    return (_padd(a, _pneg(_pmul(bc, S1_bc))),
-            _padd(_pneg(_pmul(bc, bc))),
-            _padd(_pneg(S2_a), _pmul(S1_bc, S2_bc)),
-            _padd(_pneg(_pderiv(a)), _pmul(bc, S2_bc), _pmul(S1_bc, dbc)),
-            _padd(_pmul(bc, dbc)))
+    each a real polynomial in z, for the noise ``pairs`` and the moments
+    mu = (mu_0, .., mu_need); each sums its terms in the order of the pairs."""
+    a = a.coeffs
+    P0, P1, Q0, Q1, Q2 = [a], [], [_pneg(_moment_sum(a, mu, 2))], [_pneg(_pderiv(a))], []
+    for f, h in _products(pairs):
+        S1_f, S2_h, dh = _moment_sum(f, mu, 1), _moment_sum(h, mu, 2), _pderiv(h)
+        P0.append(_pneg(_pmul(h, S1_f)))
+        P1.append(_pneg(_pmul(f, h)))
+        Q0.append(_pmul(S1_f, S2_h))
+        Q1 += [_pmul(f, S2_h), _pmul(S1_f, dh)]
+        Q2.append(_pmul(f, dh))
+    return tuple(_padd(*terms) for terms in (P0, P1, Q0, Q1, Q2))
 
 
 def _is_zero(v) -> bool:
@@ -299,33 +313,36 @@ def _compile_slope(fold: tuple):
 
 @dataclass(frozen=True)
 class PdeRightHandSide:
-    """Assembled right-hand side dg/dt = -E(aG^2) + E(bcG) E(bcG^2).
+    """Assembled right-hand side dg/dt = -E(aG^2) + sum_ij E(f_ij G) E(h_ij G^2)
+    of the noise ``pairs`` (b_i, c_i), with f_ij = c_i b_j and h_ij = b_i c_j.
 
     ``characteristic`` gives the quasilinear split dg/dt + P dg/dz = Q that
     the characteristic integrator marches, and the call evaluates Q - P dg/dz:
 
-        P = a(z) - bc(z) E(bcG)
-          = [a - bc S1_bc] + [-bc^2] g,
-        Q = -a'(z) g - S2_a + E(bcG) (bc'(z) g + S2_bc)
-          = [-S2_a + S1_bc S2_bc] + [-a' + bc S2_bc + S1_bc bc'] g + [bc bc'] g^2.
+        P = a(z) - sum_ij h_ij(z) E(f_ij G)
+          = [a - sum h S1_f] + [-sum f h] g,
+        Q = -a'(z) g - S2_a + sum_ij E(f_ij G) (h_ij'(z) g + S2_h)
+          = [-S2_a + sum S1_f S2_h] + [-a' + sum (f S2_h + S1_f h')] g + [sum f h'] g^2.
 
     The bracketed coefficients are real polynomials in z that depend on t
-    only through the moments mu_0..mu_need that S2_a, S1_bc and S2_bc read,
-    need = max(0, deg a - 2, deg bc - 1).
+    only through the moments mu_0..mu_need that S2_a, S1_f and S2_h read,
+    need = max(0, deg a - 2, max deg f_ij - 1).  S2_h reads up to
+    deg h_ij - 2, which never binds: polynomials in X commute, so
+    h_ij = f_ji.
     They are folded and compiled into a slope once per distinct moment
     vector (once per march when the moments are constant), which evaluates
     them by Horner in place; both ``characteristic`` and the march use it.
     """
 
     drift: Polynomial
-    diffusion: Polynomial  # the product b*c as one polynomial in x
+    pairs: tuple  # the noise: (b, c) pairs of polynomials in x
     moments: MomentFunction
     need: int = field(init=False, repr=False, compare=False)
     _slopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "need",
-                           max(0, self.drift.degree - 2, self.diffusion.degree - 1))
+        object.__setattr__(self, "need", max([0, self.drift.degree - 2] + [
+            len(f) - 2 for f, _ in _products(self.pairs)]))
 
     def __call__(self, t: float, z, g, dg):
         P, Q = self.characteristic(t, z, g)
@@ -339,7 +356,7 @@ class PdeRightHandSide:
         if slope is None:
             self._slopes.clear()
             slope = self._slopes[mu] = _compile_slope(
-                _fold(self.drift, self.diffusion, mu))
+                _fold(self.drift, self.pairs, mu))
         return slope
 
     def characteristic(self, t: float, z, g):
@@ -356,9 +373,14 @@ class PdeRightHandSide:
         return P, Q
 
 
-def build_pde(a: Polynomial, bc: Polynomial, m: MomentFunction) -> PdeRightHandSide:
-    """Validate degrees/moment coverage and assemble the evolution right-hand side."""
-    rhs = PdeRightHandSide(drift=a, diffusion=bc, moments=m)
+def build_pde(a: Polynomial, noise, m: MomentFunction) -> PdeRightHandSide:
+    """Validate moment coverage and assemble the evolution right-hand side.
+
+    ``noise`` is a sequence of (b, c) polynomial pairs, or one polynomial
+    bc that stands for the pair (bc, 1).
+    """
+    pairs = ((noise, ONE),) if isinstance(noise, Polynomial) else tuple(noise)
+    rhs = PdeRightHandSide(drift=a, pairs=pairs, moments=m)
     if rhs.need > m.jmax:
         raise MomentsUnavailable(f"need moments up to order {rhs.need}, have {m.jmax}")
     return rhs

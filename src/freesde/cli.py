@@ -249,7 +249,7 @@ def cmd_compare(cfg: RunConfig) -> tuple[int, dict[str, str]]:
             entry["kolmogorov"] = ks = rmt.kolmogorov_distance(h, curve)
             worst = max(worst, ks)
             line += f"KS={ks:.4f} "
-        print(line + f"mean_gap={entry['mean_gap']:.4f}")
+        print(line + f"mean_gap={entry['mean_gap']:.4g}")
         report["snapshots"].append(entry)
         files[f"hist_{tag}_t{_fmt_t(t)}.csv"] = h.to_csv()
     try:
@@ -308,13 +308,20 @@ def _selftest_checks():
 
     def characteristics_closed_form():
         # each record's polynomials and moments, marched to t = 0.2, give its
-        # closed-form transform on the curves
-        for spec in specs:
+        # closed-form transform on the curves; gbm2, which has none, keeps
+        # its first integral
+        for spec in specs + (models.GeometricBrownian2(0.5),):
             rhs = characteristics.build_pde(*spec.polynomials(), spec.moment_function())
             surf = characteristics.integrate_characteristics(
                 rhs, lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
                 np.linspace(-2.0, 4.0, 21), t_end=0.2)
-            err = np.max(np.abs(surf.g[:, -1] - spec.cauchy(0.2, surf.z[:, -1])))
+            z, g = surf.z[:, -1], surf.g[:, -1]
+            if spec.cauchy is None:
+                got = models.gbm2_first_integral(spec.theta, 0.2, z, g)
+                want = 2.0 * surf.g[:, 0] ** 2
+            else:
+                got, want = g, spec.cauchy(0.2, z)
+            err = np.max(np.abs(got - want))
             assert err < 1e-8, (spec.tag, err)
 
     def mc_determinism():

@@ -20,7 +20,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .cauchy import DensityCurve, SupportInterval, semicircle_cauchy_radius, stieltjes_invert
-from .characteristics import MomentFunction, Polynomial
+from .characteristics import ONE, MomentFunction, Polynomial
 from .errors import (
     BranchViolation,
     GridTooCoarse,
@@ -47,6 +47,9 @@ AUTO_TAIL = 12
 AUTO_PHI = np.linspace(0.0, math.pi, AUTO_GRID_N - 2 * AUTO_TAIL)
 AUTO_PHI.flags.writeable = False
 
+# The noise factor x of the records' (b, c) pairs; ONE is the factor 1.
+X = Polynomial([0.0, 1.0])
+
 
 class ModelSpec:
     """A model dX = a(X) dt + b(X) dW c(X): a frozen dataclass of its
@@ -58,7 +61,8 @@ class ModelSpec:
     spectral support, ``cauchy(t, z)`` the Cauchy transform (None where it
     is not known), ``boundary(t)`` the density curve on the ``AUTO_GRID_N``
     nodes of the auto grid at t, ``density_curve(t, grid)`` the normalized
-    curve the CLI writes, ``polynomials()`` the drift a(x) and noise product (b c)(x).
+    curve the CLI writes, ``polynomials()`` the drift a(x) and the noise as
+    (b, c) pairs of polynomials, for sum_i b_i(X) dW c_i(X).
 
     The Monte Carlo march carries a state s for each matrix x:
     ``march_state(x)`` gives it and ``state_matrix(s)`` gives x back.  It is
@@ -143,7 +147,7 @@ class OrnsteinUhlenbeck(ModelSpec):
         return ou_cauchy(self.theta, self.sigma, t, z)
 
     def polynomials(self):
-        return Polynomial([0.0, self.theta]), Polynomial([self.sigma])
+        return Polynomial([0.0, self.theta]), ((Polynomial([self.sigma]), ONE),)
 
     def euler_increment(self, x, dt, dw, out, scratch):
         np.multiply(x, 1.0 + self.theta * dt, out=out)
@@ -200,7 +204,9 @@ class GeometricBrownian1(ModelSpec):
         return DensityCurve.from_samples(xs, np.concatenate([pad, p, pad]), t=t)
 
     def polynomials(self):
-        return Polynomial([0.0, self.theta]), Polynomial([0.0, 1.0])
+        """X^(1/2) dW X^(1/2) as the pair (x, 1): the equation reads only
+        the products c_i b_j and b_i c_j."""
+        return Polynomial([0.0, self.theta]), ((X, ONE),)
 
     def march_state(self, x):
         return psd_factor(x)[0]
@@ -219,7 +225,8 @@ class GeometricBrownian1(ModelSpec):
 
 @dataclass(frozen=True)
 class GeometricBrownian2(ModelSpec):
-    """dX = theta X dt + X dW + dW X, X_0 = I.  Moments only; no transform."""
+    """dX = theta X dt + X dW + dW X, X_0 = I.  No closed-form transform;
+    the characteristics engine marches it from its two noise pairs."""
     theta: float
 
     tag = "gbm2"
@@ -234,7 +241,7 @@ class GeometricBrownian2(ModelSpec):
             "support of the second geometric-Brownian variant is not known in closed form")
 
     def polynomials(self):
-        raise InvalidConfig("second geometric-Brownian variant has no single b*c product")
+        return Polynomial([0.0, self.theta]), ((X, ONE), (ONE, X))
 
     def euler_increment(self, x, dt, dw, out, scratch):
         # x and dw are exactly symmetric, so dw x = (x dw)^T: one product,
@@ -272,7 +279,7 @@ class Explosive(ModelSpec):
         return self.a, self.a ** 2 / (1.0 - (self.a * self.k) ** 2 * t)
 
     def moment_function(self):
-        """The constant mean alone: the degree-2 noise product needs no more."""
+        """The constant mean alone: the degree-2 noise pair needs no more."""
         return MomentFunction(lambda j, t: self.a, jmax=1)
 
     def support(self, t):
@@ -282,7 +289,7 @@ class Explosive(ModelSpec):
         return explosive_cauchy(self.k, self.a, t, z)
 
     def polynomials(self):
-        return Polynomial([]), Polynomial([0.0, 0.0, self.k])
+        return Polynomial([]), ((Polynomial([0.0, 0.0, self.k]), ONE),)
 
     def euler_increment(self, x, dt, dw, out, scratch):
         # rounding leaves t = x dw x just off symmetric; t + t^T is exactly so
@@ -602,6 +609,15 @@ def gbm2_moments(theta: float, t: float) -> tuple[float, float]:
     if t < 0:
         raise ValueError("t must be nonnegative")
     return math.exp(theta * t), 2.0 * math.exp(2.0 * (theta + 1.0) * t) - math.exp(2.0 * theta * t)
+
+
+def gbm2_first_integral(theta: float, t: float, z, g):
+    """I = g_Y + (2w + 1)(w + 1), with z_Y = e^(-theta t) z, g_Y = e^(theta t) g
+    and w = z_Y g_Y: constant, at 2 g_0^2, along each characteristic curve
+    of gbm2's evolution equation from (z_0, g_0 = 1/(1 - z_0)) at t = 0."""
+    g_y = math.exp(theta * t) * g
+    w = math.exp(-theta * t) * z * g_y
+    return g_y + (2.0 * w + 1.0) * (w + 1.0)
 
 
 # -- Explosive model ---------------------------------------------------------

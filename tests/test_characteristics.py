@@ -201,18 +201,19 @@ class TestBuildPde:
             ch.build_pde(ch.Polynomial([0, 0, 0, 0, 1]), ch.Polynomial([1.0]), mu01)
         assert ch.build_pde(ch.Polynomial([0, 0, 0, 1]), ch.Polynomial([1.0]), mu01).need == 1
 
-    @pytest.mark.parametrize("a, bc, need", [
+    @pytest.mark.parametrize("a, pairs, need", [
         md.OrnsteinUhlenbeck(-1.0, 1.0).polynomials() + (0,),
         md.GeometricBrownian1(0.5).polynomials() + (0,),
+        md.GeometricBrownian2(0.5).polynomials() + (1,),
         md.Explosive(1.0, 1.0).polynomials() + (1,),
-        (ch.Polynomial([0, 0, -1.0]), ch.Polynomial([]), 0),
-        (ch.Polynomial([0, 0, 0, 0, 1.0]), ch.Polynomial([1.0]), 2),
-        (ch.Polynomial([]), ch.Polynomial([]), 0),
-    ], ids=["ou", "gbm1", "explosive", "quadratic-drift", "quartic-drift", "zero"])
-    def test_need_is_the_highest_order_the_fold_reads(self, a, bc, need):
-        # S2 of the drift reads mu up to deg a - 2, S1 and S2 of the noise
-        # product up to deg bc - 1
-        assert ch.PdeRightHandSide(a, bc, ch.MomentFunction.none()).need == need
+        (ch.Polynomial([0, 0, -1.0]), ((ch.Polynomial([]), ch.ONE),), 0),
+        (ch.Polynomial([0, 0, 0, 0, 1.0]), ((ch.ONE, ch.ONE),), 2),
+        (ch.Polynomial([]), ((ch.Polynomial([]), ch.ONE),), 0),
+    ], ids=["ou", "gbm1", "gbm2", "explosive", "quadratic-drift", "quartic-drift", "zero"])
+    def test_need_is_the_highest_order_the_fold_reads(self, a, pairs, need):
+        # S2 of the drift reads mu up to deg a - 2, S1 of each f_ij = c_i b_j
+        # up to deg f_ij - 1 (gbm2's c_2 b_1 = x^2 reads the mean)
+        assert ch.PdeRightHandSide(a, pairs, ch.MomentFunction.none()).need == need
 
     def test_cubic_drift_marches_on_the_mean_alone(self):
         # a = -(x + x^3)/2, bc = 1: the fold reads mu_0 and mu_1 only, so the
@@ -229,44 +230,66 @@ class TestBuildPde:
         alone = march([1.0, 0.0])
         assert alone == march([1.0, 0.0, 0.7]) == march([1.0, 0.0, 1e6])
 
-    @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 10 ** 6))
+    @given(st.integers(0, 4), st.lists(st.integers(0, 2), min_size=4, max_size=4),
+           st.integers(0, 10 ** 6))
     @settings(max_examples=50, deadline=None, derandomize=True)
-    def test_discrete_measure_equivalence(self, deg_a, deg_bc, seed):
-        # -E(aG^2) + E(bcG) E(bcG^2), each expectation taken on the atoms
+    def test_discrete_measure_equivalence(self, deg_a, deg_pairs, seed):
+        # two pairs (b_i, c_i): -E(aG^2) + sum_ij E(c_i b_j G) E(b_i c_j G^2),
+        # each expectation taken on the atoms
         rng = np.random.default_rng(seed)
         atoms = rng.uniform(-2, 2, 3)
         weights = rng.dirichlet(np.ones(3))
-        a, bc = (ch.Polynomial(np.append(rng.uniform(-2, 2, d), rng.uniform(0.5, 2)))
-                 for d in (deg_a, deg_bc))
+        a, b1, c1, b2, c2 = (
+            ch.Polynomial(np.append(rng.uniform(-2, 2, d), rng.uniform(0.5, 2)))
+            for d in [deg_a] + deg_pairs)
+        pairs = ((b1, c1), (b2, c2))
         m = ch.MomentFunction.from_values(
             [1.0] + [float(np.sum(weights * atoms ** j)) for j in (1, 2, 3)])
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
         g, dg, _, E_aG2 = three_atom_reference(a, atoms, weights, z)
-        _, _, E_bcG, E_bcG2 = three_atom_reference(bc, atoms, weights, z)
-        want = -E_aG2 + E_bcG * E_bcG2
-        got = ch.build_pde(a, bc, m)(0.0, z, g, dg)
-        assert abs(got - want) < 1e-11 * max(1.0, abs(E_aG2), abs(E_bcG * E_bcG2))
+        terms = [three_atom_reference(lambda x: ci(x) * bj(x), atoms, weights, z)[2]
+                 * three_atom_reference(lambda x: bi(x) * cj(x), atoms, weights, z)[3]
+                 for bi, ci in pairs for bj, cj in pairs]
+        want = -E_aG2 + sum(terms)
+        got = ch.build_pde(a, pairs, m)(0.0, z, g, dg)
+        assert abs(got - want) < 1e-11 * max(1.0, abs(E_aG2), *map(abs, terms))
+
+
+def pair_products(pairs):
+    """(c_i b_j, b_i c_j) for every ordered couple of noise pairs, by numpy."""
+    def mul(p, q):
+        return ch.Polynomial(np.convolve(p.coeffs, q.coeffs) if p.coeffs and q.coeffs else [])
+    return [(mul(ci, bj), mul(bi, cj)) for bi, ci in pairs for bj, cj in pairs]
 
 
 def two_division_characteristic(rhs, t, z, g):
-    """(P, Q) from the reference reduction, two synthetic divisions per polynomial."""
+    """(P, Q) from the reference reduction, two synthetic divisions per
+    polynomial, summed over the products of the noise pairs."""
     az, apz, _, S2_a = ch._reduction_parts(rhs.drift, z, rhs.moments, t)
-    bcz, bcpz, S1_bc, S2_bc = ch._reduction_parts(rhs.diffusion, z, rhs.moments, t)
-    E_bcG = bcz * g + S1_bc
-    return az - bcz * E_bcG, -(apz * g + S2_a) + E_bcG * (bcpz * g + S2_bc)
+    P, Q = az, -(apz * g + S2_a)
+    for f, h in pair_products(rhs.pairs):
+        fz, _, S1_f, _ = ch._reduction_parts(f, z, rhs.moments, t)
+        hz, hpz, _, S2_h = ch._reduction_parts(h, z, rhs.moments, t)
+        E_fG = fz * g + S1_f
+        P, Q = P - hz * E_fG, Q + E_fG * (hpz * g + S2_h)
+    return P, Q
 
 
 def term_scale(rhs, t, z, g):
     """Sums of the moduli of the terms of P and Q: a bound on either form's rounding."""
     m_abs = ch.MomentFunction(lambda j, t: abs(rhs.moments(j, t)), rhs.moments.jmax)
     z_abs, g_abs = np.abs(z), np.abs(g)
-    az, apz, _, S2_a = ch._reduction_parts(
-        ch.Polynomial(np.abs(rhs.drift.coeffs)), z_abs, m_abs, t)
-    bcz, bcpz, S1_bc, S2_bc = ch._reduction_parts(
-        ch.Polynomial(np.abs(rhs.diffusion.coeffs)), z_abs, m_abs, t)
-    E_bcG = bcz * g_abs + S1_bc
-    return (np.maximum((az + bcz * E_bcG).real, 1e-300),
-            np.maximum((apz * g_abs + S2_a + E_bcG * (bcpz * g_abs + S2_bc)).real, 1e-300))
+
+    def parts(f):
+        return ch._reduction_parts(ch.Polynomial(np.abs(f.coeffs)), z_abs, m_abs, t)
+
+    az, apz, _, S2_a = parts(rhs.drift)
+    P, Q = az, apz * g_abs + S2_a
+    for f, h in pair_products(rhs.pairs):
+        (fz, _, S1_f, _), (hz, hpz, _, S2_h) = parts(f), parts(h)
+        E_fG = fz * g_abs + S1_f
+        P, Q = P + hz * E_fG, Q + E_fG * (hpz * g_abs + S2_h)
+    return np.maximum(P.real, 1e-300), np.maximum(Q.real, 1e-300)
 
 
 coefficient = st.one_of(st.integers(-8, 8).map(lambda k: k / 4),
@@ -304,6 +327,9 @@ class TestFoldedCharacteristic:
             want = two_division_characteristic(rhs, t, z, g)
             for x, y, s in zip(got, want, term_scale(rhs, t, z, g)):
                 assert np.all(np.abs(x - y) <= 1e-12 * s)
+            # the one pair (bc, 1) folds bit for bit as the one product bc
+            mu = tuple(m(j, t) for j in range(rhs.need + 1))
+            assert repr(ch._fold(a, rhs.pairs, mu)) == repr(_one_product_fold(a, bc, mu))
             # and bit for bit what the out-of-place Horner gives
             for x, y in zip(got, _reference_characteristic(rhs, t, z, g)):
                 assert np.broadcast_to(np.asarray(y, x.dtype), x.shape).tobytes() == x.tobytes()
@@ -311,7 +337,7 @@ class TestFoldedCharacteristic:
     def test_ou_folds_to_two_terms(self):
         rhs = ou_rhs()
         assert rhs.need == 0
-        P0, P1, Q0, Q1, Q2 = ch._fold(rhs.drift, rhs.diffusion, (1.0,))
+        P0, P1, Q0, Q1, Q2 = ch._fold(rhs.drift, rhs.pairs, (1.0,))
         assert (P0, P1, Q0, Q1, Q2) == ((0.0, -1.0), (-1.0,), (), (1.0,), ())
         # a fold of mu_0 alone is compiled once, whatever the time
         assert rhs.slope(0.3) is rhs.slope(0.0)
@@ -323,6 +349,20 @@ class TestFoldedCharacteristic:
         P, Q = rhs.characteristic(0.0, z, 1.0 / z)
         assert P.shape == Q.shape == (2,) and P.dtype == complex
         assert P.tolist() == [0.7, 0.7] and Q.tolist() == [0.0, 0.0]
+
+
+def _one_product_fold(a, bc, mu):
+    """The fold of a single noise product bc, term by term in the order the
+    pair fold sums one pair's terms."""
+    a, bc = a.coeffs, bc.coeffs
+    S2_a = ch._moment_sum(a, mu, 2)
+    S1_bc, S2_bc = ch._moment_sum(bc, mu, 1), ch._moment_sum(bc, mu, 2)
+    dbc = ch._pderiv(bc)
+    return (ch._padd(a, ch._pneg(ch._pmul(bc, S1_bc))),
+            ch._padd(ch._pneg(ch._pmul(bc, bc))),
+            ch._padd(ch._pneg(S2_a), ch._pmul(S1_bc, S2_bc)),
+            ch._padd(ch._pneg(ch._pderiv(a)), ch._pmul(bc, S2_bc), ch._pmul(S1_bc, dbc)),
+            ch._padd(ch._pmul(bc, dbc)))
 
 
 def ou_rhs(theta=-1.0, sigma=1.0):
@@ -363,7 +403,7 @@ def _reference_characteristic(rhs, t, z, g):
     """(P, Q) from the folded coefficients by out-of-place Horner: each a
     float where constant, and possibly z or g itself."""
     mu = tuple(rhs.moments(j, t) for j in range(rhs.need + 1))
-    P0, P1, Q0, Q1, Q2 = ch._fold(rhs.drift, rhs.diffusion, mu)
+    P0, P1, Q0, Q1, Q2 = ch._fold(rhs.drift, rhs.pairs, mu)
     P = _mul_add(_horner(P1, z), g, _horner(P0, z))
     Q = _mul_add(_mul_add(_horner(Q2, z), g, _horner(Q1, z)), g, _horner(Q0, z))
     return P, Q
@@ -445,6 +485,7 @@ def _march_cases():
     yield "ou", _record_case(md.OrnsteinUhlenbeck(-1.0, 1.0), 1.0)
     yield "gbm1", _record_case(md.GeometricBrownian1(0.5), 1.0)
     yield "explosive", _record_case(md.Explosive(1.0, 1.0), 0.5)
+    yield "gbm2", _record_case(md.GeometricBrownian2(0.5), 1.0)
     yield "31-curve", (square, lambda s: (-s + 0j, np.ones_like(s) + 0j),
                        np.linspace(0.5, 3.5, 31), 1.0, 1e-2)
     yield "constant-P", (ch.build_pde(ch.Polynomial([0.7]), ch.Polynomial([]),
@@ -638,6 +679,20 @@ class TestModelRecordsThroughEngine:
         for j in (n_t // 3, 2 * n_t // 3, n_t - 1):
             err = np.abs(surf.g[:, j] - evaluator(surf.t_grid[j], surf.z[:, j]))
             assert np.max(err) < 1e-8
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_gbm2_keeps_its_first_integral(self, theta):
+        # gbm2 has no closed-form transform: its two noise pairs march
+        # curves on which the first integral of its label map holds
+        spec = md.GeometricBrownian2(theta)
+        rhs = ch.build_pde(*spec.polynomials(), spec.moment_function())
+        surf = ch.integrate_characteristics(
+            rhs, lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
+            np.linspace(-2.0, 4.0, 801), t_end=1.0)
+        assert rhs.need == 1 and not surf.truncated.any()
+        for j in (300, 1000):
+            got = md.gbm2_first_integral(theta, surf.t_grid[j], surf.z[:, j], surf.g[:, j])
+            assert np.max(np.abs(got - 2.0 * surf.g[:, 0] ** 2)) < 1e-10
 
 class TestEvaluateOnSurface:
     @staticmethod

@@ -328,10 +328,11 @@ class TestCompareCommand:
     @pytest.mark.parametrize("fields, t", [
         ({"model": "ou", "theta": -1.0, "sigma": 1e154}, 0.5),
         ({"model": "explosive", "k": 1e-154, "a": 1e154}, 0.1)], ids=["ou", "explosive"])
-    def test_moment_gaps_of_huge_samples_are_finite(self, tmp_path, fields, t):
+    def test_moment_gaps_of_huge_samples_are_finite(self, tmp_path, capsys, fields, t):
         cfgfile = write_config(tmp_path, **fields, times=[t], out_dir=str(tmp_path), seed=0,
                                mc={"N": 24})
         assert cli.main(["compare", "--config", cfgfile]) == 0
+        out = capsys.readouterr().out
 
         def refuse(name):
             raise AssertionError(f"{name} in the report")
@@ -341,6 +342,9 @@ class TestCompareCommand:
         m2 = md.model_from_json(fields).moments(t)[1]
         assert math.isfinite(m2) and m2 > 1e307
         assert snap["second_moment_gap"] < 0.1 * m2
+        # the terminal line gives the mean gap to 4 significant digits, not
+        # as a fixed-point number of some 150 digits
+        assert f"mean_gap={snap['mean_gap']:.4g}\n" in out
 
     def test_non_finite_report_is_exit_3_and_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setattr(rmt.EigenHistogram, "moments", lambda self: (math.nan, 0.0))
