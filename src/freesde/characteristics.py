@@ -9,11 +9,13 @@ time derivative of the Cauchy transform as
 
 with the products f_ij = c_i b_j and h_ij = b_i c_j.  Each expectation
 reduces to closed form in (g, dg/dz) plus moments E(X^j): dividing
-f(X) - f(z) by (X - z) (synthetic division, exact per monomial) gives
-E(f(X)G) = f(z) g + sum_j e_j(z) E(X^j), and a second division gives
-E(f(X)G^2) = f(z) dg + f'(z) g + sum_j d_j(z) E(X^j).  The result is a
-quasilinear equation dg/dt + P dg/dz = Q whose characteristic curves
-(dz/dt = P, dg/dt = Q) are integrated here with classical RK4.
+f(X) - f(z) by (X - z), exactly per monomial, gives
+E(f(X)G) = f(z) g + S1(z), and a second division gives
+E(f(X)G^2) = f(z) dg + f'(z) g + S2(z), where the moment sums S1 and S2
+are polynomials in z whose coefficients ``_moment_sum`` writes in closed
+form.  The result is a quasilinear equation dg/dt + P dg/dz = Q whose
+characteristic curves (dz/dt = P, dg/dt = Q) are integrated here with
+classical RK4.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .errors import (
     OrderTooHigh,
     OutsideSurface,
     StepTooLarge,
-    ZeroPolynomial,
 )
 
 MAX_DEGREE = 8
@@ -61,10 +62,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __call__(self, x):
         """The value at x, an array of x's shape and (at least float) dtype."""
         x = np.asarray(x)
@@ -74,31 +71,6 @@ class Polynomial:
 
 
 ONE = Polynomial([1.0])  # the noise factor 1: a product bc stands for the pair (bc, ONE)
-
-
-def _synthetic_divide(coeffs: Sequence, z):
-    """Divide by (X - z): returns (quotient coeffs lowest-first, remainder).
-
-    Coefficients may be scalars or ndarrays (vectorized over z).
-    """
-    k = len(coeffs) - 1
-    q = [None] * k
-    carry = coeffs[k] * np.ones_like(np.asarray(z))
-    for j in range(k - 1, -1, -1):
-        q[j] = carry
-        carry = coeffs[j] + z * carry
-    return q, carry
-
-
-def divided_difference_expand(f: Polynomial, z):
-    """Coefficients e_0..e_{k-1} of (f(X) - f(z)) / (X - z), by synthetic division.
-
-    Exact for any polynomial; a constant has an empty expansion.
-    """
-    if f.is_zero:
-        raise ZeroPolynomial("difference quotient of the zero polynomial")
-    q, _ = _synthetic_divide(f.coeffs, np.asarray(z, dtype=complex))
-    return q
 
 
 class MomentFunction:
@@ -126,45 +98,6 @@ class MomentFunction:
     @classmethod
     def none(cls) -> "MomentFunction":
         return cls(lambda j, t: 1.0, 0)
-
-
-def _reduction_parts(f: Polynomial, z, m: MomentFunction, t: float):
-    """(f(z), f'(z), S1, S2) with S1 = sum e_j(z) mu_j, S2 = sum d_j(z) mu_j.
-
-    The remainders of the two synthetic divisions are f(z) and f'(z).
-    """
-    z = np.asarray(z, dtype=complex)
-    zero = np.zeros_like(z)
-    if f.degree < 1:  # a constant, or the zero polynomial (sum(()) == 0)
-        return zero + sum(f.coeffs), zero, zero, zero
-    e, fz = _synthetic_divide(f.coeffs, z)
-    S1 = zero
-    for j, ej in enumerate(e):
-        S1 = S1 + ej * m(j, t)
-    d, fprime = _synthetic_divide(e, z)
-    S2 = zero
-    for j, dj in enumerate(d):
-        S2 = S2 + dj * m(j, t)
-    return fz, fprime, S1, S2
-
-
-def reduce_resolvent_expectation(f: Polynomial, g, dg, z, m: MomentFunction, t: float):
-    """Closed forms for E(f(X) G) and E(f(X) G^2) in terms of g, dg, and moments.
-
-    E(f(X)G)   = f(z) g  + sum_j e_j(z) E(X^j)
-    E(f(X)G^2) = f(z) dg + f'(z) g + sum_j d_j(z) E(X^j)
-
-    where e_j come from one synthetic division of f by (X - z) and d_j from a
-    second division of that quotient.  Agrees with direct partial-fraction
-    expansion monomial by monomial.
-    """
-    if not f.is_zero and f.degree - 1 > m.jmax:
-        raise MomentsUnavailable(
-            f"degree {f.degree} reduction needs moments up to {f.degree - 1}")
-    fz, fpz, S1, S2 = _reduction_parts(f, z, m, t)
-    E_fG = fz * g + S1
-    E_fG2 = fz * dg + fpz * g + S2
-    return E_fG, E_fG2
 
 
 def _padd(*ps) -> tuple:
@@ -439,6 +372,8 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, labels, t_end: float,
     if not (0 < dt < math.inf and 0 <= t_end < math.inf):
         raise ValueError(f"need finite dt > 0 and t_end >= 0, got dt={dt}, t_end={t_end}")
     labels = np.asarray(labels, dtype=float)
+    if labels.size == 0:
+        raise ValueError("need at least one label")
     z0, g0 = init(labels)
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
     h = t_end / n_steps if n_steps else 0.0
@@ -502,14 +437,14 @@ def evaluate_on_surface(surf: CharacteristicSurface, t: float, z: complex) -> co
     tg = surf.t_grid
     if not (tg[0] <= t <= tg[-1]):
         raise OutsideSurface(f"t={t} outside the surface time range")
-    j = int(np.searchsorted(tg, t))
-    j = max(1, min(j, tg.size - 1))
-    w = 0.0 if tg[j] == tg[j - 1] else (t - tg[j - 1]) / (tg[j] - tg[j - 1])
+    j = min(max(1, int(np.searchsorted(tg, t))), tg.size - 1)
+    k = max(j - 1, 0)  # j - 1, or row 0 itself on a one-row surface
+    w = 0.0 if tg[j] == tg[k] else (t - tg[k]) / (tg[j] - tg[k])
     usable = surf.trunc_index >= j
     if np.count_nonzero(usable) < 2:
         raise OutsideSurface("fewer than two curves reach the query time")
-    zt = (1 - w) * surf.z[usable, j - 1] + w * surf.z[usable, j]
-    gt = (1 - w) * surf.g[usable, j - 1] + w * surf.g[usable, j]
+    zt = (1 - w) * surf.z[usable, k] + w * surf.z[usable, j]
+    gt = (1 - w) * surf.g[usable, k] + w * surf.g[usable, j]
     order = np.argsort(zt.real)
     zs, gs = zt[order], gt[order]
     xs = zs.real

@@ -296,16 +296,6 @@ def _selftest_checks():
         for n in (2, 4, 6, 8, 10, 12):
             assert moments.verify_power_identity(n, 1.5) < 1e-12
 
-    def division_identity():
-        poly = characteristics.Polynomial([3.0, -1.0, 2.0, 0.5])
-        z = 1.3 + 0.7j
-        e = characteristics.divided_difference_expand(poly, z)
-        x = rng.uniform(-2, 2, 10)
-        recon = poly(z) * np.ones_like(x, dtype=complex)
-        for j, ej in enumerate(e):
-            recon = recon + ej * x ** j * (x - z)
-        assert np.max(np.abs(recon - poly(x))) < 1e-12
-
     def characteristics_closed_form():
         # each record's polynomials and moments, marched to t = 0.2, give its
         # closed-form transform on the curves; gbm2, which has none, keeps
@@ -341,7 +331,6 @@ def _selftest_checks():
     return [("herglotz+decay", herglotz_decay), ("stieltjes inversion", inversion),
             ("gbm1 boundary curve vs Newton", gbm1_curve_vs_newton),
             ("catalan/power identity", catalan_identity),
-            ("difference-quotient identity", division_identity),
             ("characteristics vs closed form", characteristics_closed_form),
             ("mc determinism", mc_determinism), ("csv roundtrip", csv_roundtrip)]
 

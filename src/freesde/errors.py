@@ -42,10 +42,6 @@ class NotNormalized(FreeSdeError):
     """Curve claimed to be a full probability density but its mass is off."""
 
 
-class ZeroPolynomial(FreeSdeError):
-    """Difference-quotient expansion of the zero polynomial requested."""
-
-
 class MomentsUnavailable(FreeSdeError):
     """A moment of higher order than the supplied moment function covers."""
 

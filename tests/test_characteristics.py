@@ -12,7 +12,6 @@ from freesde.errors import (
     OrderTooHigh,
     OutsideSurface,
     StepTooLarge,
-    ZeroPolynomial,
 )
 
 
@@ -24,7 +23,7 @@ class TestPolynomial:
 
     def test_zero_polynomial(self):
         p = ch.Polynomial([0.0, 0.0])
-        assert p.is_zero and p.degree == -1
+        assert p.coeffs == () and p.degree == -1
         assert p(3.0) == 0.0
 
     def test_degree_cap(self):
@@ -32,47 +31,56 @@ class TestPolynomial:
             ch.Polynomial([1.0] * 10)
 
     def test_horner_and_derivative(self):
-        # the reduction reads f(z) and f'(z) off its two division remainders
+        # the fold reads f'(z) off the derivative's coefficients
         p = ch.Polynomial([1.0, -2.0, 3.0])
         assert p(2.0) == 1 - 4 + 12
-        fz, fpz, _, _ = ch._reduction_parts(p, 2.0, ch.MomentFunction.from_values([1.0, 0.0]), 0.0)
-        assert (fz, fpz) == (1 - 4 + 12, -2 + 12)
+        assert ch.Polynomial(ch._pderiv(p.coeffs))(2.0) == -2 + 12
 
 
-class TestDividedDifference:
+def division_parts(f, z, mu):
+    """(f(z), f'(z), S1(z), S2(z)), with the moment sums S1 and S2 the fold
+    reads summed term by term in z."""
+    S1, S2 = (sum(c * z ** p for p, c in enumerate(ch._moment_sum(f.coeffs, mu, d)))
+              for d in (1, 2))
+    return f(z), ch.Polynomial(ch._pderiv(f.coeffs))(z), S1, S2
+
+
+class TestMomentSum:
+    """The moment sums on a point mass at x, mu_j = x^j:
+    S1(z) = (f(x) - f(z)) / (x - z) and
+    S2(z) = (f(x) - f(z) - f'(z) (x - z)) / (x - z)^2."""
+
     def test_square(self):
-        # (X^2 - z^2)/(X - z) = z + X
-        e = ch.divided_difference_expand(ch.Polynomial([0, 0, 1]), 1.7 + 0.4j)
-        assert len(e) == 2
-        assert abs(e[0] - (1.7 + 0.4j)) < 1e-15
-        assert abs(e[1] - 1.0) < 1e-15
+        # a point mass at 0.7: (x^2 - z^2)/(x - z) = x + z, and S2 = 1
+        mu = (1.0, 0.7, 0.49)
+        assert ch._moment_sum((0.0, 0.0, 1.0), mu, 1) == [0.7, 1.0]
+        assert ch._moment_sum((0.0, 0.0, 1.0), mu, 2) == [1.0]
 
     def test_cube_at_two(self):
-        e = ch.divided_difference_expand(ch.Polynomial([0, 0, 0, 1]), 2.0)
-        assert [complex(v) for v in e] == [4.0, 2.0, 1.0]
+        # a point mass at 2: (8 - z^3)/(2 - z) = 4 + 2z + z^2, and
+        # (8 - z^3 - 3z^2 (2 - z))/(2 - z)^2 = 2 + 2z
+        mu = (1.0, 2.0, 4.0, 8.0)
+        assert ch._moment_sum((0.0, 0.0, 0.0, 1.0), mu, 1) == [4.0, 2.0, 1.0]
+        assert ch._moment_sum((0.0, 0.0, 0.0, 1.0), mu, 2) == [2.0, 2.0]
 
     def test_constant_is_empty(self):
-        assert ch.divided_difference_expand(ch.Polynomial([5.0]), 1.0j) == []
-
-    def test_zero_polynomial_raises(self):
-        with pytest.raises(ZeroPolynomial):
-            ch.divided_difference_expand(ch.Polynomial([]), 0.0)
+        assert ch._moment_sum((5.0,), (1.0,), 1) == []
+        assert ch._moment_sum((5.0,), (1.0,), 2) == []
 
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=9),
            st.floats(-2, 2), st.floats(0.1, 2))
     @settings(max_examples=50, deadline=None, derandomize=True)
     def test_reconstruction_identity(self, coeffs, zr, zi):
+        # f(x) = f(z) + S1(z) (x - z) = f(z) + f'(z) (x - z) + S2(z) (x - z)^2
         f = ch.Polynomial(coeffs)
         if f.degree < 1:
             return
         z = complex(zr, zi)
-        e = ch.divided_difference_expand(f, z)
         x = np.linspace(-2, 2, 10)
-        recon = np.full(x.shape, f(z), dtype=complex)
-        for j, ej in enumerate(e):
-            recon += ej * x ** j * (x - z)
+        fz, fpz, S1, S2 = division_parts(f, z, [x ** j for j in range(f.degree + 1)])
         scale = max(1.0, float(np.max(np.abs(f(x)))))
-        assert np.max(np.abs(recon - f(x))) / scale < 1e-12
+        for recon in (fz + S1 * (x - z), fz + fpz * (x - z) + S2 * (x - z) ** 2):
+            assert np.max(np.abs(recon - f(x))) / scale < 1e-12
 
 
 def three_atom_reference(f, atoms, weights, z):
@@ -86,6 +94,12 @@ def three_atom_reference(f, atoms, weights, z):
     return g, dg, E_fG, E_fG2
 
 
+def resolvent_expectations(f, g, dg, z, mu):
+    """E(f(X)G) = f(z) g + S1 and E(f(X)G^2) = f(z) dg + f'(z) g + S2."""
+    fz, fpz, S1, S2 = division_parts(f, z, mu)
+    return fz * g + S1, fz * dg + fpz * g + S2
+
+
 class TestReduceResolventExpectation:
     def setup_method(self):
         rng = np.random.default_rng(11)
@@ -95,33 +109,24 @@ class TestReduceResolventExpectation:
 
     def test_linear_drift_shape(self):
         # f(x) = x: E(XG) = z g + 1, E(XG^2) = z dg + g
-        m = ch.MomentFunction.none()
-        E1, E2 = ch.reduce_resolvent_expectation(
-            ch.Polynomial([0, 1]), self.g, self.dg, self.z, m, 0.0)
+        E1, E2 = resolvent_expectations(
+            ch.Polynomial([0, 1]), self.g, self.dg, self.z, (1.0,))
         assert abs(E1 - (self.z * self.g + 1.0)) < 1e-14
         assert abs(E2 - (self.z * self.dg + self.g)) < 1e-14
 
     def test_constant(self):
-        m = ch.MomentFunction.none()
-        E1, E2 = ch.reduce_resolvent_expectation(
-            ch.Polynomial([2.5]), self.g, self.dg, self.z, m, 0.0)
+        E1, E2 = resolvent_expectations(
+            ch.Polynomial([2.5]), self.g, self.dg, self.z, (1.0,))
         assert abs(E1 - 2.5 * self.g) < 1e-14
         assert abs(E2 - 2.5 * self.dg) < 1e-14
 
     def test_square_with_first_moment(self):
         mu1 = 0.7
-        m = ch.MomentFunction.from_values([1.0, mu1])
-        E1, E2 = ch.reduce_resolvent_expectation(
-            ch.Polynomial([0, 0, 1]), self.g, self.dg, self.z, m, 0.0)
+        E1, E2 = resolvent_expectations(
+            ch.Polynomial([0, 0, 1]), self.g, self.dg, self.z, (1.0, mu1))
         z = self.z
         assert abs(E1 - (z * z * self.g + z + mu1)) < 1e-13
         assert abs(E2 - (z * z * self.dg + 2 * z * self.g + 1.0)) < 1e-13
-
-    def test_missing_moments(self):
-        with pytest.raises(MomentsUnavailable):
-            ch.reduce_resolvent_expectation(
-                ch.Polynomial([0, 0, 0, 1]), self.g, self.dg, self.z,
-                ch.MomentFunction.from_values([1.0, 0.5]), 0.0)
 
     @given(st.integers(1, 6), st.integers(0, 10 ** 6))
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -133,11 +138,9 @@ class TestReduceResolventExpectation:
         coeffs[-1] = coeffs[-1] or 1.0
         f = ch.Polynomial(coeffs)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-        mus = [float(np.sum(weights * atoms ** j)) for j in range(max(1, degree))]
-        m = ch.MomentFunction.from_values([1.0] + mus[1:]) if len(mus) > 1 \
-            else ch.MomentFunction.none()
+        mu = [1.0] + [float(np.sum(weights * atoms ** j)) for j in range(1, degree)]
         g, dg, E_fG_ref, E_fG2_ref = three_atom_reference(f, atoms, weights, z)
-        E1, E2 = ch.reduce_resolvent_expectation(f, g, dg, z, m, 0.0)
+        E1, E2 = resolvent_expectations(f, g, dg, z, mu)
         assert abs(E1 - E_fG_ref) < 1e-12 * max(1, abs(E_fG_ref))
         assert abs(E2 - E_fG2_ref) < 1e-12 * max(1, abs(E_fG2_ref))
 
@@ -262,14 +265,22 @@ def pair_products(pairs):
     return [(mul(ci, bj), mul(bi, cj)) for bi, ci in pairs for bj, cj in pairs]
 
 
-def two_division_characteristic(rhs, t, z, g):
-    """(P, Q) from the reference reduction, two synthetic divisions per
-    polynomial, summed over the products of the noise pairs."""
-    az, apz, _, S2_a = ch._reduction_parts(rhs.drift, z, rhs.moments, t)
+def atom_characteristic(rhs, ys, z, g):
+    """(P, Q) with every expectation taken on the equally weighted atoms
+    ``ys``, whose moments rhs reads: S1 = mean (f(y) - f(z))/(y - z) and
+    S2 = mean (f(y) - f(z) - f'(z)(y - z))/(y - z)^2, summed over the
+    products of the noise pairs."""
+    u = ys[:, None] - z
+
+    def parts(f):
+        fy, fz, fpz = f(ys)[:, None], f(z), ch.Polynomial(ch._pderiv(f.coeffs))(z)
+        return fz, fpz, np.mean((fy - fz) / u, axis=0), \
+            np.mean((fy - fz - fpz * u) / u ** 2, axis=0)
+
+    az, apz, _, S2_a = parts(rhs.drift)
     P, Q = az, -(apz * g + S2_a)
     for f, h in pair_products(rhs.pairs):
-        fz, _, S1_f, _ = ch._reduction_parts(f, z, rhs.moments, t)
-        hz, hpz, _, S2_h = ch._reduction_parts(h, z, rhs.moments, t)
+        (fz, _, S1_f, _), (hz, hpz, _, S2_h) = parts(f), parts(h)
         E_fG = fz * g + S1_f
         P, Q = P - hz * E_fG, Q + E_fG * (hpz * g + S2_h)
     return P, Q
@@ -277,11 +288,19 @@ def two_division_characteristic(rhs, t, z, g):
 
 def term_scale(rhs, t, z, g):
     """Sums of the moduli of the terms of P and Q: a bound on either form's rounding."""
-    m_abs = ch.MomentFunction(lambda j, t: abs(rhs.moments(j, t)), rhs.moments.jmax)
+    mu = [abs(rhs.moments(j, t)) for j in range(rhs.moments.jmax + 1)]
     z_abs, g_abs = np.abs(z), np.abs(g)
 
     def parts(f):
-        return ch._reduction_parts(ch.Polynomial(np.abs(f.coeffs)), z_abs, m_abs, t)
+        # f, f', S1 = sum_i c_i sum_{j<i} mu_j z^(i-1-j) and
+        # S2 = sum_i c_i sum_{j<i-1} (i-1-j) mu_j z^(i-2-j), on the moduli
+        c, zero = np.abs(f.coeffs), np.zeros_like(z_abs)
+        return (zero + sum(ci * z_abs ** i for i, ci in enumerate(c)),
+                zero + sum(i * ci * z_abs ** (i - 1) for i, ci in enumerate(c) if i),
+                zero + sum(ci * mu[j] * z_abs ** (i - 1 - j)
+                           for i, ci in enumerate(c) for j in range(i)),
+                zero + sum(ci * (i - 1 - j) * mu[j] * z_abs ** (i - 2 - j)
+                           for i, ci in enumerate(c) for j in range(i - 1)))
 
     az, apz, _, S2_a = parts(rhs.drift)
     P, Q = az, apz * g_abs + S2_a
@@ -289,7 +308,7 @@ def term_scale(rhs, t, z, g):
         (fz, _, S1_f, _), (hz, hpz, _, S2_h) = parts(f), parts(h)
         E_fG = fz * g_abs + S1_f
         P, Q = P + hz * E_fG, Q + E_fG * (hpz * g_abs + S2_h)
-    return np.maximum(P.real, 1e-300), np.maximum(Q.real, 1e-300)
+    return np.maximum(P, 1e-300), np.maximum(Q, 1e-300)
 
 
 coefficient = st.one_of(st.integers(-8, 8).map(lambda k: k / 4),
@@ -298,7 +317,7 @@ coefficient = st.one_of(st.integers(-8, 8).map(lambda k: k / 4),
 
 class TestFoldedCharacteristic:
     """The coefficient polynomials folded once per moment vector and evaluated
-    by Horner reproduce the two-division reduction at every time."""
+    by Horner reproduce the expectations on the atoms at every time."""
 
     @given(st.lists(coefficient, max_size=5), st.lists(coefficient, max_size=5),
            st.lists(st.floats(-2, 2), min_size=3, max_size=3), st.floats(0.1, 1.0),
@@ -324,7 +343,7 @@ class TestFoldedCharacteristic:
         g = rng.normal(size=4) + 1j * rng.normal(size=4)
         for t in (0.0, t2, 0.0):
             got = rhs.characteristic(t, z, g)
-            want = two_division_characteristic(rhs, t, z, g)
+            want = atom_characteristic(rhs, atoms * (1.0 + t) + t, z, g)
             for x, y, s in zip(got, want, term_scale(rhs, t, z, g)):
                 assert np.all(np.abs(x - y) <= 1e-12 * s)
             # the one pair (bc, 1) folds bit for bit as the one product bc
@@ -625,6 +644,13 @@ class TestIntegrateCharacteristics:
                 ou_rhs(), lambda s: (s + 1j, 1.0 / (s + 1j)), np.zeros(2),
                 t_end=t_end, dt=dt)
 
+    def test_no_labels_is_refused(self):
+        # refused before the march, whose blow-up test reduces over the curves
+        with pytest.raises(ValueError, match="at least one label"):
+            ch.integrate_characteristics(
+                ou_rhs(), lambda s: (s + 1j, 1.0 / (s + 1j)), np.zeros(0),
+                t_end=1.0, dt=1e-2)
+
     def test_time_major_layout_and_truncation(self):
         # dz/dt = -z^2 from z0 = -s blows up at t = 1/s: 25 of the 31 curves
         # truncate, at 25 different steps
@@ -731,6 +757,17 @@ class TestEvaluateOnSurface:
         surf = self._ou_surface()
         with pytest.raises(OutsideSurface):
             ch.evaluate_on_surface(surf, 1.0, 1.0 + 0.3j)
+
+    def test_one_row_surface(self):
+        # t_end = 0 leaves the start row alone, and t = 0 is in its range:
+        # g = -1/z there, interpolated between the curves
+        surf = self._ou_surface(t_end=0.0)
+        assert surf.t_grid.tolist() == [0.0]
+        assert ch.evaluate_on_surface(surf, 0.0, surf.z[500, 0]) == surf.g[500, 0]
+        mid = (surf.z[500, 0] + surf.z[501, 0]) / 2
+        assert abs(ch.evaluate_on_surface(surf, 0.0, mid) + 1.0 / mid) < 1e-5
+        with pytest.raises(OutsideSurface):
+            ch.evaluate_on_surface(surf, 0.1, mid)
 
     def test_time_out_of_range(self):
         surf = self._ou_surface()
