@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,7 +67,7 @@ class Polynomial:
         """The value at x, an array of x's shape and (at least float) dtype."""
         x = np.asarray(x)
         out = np.empty(x.shape, dtype=np.result_type(x.dtype, float))
-        _as_writer(_horner_writer(self.coeffs))(x, None, out, None)
+        _run(_as_ops(_horner_ops(self.coeffs))(x, None, out, None))
         return out
 
 
@@ -134,11 +135,13 @@ def _moment_sum(c, mu, d):
             for p in range(k - d)]
 
 
-def _products(pairs) -> list:
+@lru_cache(maxsize=16)
+def _products(pairs: tuple) -> tuple:
     """(f, h) = (c_i b_j, b_i c_j) for every ordered couple of noise pairs
-    (b_i, c_i), (b_j, c_j), i major, as trimmed coefficient tuples."""
-    return [(_trim(_pmul(ci.coeffs, bj.coeffs)), _trim(_pmul(bi.coeffs, cj.coeffs)))
-            for bi, ci in pairs for bj, cj in pairs]
+    (b_i, c_i), (b_j, c_j), i major, as trimmed coefficient tuples; formed
+    once per noise, which a march with moving moments folds every step."""
+    return tuple((_trim(_pmul(ci.coeffs, bj.coeffs)), _trim(_pmul(bi.coeffs, cj.coeffs)))
+                 for bi, ci in pairs for bj, cj in pairs)
 
 
 def _fold(a: Polynomial, pairs, mu) -> tuple:
@@ -161,35 +164,48 @@ def _is_zero(v) -> bool:
     return isinstance(v, float) and v == 0.0
 
 
-def _horner_writer(c):
-    """sum_k c_k z^k for coefficients lowest first, as a writer
-    ``w(z, g, out, tmp)`` that fills ``out`` by Horner's rule in place,
-    skipping zero terms and taking a unit leading factor as a copy or a
-    negation of z; the float itself when c is constant."""
+def _negate(x, out):
+    """The call np.negative(x, out), bound: on the real views where x and
+    out are contiguous complex arrays of one shape, which flips the same
+    sign bits in one pass over floats."""
+    if (x.dtype.kind == "c" and x.dtype == out.dtype and x.shape == out.shape and x.ndim
+            and x.flags.c_contiguous and out.flags.c_contiguous):
+        x, out = x.view(x.real.dtype), out.view(out.real.dtype)
+    return partial(np.negative, x, out)
+
+
+def _horner_ops(c):
+    """sum_k c_k z^k for coefficients lowest first, as a binder
+    ``bind(z, g, out, tmp)`` that returns the in-place ufunc calls, bound to
+    those arrays, that fill ``out`` by Horner's rule: zero terms skipped and
+    a unit leading factor taken as a copy or a negation of z.  The float
+    itself when c is constant."""
     if len(c) < 2:
         return c[0] if c else 0.0
     top, terms, c0 = c[-1], c[-2:0:-1], c[0]
 
-    def write(z, g, out, tmp):
+    def bind(z, g, out, tmp):
         if top == 1.0:
-            np.copyto(out, z)
+            ops = [partial(np.copyto, out, z)]
         elif top == -1.0:
-            np.negative(z, out=out)
+            ops = [_negate(z, out)]
         else:
-            np.multiply(top, z, out=out)
+            ops = [partial(np.multiply, top, z, out)]
         for ck in terms:
             if ck:
-                np.add(out, ck, out=out)
-            np.multiply(out, z, out=out)
+                ops.append(partial(np.add, out, ck, out))
+            ops.append(partial(np.multiply, out, z, out))
         if c0:
-            np.add(out, c0, out=out)
-    return write
+            ops.append(partial(np.add, out, c0, out))
+        return ops
+    return bind
 
 
-def _mul_add_writer(c, y):
-    """c g + y as a writer ``w(z, g, out, tmp)``, for c and y each a float
-    (a constant) or a writer: a zero term is skipped and a unit factor taken
-    as a copy or a negation of g; a float when c is zero and y a float.
+def _mul_add_ops(c, y):
+    """c g + y as a binder ``bind(z, g, out, tmp)`` of in-place calls, for c
+    and y each a float (a constant) or a binder: a zero term is skipped and
+    a unit factor taken as a copy or a negation of g; a float when c is zero
+    and y a float.
 
     ``c`` is written into ``out`` and may use ``tmp``; ``y`` is written into
     ``tmp`` after it, so it must need no scratch of its own.
@@ -197,50 +213,53 @@ def _mul_add_writer(c, y):
     if _is_zero(c):
         return y
     if isinstance(c, float) and c == -1.0 and not _is_zero(y):
-        def write(z, g, out, tmp):  # y - g
+        def bind(z, g, out, tmp):  # y - g
             if isinstance(y, float):
-                np.subtract(y, g, out=out)
-            else:
-                y(z, g, out, tmp)
-                np.subtract(out, g, out=out)
-        return write
+                return [partial(np.subtract, y, g, out)]
+            return y(z, g, out, tmp) + [partial(np.subtract, out, g, out)]
+        return bind
 
-    def write(z, g, out, tmp):
+    def bind(z, g, out, tmp):
         if not isinstance(c, float):
-            c(z, g, out, tmp)
-            np.multiply(out, g, out=out)
+            ops = c(z, g, out, tmp) + [partial(np.multiply, out, g, out)]
         elif c == 1.0:
-            np.copyto(out, g)
+            ops = [partial(np.copyto, out, g)]
         elif c == -1.0:
-            np.negative(g, out=out)
+            ops = [_negate(g, out)]
         else:
-            np.multiply(c, g, out=out)
+            ops = [partial(np.multiply, c, g, out)]
         if not isinstance(y, float):
-            y(z, g, tmp, None)
-            np.add(out, tmp, out=out)
+            ops += y(z, g, tmp, None) + [partial(np.add, out, tmp, out)]
         elif y:
-            np.add(out, y, out=out)
-    return write
+            ops.append(partial(np.add, out, y, out))
+        return ops
+    return bind
 
 
-def _as_writer(v):
-    """A writer of v, which is a writer already or a float to fill with."""
+def _as_ops(v):
+    """A binder of v, which is a binder already or a float to fill with."""
     if isinstance(v, float):
-        return lambda z, g, out, tmp: out.fill(v)
+        return lambda z, g, out, tmp: [partial(out.fill, v)]
     return v
+
+
+def _run(ops) -> None:
+    """Make the bound calls ``ops`` in order."""
+    for op in ops:
+        op()
 
 
 def _compile_slope(fold: tuple):
     """The slope ``slope(z, g, P, Q, tmp)`` of one fold (P0, P1, Q0, Q1, Q2):
-    it writes P = P1(z) g + P0(z) into P and Q = (Q2(z) g + Q1(z)) g + Q0(z)
-    into Q, using ``tmp`` (z's shape) as scratch."""
-    P0, P1, Q0, Q1, Q2 = map(_horner_writer, fold)
-    P = _as_writer(_mul_add_writer(P1, P0))
-    Q = _as_writer(_mul_add_writer(_mul_add_writer(Q2, Q1), Q0))
+    it returns the in-place calls, bound to those arrays, that write
+    P = P1(z) g + P0(z) into P and then Q = (Q2(z) g + Q1(z)) g + Q0(z) into
+    Q, using ``tmp`` (z's shape) as scratch."""
+    P0, P1, Q0, Q1, Q2 = map(_horner_ops, fold)
+    P = _as_ops(_mul_add_ops(P1, P0))
+    Q = _as_ops(_mul_add_ops(_mul_add_ops(Q2, Q1), Q0))
 
     def slope(z, g, p, q, tmp):
-        P(z, g, p, tmp)
-        Q(z, g, q, tmp)
+        return P(z, g, p, tmp) + Q(z, g, q, tmp)
     return slope
 
 
@@ -263,8 +282,9 @@ class PdeRightHandSide:
     deg h_ij - 2, which never binds: polynomials in X commute, so
     h_ij = f_ji.
     They are folded and compiled into a slope once per distinct moment
-    vector (once per march when the moments are constant), which evaluates
-    them by Horner in place; both ``characteristic`` and the march use it.
+    vector (once per march when the moments are constant), which binds
+    their in-place Horner evaluation to the arrays at hand: ``characteristic``
+    binds and runs it once per call, the march once per stage buffer.
     """
 
     drift: Polynomial
@@ -302,7 +322,7 @@ class PdeRightHandSide:
         shape = np.broadcast_shapes(z.shape, g.shape)
         out = np.empty((2,) + shape, dtype=np.result_type(z, g, 1.0))
         P, Q = out[0, ...], out[1, ...]
-        self.slope(t)(z, g, P, Q, np.empty(shape, out.dtype))
+        _run(self.slope(t)(z, g, P, Q, np.empty(shape, out.dtype)))
         return P, Q
 
 
@@ -335,9 +355,15 @@ class CharacteristicSurface:
     trunc_index: np.ndarray  # int, shape (n_s,)
 
 
+MAX_SURFACE_BYTES = 2**30  # largest characteristic surface, (n_t, 2, n_s) complex
+MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE", 23)  # Linux >= 5.14
+
+
 def _mapped_zeros(shape: tuple, dtype) -> np.ndarray:
     """A zeroed array in a private anonymous memory mapping of its own,
-    its pages faulted in when it is mapped where mmap defines MAP_POPULATE.
+    advised to transparent huge pages and then populated for writing; where
+    either advice is refused, a mapping populated at map time where mmap
+    defines MAP_POPULATE.
 
     The surface is the largest allocation of the package (25.6 MB for 801
     curves over 1000 steps).  Taken from the malloc heap and freed, it
@@ -345,12 +371,19 @@ def _mapped_zeros(shape: tuple, dtype) -> np.ndarray:
     integrates repeatedly keeps a whole extra surface resident in some runs
     and not in others.  A mapping of its own goes back to the system when
     the array is freed.  The march writes every page, so faulting them all
-    in at once costs less than one fault per page while it runs.
+    in at once costs less than one fault per page while it runs, and 2 MB
+    pages fault in faster than 4 KB ones.
     """
     dtype = np.dtype(dtype)
     count = int(np.prod(shape))
-    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1),
-                    flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
+    size = max(count * dtype.itemsize, 1)
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+    try:
+        buf.madvise(mmap.MADV_HUGEPAGE)
+        buf.madvise(MADV_POPULATE_WRITE)
+    except (AttributeError, OSError):
+        buf.close()
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
@@ -358,60 +391,89 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, labels, t_end: float,
                               dt: float = 1e-3) -> CharacteristicSurface:
     """March every characteristic curve with classical fixed-step RK4.
 
-    ``init`` maps the ``labels`` array to the initial pair (z(s,0), g(s,0)).
-    All labels advance together (curves are independent, so the sweep is
-    vectorized across them) as one stacked state (z, g) of shape (2, n_s):
-    each step is written into one row of a time-major (n_t, 2, n_s) surface,
-    whose z and g are views.  Every RK4 stage writes the right-hand side's
-    slope into a reused buffer, and each stage argument and the RK4
-    combination is one operation on the whole state.  A curve whose |z| or
-    |g| passes ``BLOWUP_CUTOFF``, or that turns non-finite, is truncated and
-    marked; one reduction over the state tests for that after each step, and
-    the per-curve test runs only when it fails.
+    ``init`` maps the ``labels`` array to the initial pair (z(s,0), g(s,0)),
+    each finite and of the labels' size.  All labels advance together
+    (curves are independent, so the sweep is vectorized across them) as one
+    stacked state (z, g) of shape (2, n_s), held in one buffer and copied
+    after each step into one row of a time-major (n_t, 2, n_s) surface,
+    whose z and g are views; a surface over ``MAX_SURFACE_BYTES`` is refused
+    before anything is allocated.  The in-place calls of one RK4 step (each
+    stage's slope, each stage argument and the RK4 combination, one
+    operation on the whole state each) are bound to their buffers once and
+    bound again only when the right-hand side's slope changes.  A curve whose
+    |z| or |g| passes ``BLOWUP_CUTOFF``, or that turns non-finite, is
+    truncated and marked: after each step one reduction tests that both
+    parts of every entry stay under half the cutoff, the exact modulus test
+    runs only when that fails, and the per-curve test only when that fails.
     """
     if not (0 < dt < math.inf and 0 <= t_end < math.inf):
         raise ValueError(f"need finite dt > 0 and t_end >= 0, got dt={dt}, t_end={t_end}")
     labels = np.asarray(labels, dtype=float)
     if labels.size == 0:
         raise ValueError("need at least one label")
-    z0, g0 = init(labels)
     n_steps = max(1, int(round(t_end / dt))) if t_end > 0 else 0
+    n_s = labels.size
+    n_bytes = (n_steps + 1) * 2 * n_s * np.dtype(complex).itemsize
+    if n_bytes > MAX_SURFACE_BYTES:
+        raise ValueError(f"a surface of {n_steps + 1} times x {n_s} curves takes {n_bytes:.3g} "
+                         f"bytes, over the {MAX_SURFACE_BYTES} byte bound; raise dt or march "
+                         f"fewer labels")
+    z0, g0 = init(labels)
+    y = np.empty((2, n_s), dtype=complex)  # the state (z, g)
+    for row, v in zip(y, (z0, g0)):
+        if np.shape(v) != (n_s,):
+            raise ValueError(f"init must give z and g of shape ({n_s},), got {np.shape(v)}")
+        row[:] = v
+    bad = ~np.isfinite(y).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"initial (z, g) = ({y[0, i]}, {y[1, i]}) is not finite at label "
+                         f"{labels.flat[i]} (index {i})")
     h = t_end / n_steps if n_steps else 0.0
     t_grid = np.linspace(0.0, t_end, n_steps + 1)
-    n_s = labels.size
     Y = _mapped_zeros((n_steps + 1, 2, n_s), complex)
-    Y[0, 0], Y[0, 1] = z0, g0
+    Y[0] = y
     trunc_index = np.full(n_s, n_steps, dtype=int)
     active = np.ones(n_s, dtype=bool)
     k1, k2, k3, k4, arg, acc = np.empty((6, 2, n_s), dtype=complex)
     tmp = np.empty(n_s, dtype=complex)
     size = np.empty((2, n_s))
+    parts = y.view(float)
+    part_size = np.empty_like(parts)
+    stages = ((y, k1, [partial(np.multiply, h / 2, k1, arg), partial(np.add, y, arg, arg)]),
+              (arg, k2, [partial(np.multiply, h / 2, k2, arg), partial(np.add, y, arg, arg)]),
+              (arg, k3, [partial(np.multiply, h, k3, arg), partial(np.add, y, arg, arg)]),
+              # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+              (arg, k4, [partial(np.multiply, k2, 2, acc), partial(np.add, acc, k1, acc),
+                         partial(np.multiply, k3, 2, k3), partial(np.add, acc, k3, acc),
+                         partial(np.add, acc, k4, acc), partial(np.multiply, acc, h / 6, acc),
+                         partial(np.add, y, acc, y)]))
+
+    def bind(slopes):
+        """The calls of one RK4 step, each stage's slope bound to its buffers."""
+        return [op for slope, (x, k, then) in zip(slopes, stages)
+                for op in slope(x[0], x[1], k[0], k[1], tmp) + then]
+
     fixed = rhs.slope(0.0) if rhs.need < 1 else None  # the fold needs mu_0 alone
-
-    def stage(t, y, k):
-        (fixed or rhs.slope(t))(y[0], y[1], k[0], k[1], tmp)
-
+    slopes = [fixed] * 4
+    step = bind(slopes) if fixed else None
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            t, y, y_next = t_grid[n], Y[n], Y[n + 1]
-            stage(t, y, k1)
-            np.add(y, np.multiply(h / 2, k1, out=arg), out=arg)
-            stage(t + h / 2, arg, k2)
-            np.add(y, np.multiply(h / 2, k2, out=arg), out=arg)
-            stage(t + h / 2, arg, k3)
-            np.add(y, np.multiply(h, k3, out=arg), out=arg)
-            stage(t + h, arg, k4)
-            # y + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
-            np.multiply(k2, 2, out=acc)
-            acc += k1
-            acc += np.multiply(k3, 2, out=k3)
-            acc += k4
-            acc *= h / 6
-            np.add(y, acc, out=y_next)
-            # |.| < cutoff is false for NaN and inf, so it checks finiteness too
-            if np.abs(y_next, out=size).max() < BLOWUP_CUTOFF:
+            if not fixed:
+                t = t_grid[n]
+                start, mid = rhs.slope(t), rhs.slope(t + h / 2)
+                now = [start, mid, mid, rhs.slope(t + h)]
+                if now != slopes:  # compiled slopes compare by identity
+                    slopes, step = now, bind(now)
+            _run(step)
+            Y[n + 1] = y
+            # each part under cutoff/2 puts |.| under cutoff/sqrt(2); the
+            # tests are false for NaN and inf, so they check finiteness too
+            if np.abs(parts, out=part_size).max() < BLOWUP_CUTOFF / 2:
                 continue
-            if n == 0 and not np.isfinite(y_next).all():
+            if np.abs(y, out=size).max() < BLOWUP_CUTOFF:
+                continue
+            if n == 0 and not np.isfinite(y).all():
                 raise StepTooLarge("non-finite RK4 stage on the first step; reduce dt")
             alive = (size < BLOWUP_CUTOFF).all(axis=0)
             trunc_index[active & ~alive] = n

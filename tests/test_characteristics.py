@@ -1,5 +1,9 @@
 """Polynomial reduction and characteristic-curve integration checks."""
 
+import errno
+import mmap
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -518,6 +522,13 @@ def _march_cases():
     # ... and in the h/6 scaling of the RK4 combination
     yield "signed-zero-scale", (ou_rhs(theta=0.0), _signed_start((0.0, -0.0), (0.0, 0.0)),
                                 np.zeros(1), 0.3, 0.1)
+    # both parts above cutoff/2 while |z| crosses the cutoff mid-march, at
+    # a different step per curve: a blow-up prefilter on the parts alone
+    # must fall back to the modulus
+    yield "parts-under-cutoff", (ch.build_pde(ch.Polynomial([2e10]), ch.Polynomial([]),
+                                              ch.MomentFunction.none()),
+                                 lambda s: (0.7e12 * (1 + 1j) + s, np.ones_like(s) + 0j),
+                                 np.linspace(0.0, 4e9, 3), 1.0, 0.1)
 
 
 class TestIntegrateCharacteristics:
@@ -651,6 +662,46 @@ class TestIntegrateCharacteristics:
                 ou_rhs(), lambda s: (s + 1j, 1.0 / (s + 1j)), np.zeros(0),
                 t_end=1.0, dt=1e-2)
 
+    def test_non_finite_start_is_refused(self):
+        # g0 = 1/(1 - s) is inf + nan i at s = 1: refused before the march
+        # (no dt could help), naming the label
+        spec = md.GeometricBrownian1(0.5)
+        rhs = ch.build_pde(*spec.polynomials(), spec.moment_function())
+
+        def init(s):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return s + 0j, 1.0 / (1.0 - (s + 0j))
+
+        with pytest.raises(ValueError, match=r"not finite at label 1\.0 \(index 1\)"):
+            ch.integrate_characteristics(rhs, init, np.array([0.5, 1.0, 1.5]), t_end=0.1)
+
+    def test_start_of_the_wrong_shape_is_refused(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\), got \(\)"):
+            ch.integrate_characteristics(ou_rhs(), lambda s: (s + 1j, np.complex128(1j)),
+                                         np.zeros(3), t_end=0.1)
+
+    def test_surface_over_the_bound_is_refused(self, monkeypatch):
+        # 1e15 steps would take 2.6e19 bytes: refused before any allocation
+        def unmapped(shape, dtype):
+            raise AssertionError("the surface was mapped")
+
+        monkeypatch.setattr(ch, "_mapped_zeros", unmapped)
+        with pytest.raises(ValueError, match=r"2\.56e\+19 bytes"):
+            ch.integrate_characteristics(ou_rhs(), lambda s: (s + 1j, 1.0 / (s + 1j)),
+                                         np.zeros(801), t_end=1.0, dt=1e-15)
+
+    def test_surface_bound_is_inclusive(self, monkeypatch):
+        # 2 curves over 11 times take 11 * 2 * 2 * 16 = 704 bytes
+        def march():
+            return ch.integrate_characteristics(
+                ou_rhs(), lambda s: (s + 1j, 1.0 / (s + 1j)), np.zeros(2), t_end=1.0, dt=0.1)
+
+        monkeypatch.setattr(ch, "MAX_SURFACE_BYTES", 704)
+        assert march().z.shape == (2, 11)
+        monkeypatch.setattr(ch, "MAX_SURFACE_BYTES", 703)
+        with pytest.raises(ValueError, match="704 bytes"):
+            march()
+
     def test_time_major_layout_and_truncation(self):
         # dz/dt = -z^2 from z0 = -s blows up at t = 1/s: 25 of the 31 curves
         # truncate, at 25 different steps
@@ -683,6 +734,61 @@ class TestMarchMatchesTwoArrayMarch:
         assert surf.g.tobytes() == g.tobytes()
         assert np.array_equal(surf.trunc_index, trunc_index)
         assert np.array_equal(surf.truncated, truncated)
+
+
+def _standin_mmap(refuse):
+    """A stand-in for the mmap module whose mappings record their flags and
+    their madvise calls, and refuse every advice when ``refuse`` is set."""
+    seen = SimpleNamespace(flags=[], advice=[])
+
+    class Mapping(mmap.mmap):
+        def __new__(cls, fileno, length, flags):
+            seen.flags.append(flags)
+            return super().__new__(cls, fileno, length, flags=flags)
+
+        def madvise(self, option):
+            seen.advice.append(option)
+            if refuse:
+                raise OSError(errno.EINVAL, "advice refused")
+
+    module = SimpleNamespace(mmap=Mapping, MAP_PRIVATE=mmap.MAP_PRIVATE,
+                             MADV_HUGEPAGE=getattr(mmap, "MADV_HUGEPAGE", 14))
+    if hasattr(mmap, "MAP_POPULATE"):
+        module.MAP_POPULATE = mmap.MAP_POPULATE
+    return module, seen
+
+
+class TestSurfaceMapping:
+    """The surface maps private huge pages populated for writing, and a
+    mapping populated at map time where that advice is refused."""
+
+    def test_advice_in_order(self, monkeypatch):
+        module, seen = _standin_mmap(refuse=False)
+        monkeypatch.setattr(ch, "mmap", module)
+        a = ch._mapped_zeros((3, 2, 5), complex)
+        assert seen.flags == [mmap.MAP_PRIVATE]
+        assert seen.advice == [module.MADV_HUGEPAGE, ch.MADV_POPULATE_WRITE]
+        assert a.shape == (3, 2, 5) and a.dtype == complex and not a.any()
+
+    def test_refused_advice_falls_back(self, monkeypatch):
+        module, seen = _standin_mmap(refuse=True)
+        monkeypatch.setattr(ch, "mmap", module)
+        a = ch._mapped_zeros((3, 2, 5), complex)
+        populate = getattr(mmap, "MAP_POPULATE", 0)
+        assert seen.flags == [mmap.MAP_PRIVATE, mmap.MAP_PRIVATE | populate]
+        assert seen.advice == [module.MADV_HUGEPAGE]
+        assert a.shape == (3, 2, 5) and a.dtype == complex and not a.any()
+        a[...] = 1 + 2j
+        assert (a == 1 + 2j).all()
+
+    def test_fallback_march_is_bitwise_equal(self, monkeypatch):
+        case = next(c for name, c in _march_cases() if name == "bench")
+        advised = ch.integrate_characteristics(*case)
+        monkeypatch.setattr(ch, "mmap", _standin_mmap(refuse=True)[0])
+        fallback = ch.integrate_characteristics(*case)
+        assert fallback.z.tobytes() == advised.z.tobytes()
+        assert fallback.g.tobytes() == advised.g.tobytes()
+        assert np.array_equal(fallback.trunc_index, advised.trunc_index)
 
 
 class TestModelRecordsThroughEngine:
