@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,10 +39,18 @@ MAX_DEGREE = 8
 BLOWUP_CUTOFF = 1e12
 
 
+def _is_float(v, x: float) -> bool:
+    """v is the float x: a moving coefficient (a 0-d array) is never constant."""
+    return isinstance(v, float) and v == x
+
+
+_is_zero = partial(_is_float, x=0.0)
+
+
 def _trim(c) -> tuple:
-    """Coefficients lowest degree first, trailing zeros dropped."""
+    """Coefficients lowest degree first, trailing float zeros dropped."""
     c = list(c)
-    while c and c[-1] == 0.0:
+    while c and _is_zero(c[-1]):
         c.pop()
     return tuple(c)
 
@@ -135,11 +143,9 @@ def _moment_sum(c, mu, d):
             for p in range(k - d)]
 
 
-@lru_cache(maxsize=16)
-def _products(pairs: tuple) -> tuple:
+def _products(pairs) -> tuple:
     """(f, h) = (c_i b_j, b_i c_j) for every ordered couple of noise pairs
-    (b_i, c_i), (b_j, c_j), i major, as trimmed coefficient tuples; formed
-    once per noise, which a march with moving moments folds every step."""
+    (b_i, c_i), (b_j, c_j), i major, as trimmed coefficient tuples."""
     return tuple((_trim(_pmul(ci.coeffs, bj.coeffs)), _trim(_pmul(bi.coeffs, cj.coeffs)))
                  for bi, ci in pairs for bj, cj in pairs)
 
@@ -160,10 +166,6 @@ def _fold(a: Polynomial, pairs, mu) -> tuple:
     return tuple(_padd(*terms) for terms in (P0, P1, Q0, Q1, Q2))
 
 
-def _is_zero(v) -> bool:
-    return isinstance(v, float) and v == 0.0
-
-
 def _negate(x, out):
     """The call np.negative(x, out), bound: on the real views where x and
     out are contiguous complex arrays of one shape, which flips the same
@@ -177,25 +179,25 @@ def _negate(x, out):
 def _horner_ops(c):
     """sum_k c_k z^k for coefficients lowest first, as a binder
     ``bind(z, g, out, tmp)`` that returns the in-place ufunc calls, bound to
-    those arrays, that fill ``out`` by Horner's rule: zero terms skipped and
-    a unit leading factor taken as a copy or a negation of z.  The float
-    itself when c is constant."""
+    those arrays, that fill ``out`` by Horner's rule: float zero terms skipped
+    and a float unit leading factor taken as a copy or a negation of z.  The
+    coefficient itself (a float or a 0-d array) when c is constant in z."""
     if len(c) < 2:
         return c[0] if c else 0.0
     top, terms, c0 = c[-1], c[-2:0:-1], c[0]
 
     def bind(z, g, out, tmp):
-        if top == 1.0:
+        if _is_float(top, 1.0):
             ops = [partial(np.copyto, out, z)]
-        elif top == -1.0:
+        elif _is_float(top, -1.0):
             ops = [_negate(z, out)]
         else:
             ops = [partial(np.multiply, top, z, out)]
         for ck in terms:
-            if ck:
+            if not _is_zero(ck):
                 ops.append(partial(np.add, out, ck, out))
             ops.append(partial(np.multiply, out, z, out))
-        if c0:
+        if not _is_zero(c0):
             ops.append(partial(np.add, out, c0, out))
         return ops
     return bind
@@ -203,44 +205,44 @@ def _horner_ops(c):
 
 def _mul_add_ops(c, y):
     """c g + y as a binder ``bind(z, g, out, tmp)`` of in-place calls, for c
-    and y each a float (a constant) or a binder: a zero term is skipped and
-    a unit factor taken as a copy or a negation of g; a float when c is zero
-    and y a float.
+    and y each a constant (a float or a 0-d array) or a binder: a float zero
+    term is skipped and a float unit factor taken as a copy or a negation of
+    g; y itself when c is a float zero.
 
     ``c`` is written into ``out`` and may use ``tmp``; ``y`` is written into
     ``tmp`` after it, so it must need no scratch of its own.
     """
     if _is_zero(c):
         return y
-    if isinstance(c, float) and c == -1.0 and not _is_zero(y):
+    if _is_float(c, -1.0) and not _is_zero(y):
         def bind(z, g, out, tmp):  # y - g
-            if isinstance(y, float):
+            if not callable(y):
                 return [partial(np.subtract, y, g, out)]
             return y(z, g, out, tmp) + [partial(np.subtract, out, g, out)]
         return bind
 
     def bind(z, g, out, tmp):
-        if not isinstance(c, float):
+        if callable(c):
             ops = c(z, g, out, tmp) + [partial(np.multiply, out, g, out)]
-        elif c == 1.0:
+        elif _is_float(c, 1.0):
             ops = [partial(np.copyto, out, g)]
-        elif c == -1.0:
+        elif _is_float(c, -1.0):
             ops = [_negate(g, out)]
         else:
             ops = [partial(np.multiply, c, g, out)]
-        if not isinstance(y, float):
+        if callable(y):
             ops += y(z, g, tmp, None) + [partial(np.add, out, tmp, out)]
-        elif y:
+        elif not _is_zero(y):
             ops.append(partial(np.add, out, y, out))
         return ops
     return bind
 
 
 def _as_ops(v):
-    """A binder of v, which is a binder already or a float to fill with."""
-    if isinstance(v, float):
-        return lambda z, g, out, tmp: [partial(out.fill, v)]
-    return v
+    """A binder of v, which is a binder already or a constant to fill with."""
+    if callable(v):
+        return v
+    return lambda z, g, out, tmp: [partial(out.fill, v)]
 
 
 def _run(ops) -> None:
@@ -281,17 +283,14 @@ class PdeRightHandSide:
     need = max(0, deg a - 2, max deg f_ij - 1).  S2_h reads up to
     deg h_ij - 2, which never binds: polynomials in X commute, so
     h_ij = f_ji.
-    They are folded and compiled into a slope once per distinct moment
-    vector (once per march when the moments are constant), which binds
-    their in-place Horner evaluation to the arrays at hand: ``characteristic``
-    binds and runs it once per call, the march once per stage buffer.
+    ``fold`` forms them at many times at once; ``characteristic`` compiles its
+    one fold into in-place Horner calls, and the march one per stage time.
     """
 
     drift: Polynomial
     pairs: tuple  # the noise: (b, c) pairs of polynomials in x
     moments: MomentFunction
     need: int = field(init=False, repr=False, compare=False)
-    _slopes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "need", max([0, self.drift.degree - 2] + [
@@ -301,16 +300,14 @@ class PdeRightHandSide:
         P, Q = self.characteristic(t, z, g)
         return Q - P * dg
 
-    def slope(self, t: float):
-        """The compiled slope at time t (see ``_compile_slope``), compiled
-        again only when the moments change."""
-        mu = tuple(self.moments(j, t) for j in range(self.need + 1))
-        slope = self._slopes.get(mu)
-        if slope is None:
-            self._slopes.clear()
-            slope = self._slopes[mu] = _compile_slope(
-                _fold(self.drift, self.pairs, mu))
-        return slope
+    def fold(self, times) -> tuple:
+        """(P0, P1, Q0, Q1, Q2) (see ``_fold``) at every entry of ``times``: a
+        coefficient that reads a moment of order >= 1 is an array of times'
+        shape (a numpy float for a scalar time), every other one a float."""
+        times = np.asarray(times, dtype=float)
+        mu = [1.0] + [np.reshape([self.moments(j, t) for t in times.flat], times.shape)
+                      for j in range(1, self.need + 1)]
+        return _fold(self.drift, self.pairs, mu)
 
     def characteristic(self, t: float, z, g):
         """(P, Q): dz/dt = P and dg/dt = Q along a characteristic curve.
@@ -322,7 +319,7 @@ class PdeRightHandSide:
         shape = np.broadcast_shapes(z.shape, g.shape)
         out = np.empty((2,) + shape, dtype=np.result_type(z, g, 1.0))
         P, Q = out[0, ...], out[1, ...]
-        _run(self.slope(t)(z, g, P, Q, np.empty(shape, out.dtype)))
+        _run(_compile_slope(self.fold(t))(z, g, P, Q, np.empty(shape, out.dtype)))
         return P, Q
 
 
@@ -356,6 +353,7 @@ class CharacteristicSurface:
 
 
 MAX_SURFACE_BYTES = 2**30  # largest characteristic surface, (n_t, 2, n_s) complex
+BLOCK_STEPS = 64  # steps folded at once: a march reads no moment past the block it stops in
 MADV_POPULATE_WRITE = getattr(mmap, "MADV_POPULATE_WRITE", 23)  # Linux >= 5.14
 
 
@@ -399,8 +397,8 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, labels, t_end: float,
     whose z and g are views; a surface over ``MAX_SURFACE_BYTES`` is refused
     before anything is allocated.  The in-place calls of one RK4 step (each
     stage's slope, each stage argument and the RK4 combination, one
-    operation on the whole state each) are bound to their buffers once and
-    bound again only when the right-hand side's slope changes.  A curve whose
+    operation on the whole state each) are bound to their buffers once, each
+    moving coefficient a 0-d view of a row that the step copies in.  A curve whose
     |z| or |g| passes ``BLOWUP_CUTOFF``, or that turns non-finite, is
     truncated and marked: after each step one reduction tests that both
     parts of every entry stay under half the cutoff, the exact modulus test
@@ -449,22 +447,24 @@ def integrate_characteristics(rhs: PdeRightHandSide, init, labels, t_end: float,
                          partial(np.add, acc, k4, acc), partial(np.multiply, acc, h / 6, acc),
                          partial(np.add, y, acc, y)]))
 
-    def bind(slopes):
-        """The calls of one RK4 step, each stage's slope bound to its buffers."""
-        return [op for slope, (x, k, then) in zip(slopes, stages)
-                for op in slope(x[0], x[1], k[0], k[1], tmp) + then]
+    def block(n):
+        """The fold at the stage times of the block from step n, and its moving coefficients."""
+        fold = rhs.fold(t_grid[n:min(n + BLOCK_STEPS, n_steps), None] + (0.0, h / 2, h))
+        return fold, [c for p in fold for c in p if isinstance(c, np.ndarray)]
 
-    fixed = rhs.slope(0.0) if rhs.need < 1 else None  # the fold needs mu_0 alone
-    slopes = [fixed] * 4
-    step = bind(slopes) if fixed else None
+    fold, moving = block(0)
+    rows = np.empty((3, len(moving)))  # the moving coefficients at t, t + h/2 and t + h
+    views = iter([row[k, ...] for row in rows for k in range(row.size)])  # slope i reads row i
+    slopes = [_compile_slope(tuple(tuple(next(views) if isinstance(c, np.ndarray) else c
+                                         for c in p) for p in fold)) for _ in rows]
+    step = [op for slope, (x, k, then) in zip(slopes[:2] + slopes[1:], stages)  # t + h/2 twice
+            for op in slope(x[0], x[1], k[0], k[1], tmp) + then]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(n_steps):
-            if not fixed:
-                t = t_grid[n]
-                start, mid = rhs.slope(t), rhs.slope(t + h / 2)
-                now = [start, mid, mid, rhs.slope(t + h)]
-                if now != slopes:  # compiled slopes compare by identity
-                    slopes, step = now, bind(now)
+            if moving:  # a fold of mu_0 alone copies no rows
+                if n % BLOCK_STEPS == 0:
+                    table = np.stack(block(n)[1] if n else moving, axis=-1)
+                rows[...] = table[n % BLOCK_STEPS]
             _run(step)
             Y[n + 1] = y
             # each part under cutoff/2 puts |.| under cutoff/sqrt(2); the

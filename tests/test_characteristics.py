@@ -362,8 +362,40 @@ class TestFoldedCharacteristic:
         assert rhs.need == 0
         P0, P1, Q0, Q1, Q2 = ch._fold(rhs.drift, rhs.pairs, (1.0,))
         assert (P0, P1, Q0, Q1, Q2) == ((0.0, -1.0), (-1.0,), (), (1.0,), ())
-        # a fold of mu_0 alone is compiled once, whatever the time
-        assert rhs.slope(0.3) is rhs.slope(0.0)
+        # a fold of mu_0 alone has no moving coefficient, so its march
+        # copies no rows: floats alone, the same at every time
+        folded = rhs.fold(np.array([0.0, 0.3]))
+        assert folded == (P0, P1, Q0, Q1, Q2)
+        assert all(type(c) is float for p in folded for c in p)
+
+    @given(st.lists(coefficient, max_size=5), st.lists(coefficient, max_size=5),
+           st.lists(st.floats(-2, 2), min_size=3, max_size=3),
+           st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    @example([0.0, -1.0], [1.0], [0.5, -1.0, 1.5], [0.5])        # ou: mu_0 alone
+    @example([], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.5])        # mu_j(0) = 0
+    @example([0.0, 0.0, 0.0, 1.0], [0.0, 1.0], [1.0, 1.0, 1.0], [0.5, 0.25])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_fold_over_times_is_the_fold_at_each(self, a, bc, atoms, ts):
+        atoms = np.asarray(atoms)
+
+        def mu(j, t):
+            return float(np.mean((atoms * (1.0 + t) + t) ** j))
+
+        m = ch.MomentFunction(mu, jmax=4)
+        rhs = ch.build_pde(ch.Polynomial(a), ch.Polynomial(bc), m)
+        times = np.array([0.0] + ts + ts[:1])  # t = 0 and a repeated time
+        folded = rhs.fold(times)
+        moving = [c for p in folded for c in p if isinstance(c, np.ndarray)]
+        assert all(type(c) is float for p in folded for c in p
+                   if not isinstance(c, np.ndarray))
+        assert bool(moving) == (rhs.need > 0)
+        assert all(c.shape == times.shape for c in moving)
+        for i, t in enumerate(times):
+            # entry i, with the zeros a fold at one time trims trimmed
+            at = tuple(ch._trim(float(c[i]) if isinstance(c, np.ndarray) else c for c in p)
+                       for p in folded)
+            single = tuple(m(j, t) for j in range(rhs.need + 1))
+            assert repr(at) == repr(ch._fold(rhs.drift, rhs.pairs, single))
 
     def test_constant_slope_is_an_array(self):
         # a = 0.7, bc = 0: P = 0.7 and Q = 0 are constants, returned as arrays
@@ -483,10 +515,10 @@ def _reference_march(rhs, init, labels, t_end, dt):
     return Z.T, G.T, trunc_index, truncated
 
 
-def _record_case(spec, t_end):
+def _record_case(spec, t_end, n_labels=25):
     return (ch.build_pde(*spec.polynomials(), spec.moment_function()),
             lambda s: (s + 2.0j, 1.0 / (spec.x0 - (s + 2.0j))),
-            np.linspace(-2.0, 4.0, 25), t_end, 1e-3)
+            np.linspace(-2.0, 4.0, n_labels), t_end, 1e-3)
 
 
 def _signed_start(z, g):
@@ -509,6 +541,11 @@ def _march_cases():
     yield "gbm1", _record_case(md.GeometricBrownian1(0.5), 1.0)
     yield "explosive", _record_case(md.Explosive(1.0, 1.0), 0.5)
     yield "gbm2", _record_case(md.GeometricBrownian2(0.5), 1.0)
+    # every curve truncates at steps 65-67, in the second block of steps,
+    # long before gbm2's moments overflow a double (the second at t ~ 0.89,
+    # the mean at t ~ 1.77): a march that read the moments of later steps
+    # would raise OverflowError
+    yield "gbm2-early-stop", _record_case(md.GeometricBrownian2(400.0), 3.0, 5)
     yield "31-curve", (square, lambda s: (-s + 0j, np.ones_like(s) + 0j),
                        np.linspace(0.5, 3.5, 31), 1.0, 1e-2)
     yield "constant-P", (ch.build_pde(ch.Polynomial([0.7]), ch.Polynomial([]),
