@@ -143,11 +143,15 @@ def _moment_sum(c, mu, d):
             for p in range(k - d)]
 
 
-def _products(pairs) -> tuple:
+def _products(pairs) -> list:
     """(f, h) = (c_i b_j, b_i c_j) for every ordered couple of noise pairs
-    (b_i, c_i), (b_j, c_j), i major, as trimmed coefficient tuples."""
-    return tuple((_trim(_pmul(ci.coeffs, bj.coeffs)), _trim(_pmul(bi.coeffs, cj.coeffs)))
-                 for bi, ci in pairs for bj, cj in pairs)
+    (b_i, c_i), (b_j, c_j), i major, as trimmed coefficient tuples.  A couple
+    with f or h zero is dropped: each of its terms in ``_fold`` has a factor
+    f or S1_f and a factor h, h' or S2_h, so it adds nothing, and no moment
+    is read for it."""
+    products = ((_trim(_pmul(ci.coeffs, bj.coeffs)), _trim(_pmul(bi.coeffs, cj.coeffs)))
+                for bi, ci in pairs for bj, cj in pairs)
+    return [(f, h) for f, h in products if f and h]
 
 
 def _fold(a: Polynomial, pairs, mu) -> tuple:

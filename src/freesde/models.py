@@ -65,14 +65,14 @@ class ModelSpec:
     (b, c) pairs of polynomials, for sum_i b_i(X) dW c_i(X).
 
     The Monte Carlo march carries a state s for each matrix x:
-    ``march_state(x)`` gives it and ``state_matrix(s)`` gives x back.  It is
-    x itself, except for gbm1, whose state is a factor F with x = F F^T.
-    ``euler_increment(s, dt, dw, out, scratch)`` writes the state of
-    x + a(x) dt + b(x) dw c(x) for one state or an (..., N, N) stack into
-    ``out`` (which may be s itself), with ``scratch`` (shape (2,) + s.shape)
-    for temporaries, and returns gbm1's square-root clamp per matrix (else
-    None); a symmetric state comes out exactly symmetric.
-    ``rmt._evolve_path`` calls it in place.  ``euler_segment(dt, k)`` gives
+    ``march_state(x)`` gives it and ``state_matrix(s, out=None)`` gives x
+    back.  It is x itself, except for gbm1, whose state is a factor F with
+    x = F F^T, a product written into ``out`` where given.
+    ``euler_increment(s, dt, dw, tmp)`` steps s in place to the state of
+    x + a(x) dt + b(x) dw c(x), for one state or an (..., N, N) stack.  It
+    may overwrite the increment ``dw``, uses one temporary ``tmp`` of s's
+    shape, and returns gbm1's square-root clamp per matrix (else None); a
+    symmetric state comes out exactly symmetric.  ``euler_segment(dt, k)`` gives
     the Euler steps that one increment draw covers, out of the k left
     before the next snapshot, with the drift time and the noise time that
     ``euler_increment`` and the draw take for them.
@@ -87,7 +87,7 @@ class ModelSpec:
     def march_state(self, x):
         return x
 
-    def state_matrix(self, s):
+    def state_matrix(self, s, out=None):
         return s
 
     def moment_function(self) -> MomentFunction:
@@ -149,9 +149,9 @@ class OrnsteinUhlenbeck(ModelSpec):
     def polynomials(self):
         return Polynomial([0.0, self.theta]), ((Polynomial([self.sigma]), ONE),)
 
-    def euler_increment(self, x, dt, dw, out, scratch):
-        np.multiply(x, 1.0 + self.theta * dt, out=out)
-        out += np.multiply(dw, self.sigma, out=scratch[0])
+    def euler_increment(self, x, dt, dw, tmp):
+        x *= 1.0 + self.theta * dt
+        x += np.multiply(dw, self.sigma, out=dw)
 
     def euler_segment(self, dt, k):
         """All k steps in one draw, by the law of the Euler chain
@@ -211,15 +211,14 @@ class GeometricBrownian1(ModelSpec):
     def march_state(self, x):
         return psd_factor(x)[0]
 
-    def state_matrix(self, s):
-        return s @ s.swapaxes(-1, -2)
+    def state_matrix(self, s, out=None):
+        return np.matmul(s, s.swapaxes(-1, -2), out=out)
 
-    def euler_increment(self, f, dt, dw, out, scratch):
-        a, fc = scratch
-        np.copyto(a, dw)
-        np.einsum("...ii->...i", a)[...] += 1.0 + self.theta * dt
-        c, clamp = psd_factor(a)
-        np.copyto(out, np.matmul(f, c, out=fc))
+    def euler_increment(self, f, dt, dw, tmp):
+        # A = (1 + theta dt) I + dw, formed in dw itself
+        np.einsum("...ii->...i", dw)[...] += 1.0 + self.theta * dt
+        c, clamp = psd_factor(dw)
+        np.copyto(f, np.matmul(f, c, out=tmp))
         return clamp
 
 
@@ -236,6 +235,11 @@ class GeometricBrownian2(ModelSpec):
     def moments(self, t):
         return gbm2_moments(self.theta, t)
 
+    def moment_function(self):
+        """The mean e^(theta t) alone, the one moment the noise products
+        read: the second moment, never evaluated, overflows a double first."""
+        return MomentFunction(lambda j, t: math.exp(self.theta * t), jmax=1)
+
     def support(self, t):
         raise InvalidConfig(
             "support of the second geometric-Brownian variant is not known in closed form")
@@ -243,14 +247,14 @@ class GeometricBrownian2(ModelSpec):
     def polynomials(self):
         return Polynomial([0.0, self.theta]), ((X, ONE), (ONE, X))
 
-    def euler_increment(self, x, dt, dw, out, scratch):
-        # x and dw are exactly symmetric, so dw x = (x dw)^T: one product,
-        # and t + t^T is exactly symmetric, so the step is too
-        m, t = scratch
-        np.matmul(x, dw, out=t)
-        np.add(t, t.swapaxes(-1, -2), out=m)
-        np.multiply(x, 1.0 + self.theta * dt, out=out)
-        out += m
+    def euler_increment(self, x, dt, dw, tmp):
+        # x and dw are exactly symmetric, so dw x = (x dw)^T: one product
+        # t = x dw, in tmp, and t + t^T, in dw, is exactly symmetric, so the
+        # step is too
+        np.matmul(x, dw, out=tmp)
+        np.add(tmp, tmp.swapaxes(-1, -2), out=dw)
+        x *= 1.0 + self.theta * dt
+        x += dw
 
 
 @dataclass(frozen=True)
@@ -291,14 +295,14 @@ class Explosive(ModelSpec):
     def polynomials(self):
         return Polynomial([]), ((Polynomial([0.0, 0.0, self.k]), ONE),)
 
-    def euler_increment(self, x, dt, dw, out, scratch):
-        # rounding leaves t = x dw x just off symmetric; t + t^T is exactly so
-        m, t = scratch
-        np.matmul(x, dw, out=m)
-        np.matmul(m, x, out=t)
-        np.add(t, t.swapaxes(-1, -2), out=m)
-        m *= 0.5 * self.k
-        np.add(x, m, out=out)
+    def euler_increment(self, x, dt, dw, tmp):
+        # rounding leaves t = x dw x, in dw, just off symmetric; t + t^T is
+        # exactly so
+        np.matmul(x, dw, out=tmp)
+        np.matmul(tmp, x, out=dw)
+        np.add(dw, dw.swapaxes(-1, -2), out=tmp)
+        tmp *= 0.5 * self.k
+        x += tmp
 
 
 def _margin_grid(sup: SupportInterval, core: np.ndarray, t: float) -> np.ndarray:

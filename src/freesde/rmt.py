@@ -48,7 +48,7 @@ from .errors import (
 if TYPE_CHECKING:
     from .models import ModelSpec
 
-MAX_N = 4096  # largest matrix dimension: one path's buffers stay under ~0.6 GB
+MAX_N = 4096  # largest matrix dimension: a path block peaks at 4 N^2 doubles at most, ~0.54 GB
 MAX_PATHS = 10**4  # most paths per ensemble: the list of path blocks stays bounded
 MAX_THREADS = 64  # largest FREESDE_THREADS: the path pool's OS threads stay few
 MAX_STEPS = 10**6  # most Euler steps per path, t_end/dt
@@ -160,17 +160,16 @@ def path_rng(seed: int, path_index: int) -> np.random.Generator:
 
 
 @functools.cache
-def _wigner_maps(N: int) -> tuple[np.ndarray, np.ndarray]:
+def _gather_map(N: int) -> np.ndarray:
     """Gather map (N, N) from packed upper-triangle values, in the order of
-    np.triu_indices(N), and the diagonal.  Entries (i, j) and (j, i) read the
-    same packed value, so each gathered matrix is exactly symmetric."""
+    np.triu_indices(N).  Entries (i, j) and (j, i) read the same packed
+    value, so each gathered matrix is exactly symmetric.  The map stays
+    writeable: np.take copies a read-only index array on every call."""
     iu = np.triu_indices(N)
     gather = np.empty((N, N), dtype=np.intp)
     gather[iu] = np.arange(iu[0].size)
     gather.T[iu] = gather[iu]
-    diagonal = np.diagonal(gather).copy()
-    gather.flags.writeable = diagonal.flags.writeable = False
-    return gather, diagonal
+    return gather
 
 
 def sample_wigner_increment(N: int, dts: Sequence[float], rngs, out=None) -> np.ndarray:
@@ -179,16 +178,16 @@ def sample_wigner_increment(N: int, dts: Sequence[float], rngs, out=None) -> np.
     given): its N(N+1)/2 independent entries have variance dt/N above the
     diagonal and 2 dt/N on it.  Each stream draws its S increments in one
     call, in the order it would draw them one at a time; one gather forms
-    every matrix."""
+    every matrix, and its diagonal is then scaled by sqrt(2) in place."""
     if min(dts) < 0:
         raise ValueError("dt must be nonnegative")
-    gather, diagonal = _wigner_maps(N)
     packed = np.empty((len(rngs), len(dts), N * (N + 1) // 2))
     for block, stream in zip(packed, rngs):
         stream.standard_normal(out=block)
     packed *= np.array([math.sqrt(d / N) for d in dts])[:, None]
-    packed[..., diagonal] *= math.sqrt(2.0)
-    return np.take(packed, gather, axis=-1, mode="clip", out=out)
+    out = np.take(packed, _gather_map(N), axis=-1, mode="clip", out=out)
+    np.einsum("...ii->...i", out)[...] *= math.sqrt(2.0)
+    return out
 
 
 def sym_sqrt_clamped(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -317,9 +316,14 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     as one (Q, N, N) stack in place, by the model's ``euler_increment``, one
     segment (``_segments``) per increment, up to the last snapshot.  The
     increments are drawn up to S segments per call into one reused
-    (Q, S, N, N) buffer, S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1).
-    Path p draws from its own stream in the same order as it would alone,
-    so its values are independent of the blocking and the chunking.  A
+    (Q, S, N, N) buffer, S Q N(N+1)/2 at most ``_STACK_DOUBLES`` (S >= 1);
+    a step may overwrite its increment, which no later step reads.  The
+    step and gbm1's snapshot product share one (Q, N, N) temporary, so the
+    block holds its state, its increments, that temporary and one chunk of
+    packed draws: about 3.5 N^2 doubles at S = 1, and 4 for gbm1, whose
+    Cholesky factor is a new array each step.  Path p draws from its own
+    stream in the same order as it would alone, so its values are
+    independent of the blocking and the chunking.  A
     state that overflows or turns NaN raises NonFinite at once (the error
     state is set here because it is local to each pool thread).
     """
@@ -327,10 +331,10 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     Q, N = len(paths), cfg.N
     S = max(1, _STACK_DOUBLES // (Q * N * (N + 1) // 2))
     clamp = np.zeros(Q)
-    x = np.empty((Q, N, N))
-    x[...] = model.x0 * np.eye(N)
+    x = np.zeros((Q, N, N))
+    np.einsum("...ii->...i", x)[...] = model.x0
     x = model.march_state(x)
-    dw, scratch = np.empty((Q, S, N, N)), np.empty((2,) + x.shape)
+    dw, tmp = np.empty((Q, S, N, N)), np.empty_like(x)
     stops = set(snap_steps)
     segments = _segments(model, cfg.dt, sorted(stops))
     out: dict[int, np.ndarray] = {}
@@ -338,16 +342,16 @@ def _evolve_path(model: ModelSpec, cfg: SimConfig, paths: range,
     with np.errstate(over="raise", invalid="raise"):
         try:
             if 0 in stops:
-                out[0] = _snapshot_eigvals(model.state_matrix(x))
+                out[0] = _snapshot_eigvals(model.state_matrix(x, tmp))
             while chunk := list(itertools.islice(segments, S)):
                 sample_wigner_increment(N, [noise for *_, noise in chunk], rngs,
                                         out=dw[:, :len(chunk)])
                 for s, (j, drift, _) in enumerate(chunk):
-                    c = model.euler_increment(x, drift, dw[:, s], x, scratch)
+                    c = model.euler_increment(x, drift, dw[:, s], tmp)
                     if c is not None:
                         clamp += c
                     if j in stops:
-                        out[j] = _snapshot_eigvals(model.state_matrix(x))
+                        out[j] = _snapshot_eigvals(model.state_matrix(x, tmp))
         except FloatingPointError as exc:
             raise NonFinite(
                 f"Monte Carlo state not finite at step {j}: {exc}") from exc

@@ -222,6 +222,23 @@ class TestBuildPde:
         # up to deg f_ij - 1 (gbm2's c_2 b_1 = x^2 reads the mean)
         assert ch.PdeRightHandSide(a, pairs, ch.MomentFunction.none()).need == need
 
+    def test_couples_with_a_zero_product_read_no_moment(self):
+        # pairs (0, x^2) and (1, 0): the couple (1, 2) has f = x^2 but h = 0,
+        # so it adds nothing to the fold and must not ask for the mean
+        zero, a = ch.Polynomial([]), ch.Polynomial([0.0, -0.5])
+        pairs = ((zero, ch.Polynomial([0.0, 0.0, 1.0])), (ch.ONE, zero))
+        rhs = ch.build_pde(a, pairs, ch.MomentFunction.none())
+        assert rhs.need == 0
+        assert ch._fold(a, pairs, [1.0]) == ch._fold(a, (), [1.0])
+
+        def march(rhs):
+            surf = ch.integrate_characteristics(
+                rhs, lambda s: (s + 1.0j, 1.0 / (s + 1.0j)), np.linspace(-1, 1, 5),
+                t_end=0.5, dt=1e-2)
+            return surf.z.tobytes() + surf.g.tobytes()
+
+        assert march(rhs) == march(ch.build_pde(a, zero, ch.MomentFunction.none()))
+
     def test_cubic_drift_marches_on_the_mean_alone(self):
         # a = -(x + x^3)/2, bc = 1: the fold reads mu_0 and mu_1 only, so the
         # march with mu_1 alone is bit for bit the march with any mu_2
@@ -542,9 +559,9 @@ def _march_cases():
     yield "explosive", _record_case(md.Explosive(1.0, 1.0), 0.5)
     yield "gbm2", _record_case(md.GeometricBrownian2(0.5), 1.0)
     # every curve truncates at steps 65-67, in the second block of steps,
-    # long before gbm2's moments overflow a double (the second at t ~ 0.89,
-    # the mean at t ~ 1.77): a march that read the moments of later steps
-    # would raise OverflowError
+    # long before gbm2's mean, the one moment its fold reads, overflows a
+    # double at t ~ 1.77: a march that read the mean of later steps would
+    # raise OverflowError
     yield "gbm2-early-stop", _record_case(md.GeometricBrownian2(400.0), 3.0, 5)
     yield "31-curve", (square, lambda s: (-s + 0j, np.ones_like(s) + 0j),
                        np.linspace(0.5, 3.5, 31), 1.0, 1e-2)
@@ -831,6 +848,22 @@ class TestSurfaceMapping:
 class TestModelRecordsThroughEngine:
     """Each model's record polynomials and moments, run through the engine,
     reproduce its closed-form transform on the characteristic curves."""
+
+    def test_gbm2_fold_reads_the_mean_alone(self):
+        # at theta = 400 the second moment overflows a double at t ~ 0.89
+        # and the mean only at t ~ 1.77: a fold at t = 1 reads the mean
+        spec = md.GeometricBrownian2(400.0)
+        fold = ch.build_pde(*spec.polynomials(), spec.moment_function()).fold(np.array([1.0]))
+        assert all(np.isfinite(c).all() for p in fold for c in p)
+
+    def test_early_stop_reads_no_moment_past_its_block(self, monkeypatch):
+        # the gbm2-early-stop case stops in its second block of steps; one
+        # block over the whole march folds the mean at t = 3, which overflows
+        case = next(c for name, c in _march_cases() if name == "gbm2-early-stop")
+        ch.integrate_characteristics(*case)
+        monkeypatch.setattr(ch, "BLOCK_STEPS", 4000)
+        with pytest.raises(OverflowError):
+            ch.integrate_characteristics(*case)
 
     @pytest.mark.parametrize("spec, t_end", [
         (md.OrnsteinUhlenbeck(-1.0, 1.0), 1.0),

@@ -1,6 +1,7 @@
 """Monte Carlo oracle checks: increments, steps, ensembles, distances."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,9 +31,10 @@ def draw(N, dt, rng):
 
 def advance(x, spec, dt, dw, clamp=None):
     """The model's explicit step of the march state x (one matrix or a
-    stack) into a new array; gbm1's square-root clamp is added into ``clamp``."""
-    out = np.empty_like(x)
-    c = spec.euler_increment(x, dt, dw, out, np.empty((2,) + x.shape))
+    stack) as a new array: the step runs in place on copies of x and dw,
+    so neither is changed.  gbm1's square-root clamp is added into ``clamp``."""
+    out = x.copy()
+    c = spec.euler_increment(out, dt, dw.copy(), np.empty_like(x))
     if clamp is not None and c is not None:
         clamp += c
     return out
@@ -289,6 +291,29 @@ class TestPathStack:
         for p in range(3):
             assert np.array_equal(m[p], advance(f[p], spec, 1e-2, dw[p]))
         assert np.min(np.linalg.eigvalsh(spec.state_matrix(m))) > -1e-12
+
+
+class TestBlockFootprint:
+    """A path block holds its state, its increments, one temporary and one
+    chunk of packed draws (3.5 N^2 doubles at one segment a chunk), plus
+    gbm1's Cholesky factor: a copy of the state or a second temporary in the
+    step, or a copy of the gather map in the draw, would add N^2 more."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["ou", "gbm1", "gbm2", "explosive"])
+    def test_traced_peak(self, spec):
+        # one path at N = 256 draws one segment a chunk (N(N+1)/2 > 2^15)
+        N = 256
+        cfg = rmt.SimConfig(N=N, dt=1e-2, t_end=0.02, n_paths=1, seed=5)
+        steps = rmt._snapshot_steps(cfg, [0.0, 0.01, 0.02])
+        rmt._evolve_path(spec, cfg, range(1), steps)  # imports and the gather map
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rmt._evolve_path(spec, cfg, range(1), steps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * N * N * 8
 
 
 class TestGbm1Factor:
