@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,10 +224,29 @@ def psd_factor(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | float]:
     return np.stack([f for f, _ in pairs]), np.array([c for _, c in pairs])
 
 
+def _quartile(s: np.ndarray, q: float) -> float:
+    """``np.percentile(s, 100 q)`` of sorted samples s by numpy's "linear"
+    rule, written out: the virtual index (n - 1) q and ``_lerp``'s two
+    branches, so the bits are numpy's."""
+    v = (s.size - 1) * q
+    i = math.floor(v)
+    a, b, g = float(s[i]), float(s[min(i + 1, s.size - 1)]), v - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
+def _fd_bin_count(s: np.ndarray, span: float) -> int:
+    """The bin count of ``np.histogram(s, bins="fd")`` for sorted samples s
+    of finite span: bins of width 2 IQR n^(-1/3), one bin if that is 0."""
+    width = 2.0 * (_quartile(s, 0.75) - _quartile(s, 0.25)) * s.size ** (-1.0 / 3.0)
+    return math.ceil(span / width) if width else 1
+
+
 @dataclass
 class EigenHistogram:
     """Pooled eigenvalue samples at one time, binned by numpy's
-    Freedman-Diaconis rule (``np.histogram(..., bins="fd")``)."""
+    Freedman-Diaconis rule: the edges and counts of
+    ``np.histogram(..., bins="fd")``, with the quartiles read off the
+    sorted samples (``_fd_bin_count``)."""
 
     time: float
     samples: np.ndarray  # sorted
@@ -240,11 +258,12 @@ class EigenHistogram:
         samples = np.sort(np.asarray(samples, dtype=float).ravel())
         if samples.size == 0:
             raise EmptyHistogram("no eigenvalue samples")
-        if not math.isfinite(float(samples[-1]) - float(samples[0])):  # NaN sorts last
+        span = float(samples[-1]) - float(samples[0])
+        if not math.isfinite(span):  # NaN sorts last
             raise NonFinite("eigenvalue samples are not finite or their range overflows")
         try:
-            counts, edges = np.histogram(samples, bins="fd")
-        except ValueError as exc:  # one repeated value too large to widen by 0.5
+            counts, edges = np.histogram(samples, bins=_fd_bin_count(samples, span))
+        except ValueError as exc:  # a repeated value too large to widen by 0.5, or no bin
             raise NonFinite(f"no histogram bins for the samples: {exc}") from exc
         return cls(time=time, samples=samples, bin_edges=edges, counts=counts)
 
@@ -378,6 +397,9 @@ def run_paths(model: ModelSpec, cfg: SimConfig, snapshot_times: Sequence[float]
     blocks = _path_blocks(cfg.n_paths, workers, cfg.N)
     with _single_threaded_blas():
         if workers > 1:
+            # imported here: it loads logging, which a serial run never needs
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as ex:
                 results = list(ex.map(
                     lambda b: _evolve_path(model, cfg, b, snap_steps), blocks))

@@ -1,5 +1,6 @@
 """End-to-end command checks: files, formats, determinism, exit codes."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -389,7 +390,7 @@ class TestExitCodes:
         def no_pool(*args, **kwargs):
             raise AssertionError("a path pool was built")
 
-        monkeypatch.setattr(rmt, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
         monkeypatch.setenv("FREESDE_THREADS", "100000")
         cfg = rmt.SimConfig(N=4, dt=1e-2, t_end=0.1, n_paths=rmt.MAX_PATHS)
         with pytest.raises(InvalidConfig, match="FREESDE_THREADS"):
@@ -982,6 +983,48 @@ class TestRuntimeDependencies:
         proc = run_fresh(code, cfgfile, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0] []"
+
+    LOADS = ("numpy.ma", "logging", "concurrent.futures")
+
+    def _compare_every_model(self, tmp_path, threads, monkeypatch):
+        """Exit codes, the LOADS modules loaded and the hist CSVs of a small
+        compare of every model in one fresh interpreter; pytest itself loads
+        logging, so only a fresh interpreter can tell."""
+        models = {"ou": {"theta": -1.0, "sigma": 1.0}, "gbm1": {"theta": 0.5},
+                  "gbm2": {"theta": 0.5}, "explosive": {"k": 1.0, "a": 1.0}}
+        out = tmp_path / f"threads{threads}"
+        cfgs = []
+        for model, params in models.items():
+            path = tmp_path / f"{model}-{threads}.json"
+            path.write_text(json.dumps(dict(
+                params, model=model, times=[0.1, 0.2], out_dir=str(out / model), seed=3,
+                threshold=1.0, mc={"N": 8, "dt": 0.05, "n_paths": 2})))
+            cfgs.append(str(path))
+        monkeypatch.setenv("FREESDE_THREADS", threads)
+        code = ("import json, sys; from freesde.cli import main; "
+                "codes = [main(['compare', '--config', c]) for c in sys.argv[1:]]; "
+                f"print(json.dumps([codes, sorted(set(sys.modules) & {set(self.LOADS)!r})]))")
+        proc = run_fresh(code, *cfgs, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(models)
+        hists = {p.relative_to(out): p.read_bytes() for p in sorted(out.glob("*/hist_*.csv"))}
+        assert len(hists) == 2 * len(models)
+        return loaded, hists
+
+    def test_serial_compare_loads_no_pool_and_no_masked_arrays(self, tmp_path, monkeypatch):
+        # the histogram reads its quartiles off the sorted samples, so
+        # np.percentile's numpy.ma import is never made; the path pool's
+        # concurrent.futures, and the logging it loads, only with a pool
+        loaded, _ = self._compare_every_model(tmp_path, "1", monkeypatch)
+        assert loaded == []
+
+    def test_pooled_compare_loads_the_pool_and_bins_as_the_serial_run(self, tmp_path,
+                                                                      monkeypatch):
+        loaded, pooled = self._compare_every_model(tmp_path, "2", monkeypatch)
+        assert "concurrent.futures" in loaded
+        _, serial = self._compare_every_model(tmp_path, "1", monkeypatch)
+        assert pooled == serial
 
     def test_package_binds_no_public_name_and_loads_no_module(self):
         code = ("import sys, freesde; "

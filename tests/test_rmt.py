@@ -705,7 +705,22 @@ class TestEigenHistogram:
         np.random.default_rng(1).normal(size=500),
         np.random.default_rng(2).standard_cauchy(2000),
         np.random.default_rng(3).uniform(-2, 2, 4800),
-    ], ids=["one", "constant", "two", "zero-iqr", "normal", "cauchy", "uniform"])
+        # n = 2..5: quartile indices (n - 1)/4 and 3(n - 1)/4 at every fraction
+        *(np.random.default_rng(6).normal(size=n) for n in (2, 3, 4, 5)),
+        # the quartile indices 2 and 6 on ties, and 1.75 and 5.25 between them
+        [0.0, 1.0, 1.0, 1.0, 2.0, 3.0, 3.0, 3.0, 7.0],
+        [0.0, 0.5, 0.5, 0.5, 2.0, 3.0, 3.0, 4.0],
+        # fractions 0.25 and 0.75 (n = 6), 0.75 and 0.25 (n = 8): lerp's two branches
+        [-3.0, 0.1, 0.7, 1.3, 2.9, 8.0], [-3.0, -1.1, 0.1, 0.7, 1.3, 2.9, 4.4, 8.0],
+        # 3 bins by the upper branch b - (b - a)(1 - g); a + (b - a) g gives 4
+        [-1.0, 0.00582459511, 0.17857187817, 0.39625616222, 0.69133703528,
+         0.8773285715303814],
+        -np.random.default_rng(7).exponential(size=101),
+        1e200 * np.random.default_rng(8).normal(size=97),
+        1e-200 * np.random.default_rng(9).normal(size=97),
+    ], ids=["one", "constant", "two", "zero-iqr", "normal", "cauchy", "uniform",
+            "n2", "n3", "n4", "n5", "ties-on-index", "ties-between", "frac-n6",
+            "frac-n8", "lerp-branch-decides", "all-negative", "scaled-1e200", "scaled-1e-200"])
     def test_bins_follow_freedman_diaconis(self, samples):
         # the rule written out: width 2 IQR n^(-1/3), ceil(span/width) bins
         x = np.sort(np.asarray(samples, dtype=float))
